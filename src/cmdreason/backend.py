@@ -1,10 +1,12 @@
 """Chat-completion backends: HTTP client, scripted mock, cache, retry policy.
 
-complete() is the one entry point.  It checks the response cache, then drives
-the retry loop around the transport-specific _send(), holding a semaphore
-slot only while a request is actually in flight.  Retryable failures
-(RateLimited, Timeout) back off exponentially with full jitter: attempt i
-sleeps uniform(0, 1s * 2**i).  AuthError and ProtocolError abort immediately.
+complete() answers one transcript: lookup() reads the response cache, and on
+a miss fetch() drives the retry loop around the transport-specific _send(),
+holding a semaphore slot only while a request is actually in flight.  The
+harness calls lookup() and fetch() itself, so that it resolves every hit
+before it starts any worker.  Retryable failures (RateLimited, Timeout) back
+off exponentially with full jitter: attempt i sleeps uniform(0, 1s * 2**i).
+AuthError and ProtocolError abort immediately.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import json
 import logging
 import os
 import random
-import tempfile
 import threading
 import time
 from collections.abc import Callable, Mapping
@@ -110,23 +111,91 @@ class CompletionResult:
     attempt_count: int  # 0 on a cache hit
 
 
+# Canonical JSON for cache keys: sorted keys, no whitespace, UTF-8 as is.
+_KEY_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def _messages_json(transcript: Transcript) -> str:
+    """Canonical JSON of the messages, comma-separated, without the list brackets.
+
+    Only the strings go through the encoder, which is several times faster
+    than encoding one dict per message; the object around them is the one
+    sort_keys gives.
+    """
+    encode = _KEY_JSON.encode
+    return ",".join(
+        f'{{"content":{encode(m.content)},"role":{encode(m.role)}}}' for m in transcript
+    )
+
+
+class KeyHasher:
+    """Cache keys of transcripts that open with a shared prefix.
+
+    A key is sha256 over the canonical JSON of everything that shapes the
+    answer: endpoint, model, sampling parameters and the messages.  Sorted
+    keys put the messages in the middle of that JSON, so the part up to and
+    including the prefix's messages is hashed once here, and key() hashes
+    only the rest on a copy of that state.  The digest equals that of the
+    whole payload hashed in one piece.
+    """
+
+    def __init__(self, config: BackendConfig, prefix: Transcript = ()) -> None:
+        payload = {
+            "endpoint_url": config.endpoint_url,
+            "model": config.model_name,
+            "temperature": config.temperature,
+            "max_output_tokens": config.max_output_tokens,
+            "messages": [],
+        }
+        # string values escape their quotes, so this marker occurs only as the key
+        head, _, tail = _KEY_JSON.encode(payload).partition('"messages":[]')
+        self._prefix = prefix
+        self._tail = "]" + tail
+        self._state = hashlib.sha256(
+            (head + '"messages":[' + _messages_json(prefix)).encode("utf-8")
+        )
+
+    def key(self, transcript: Transcript) -> str:
+        n = len(self._prefix)
+        if transcript[:n] != self._prefix:
+            raise ValueError("transcript does not open with the hasher's prefix")
+        rest = _messages_json(transcript[n:])
+        separator = "," if n and rest else ""
+        digest = self._state.copy()
+        digest.update((separator + rest + self._tail).encode("utf-8"))
+        return digest.hexdigest()
+
+
 def cache_key(config: BackendConfig, transcript: Transcript) -> str:
     """Content address of one request: sha256 over everything that shapes the answer."""
-    payload = {
-        "model": config.model_name,
-        "temperature": config.temperature,
-        "max_output_tokens": config.max_output_tokens,
-        "messages": to_wire(transcript),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return KeyHasher(config).key(transcript)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace path's content with text, all at once.
+
+    The text goes to a temp file beside path, which os.replace then moves
+    over it.  A crash or failed write mid-way leaves the old file whole and
+    no temp file behind, and concurrent writers of one path each leave a
+    whole file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class ResponseCache:
     """One file per completed request, named by its cache key.
 
-    Writes go through a temp file and os.replace, so a crash mid-write never
-    leaves a truncated entry and concurrent writers of the same key are safe.
+    Entries are written with write_atomic, so a crash mid-write never leaves
+    a truncated entry and concurrent writers of the same key are safe.
     """
 
     def __init__(self, directory: str | Path | None = None) -> None:
@@ -144,18 +213,7 @@ class ResponseCache:
             return None
 
     def put(self, key: str, text: str) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+        write_atomic(self._path(key), text)
 
 
 # =============================================================================
@@ -183,24 +241,34 @@ class ChatBackend:
     def _send(self, transcript: Transcript) -> str:
         raise NotImplementedError
 
+    def lookup(self, key: str) -> CompletionResult | None:
+        """The cached completion for key, or None on a miss or without a cache."""
+        if self.cache is None:
+            return None
+        start = time.monotonic()
+        cached = self.cache.get(key)
+        if cached is None:
+            return None
+        return CompletionResult(
+            raw_text=cached,
+            model_name=self.config.model_name,
+            cache_hit=True,
+            latency_seconds=time.monotonic() - start,
+            attempt_count=0,
+        )
+
     def complete(self, transcript: Transcript) -> CompletionResult:
         """Return the assistant text for a transcript, consulting the cache first."""
+        key = cache_key(self.config, transcript)
+        return self.lookup(key) or self.fetch(transcript, key)
+
+    def fetch(self, transcript: Transcript, key: str) -> CompletionResult:
+        """Send the transcript without looking in the cache, then cache the answer under key."""
         if not transcript:
             raise ValueError("transcript must not be empty")
         if transcript[0].role != "system":
             raise ValueError("transcript must start with a system message")
         start = time.monotonic()
-        key = cache_key(self.config, transcript)
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return CompletionResult(
-                    raw_text=cached,
-                    model_name=self.config.model_name,
-                    cache_hit=True,
-                    latency_seconds=time.monotonic() - start,
-                    attempt_count=0,
-                )
         attempt = 0
         while True:
             attempt += 1

@@ -88,6 +88,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     result = run_experiment(spec)
     _print_report(args.model, result.report)
+    print(
+        f"cache hits: {result.n_cache_hits} of {len(result.records)}; "
+        f"requests sent: {result.n_backend_attempts}"
+    )
     print(f"artifacts written to {result.output_dir}")
     return 0
 

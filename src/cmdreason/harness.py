@@ -3,24 +3,29 @@
 A run owns an output directory and persists everything needed to audit or
 re-score it offline:
 
-* ``spec.json``     - the resolved experiment spec (re-runs reproduce results
-                      given the mock backend or a warm cache)
-* ``responses/``    - one raw response text file per command
-* ``records.jsonl`` - per-command line records: id, cache_key, parse
-                      method/failure, predicted mask, gold mask
-* ``report.json``   - the scored accuracies, display-rounded
+* ``spec.json``       - the resolved experiment spec (re-runs reproduce
+                        results given the mock backend or a warm cache)
+* ``responses.jsonl`` - the raw response text of every command, one
+                        ``{"id", "text"}`` line each, in dataset order
+* ``records.jsonl``   - per-command line records: id, cache_key, parse
+                        method/failure, predicted mask, gold mask
+* ``report.json``     - the scored accuracies, display-rounded
 
-Dispatch is parallel up to max_in_flight, but records and reports are always
-aggregated in dataset order, so parallelism never changes any output byte.
-Nothing volatile (timestamps, latencies, cache-hit counts) is persisted.
+Each file is written once, whole, through a temp file and os.replace.
+
+A run does each piece of per-command work once: the transcript prefix is
+built once per prompt config, each cache key is hashed once from that shared
+prefix, and cache hits are read on the calling thread before any worker
+exists.  Only misses go to a thread pool, up to max_in_flight at a time, so a
+fully warm run starts no pool.  Records and reports are always aggregated in
+dataset order, so parallelism never changes any output byte.  Nothing
+volatile (timestamps, latencies, cache-hit counts) is persisted.
 """
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
-import re
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,10 +36,12 @@ from .backend import (
     ChatBackend,
     CompletionResult,
     HttpChatBackend,
+    KeyHasher,
     MockChatBackend,
     ResponseCache,
-    cache_key,
+    write_atomic,
 )
+from .chat import Transcript
 from .dataset import (
     CATEGORY_TITLES,
     LabeledCommand,
@@ -59,6 +66,7 @@ from .prompt import (
     PromptConfig,
     ShotExample,
     build_transcript,
+    transcript_prefix,
 )
 
 log = logging.getLogger(__name__)
@@ -169,8 +177,7 @@ class RunResult:
 
 def _write_text(path: Path, text: str) -> None:
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        write_atomic(path, text)
     except OSError as exc:
         raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
 
@@ -181,13 +188,6 @@ def _write_json(path: Path, data: Any) -> None:
 
 def _write_jsonl(path: Path, rows: list[dict[str, Any]]) -> None:
     _write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
-
-
-def _safe_filename(command_id: str) -> str:
-    safe = re.sub(r"[^A-Za-z0-9._-]", "_", command_id)
-    if safe != command_id:  # disambiguate ids that collide after sanitizing
-        safe += "-" + hashlib.sha256(command_id.encode("utf-8")).hexdigest()[:8]
-    return safe
 
 
 # =============================================================================
@@ -233,9 +233,11 @@ def build_backend(
 def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> RunResult:
     """Run one configuration over a dataset and persist all artifacts.
 
-    On a backend failure the run aborts: completed responses are already
-    cached and written, a ``records.partial.jsonl`` snapshot is saved, and
-    AbortedRun is raised.  Re-running the same spec resumes from the cache.
+    If a request fails, the run stops: queued requests are cancelled, the
+    completed responses stay cached, and ``records.partial.jsonl`` and
+    ``responses.partial.jsonl`` snapshot them.  A BackendError is raised as
+    AbortedRun, anything else as itself.  Re-running the same spec resumes
+    from the cache.
     """
     data = load_dataset(spec.dataset_path)
     out_dir = Path(spec.output_dir)
@@ -244,37 +246,24 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
         backend = build_backend(spec.backend_config, dataset=data)
 
     transcripts = [build_transcript(spec.prompt_config, rec.text) for rec in data]
-    keys = [cache_key(backend.config, t) for t in transcripts]
-    responses_dir = out_dir / "responses"
-    results: list[CompletionResult | None] = [None] * len(data)
-
-    failure: BackendError | None = None
-    with ThreadPoolExecutor(max_workers=backend.config.max_in_flight) as pool:
-        futures = {
-            pool.submit(backend.complete, t): i for i, t in enumerate(transcripts)
-        }
-        for future in as_completed(futures):
-            i = futures[future]
-            try:
-                result = future.result()
-            except BackendError as exc:
-                failure = exc
-                pool.shutdown(wait=True, cancel_futures=True)
-                break
-            results[i] = result
-            _write_text(
-                responses_dir / f"{_safe_filename(data[i].command_id)}.txt",
-                result.raw_text,
+    hasher = KeyHasher(backend.config, transcript_prefix(spec.prompt_config))
+    keys = [hasher.key(t) for t in transcripts]
+    results = [backend.lookup(key) for key in keys]
+    misses = [i for i, result in enumerate(results) if result is None]
+    if misses:
+        try:
+            _fetch_misses(backend, transcripts, keys, results, misses)
+        except Exception as exc:
+            done = [i for i, result in enumerate(results) if result is not None]
+            _write_jsonl(
+                out_dir / "responses.partial.jsonl",
+                [_response_row(data[i], results[i]) for i in done],
             )
-
-    if failure is not None:
-        partial = [
-            _make_record(rec, res.raw_text, key)
-            for rec, res, key in zip(data, results, keys)
-            if res is not None
-        ]
-        _write_jsonl(out_dir / "records.partial.jsonl", [r.to_json_dict() for r in partial])
-        raise AbortedRun(len(partial), len(data), failure) from failure
+            partial = [_make_record(data[i], results[i].raw_text, keys[i]) for i in done]
+            _write_jsonl(out_dir / "records.partial.jsonl", [r.to_json_dict() for r in partial])
+            if isinstance(exc, BackendError):
+                raise AbortedRun(len(done), len(data), exc) from exc
+            raise
 
     records = [
         _make_record(rec, res.raw_text, key)
@@ -285,8 +274,12 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
         for rec, res, record in zip(data, results, records)
     ]
     report = evaluate(predictions, data, spec.failure_policy)
+    _write_jsonl(
+        out_dir / "responses.jsonl", [_response_row(rec, res) for rec, res in zip(data, results)]
+    )
     _write_jsonl(out_dir / "records.jsonl", [r.to_json_dict() for r in records])
     # a finished run supersedes any partial snapshot left by an aborted one
+    (out_dir / "responses.partial.jsonl").unlink(missing_ok=True)
     (out_dir / "records.partial.jsonl").unlink(missing_ok=True)
     _write_json(
         out_dir / "report.json",
@@ -296,9 +289,35 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
         report=report,
         records=records,
         output_dir=out_dir,
-        n_cache_hits=sum(1 for r in results if r and r.cache_hit),
-        n_backend_attempts=sum(r.attempt_count for r in results if r),
+        n_cache_hits=sum(1 for r in results if r.cache_hit),
+        n_backend_attempts=sum(r.attempt_count for r in results),
     )
+
+
+def _fetch_misses(
+    backend: ChatBackend,
+    transcripts: list[Transcript],
+    keys: list[str],
+    results: list[CompletionResult | None],
+    misses: list[int],
+) -> None:
+    """Fill results[i] for each i in misses from up to max_in_flight workers.
+
+    On the first failure the queued requests are cancelled, those in flight
+    finish, and the failure is raised.
+    """
+    with ThreadPoolExecutor(max_workers=backend.config.max_in_flight) as pool:
+        futures = {pool.submit(backend.fetch, transcripts[i], keys[i]): i for i in misses}
+        try:
+            for future in as_completed(futures):
+                results[futures[future]] = future.result()
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
+
+
+def _response_row(rec: LabeledCommand, result: CompletionResult) -> dict[str, str]:
+    return {"id": rec.command_id, "text": result.raw_text}
 
 
 def _make_record(rec: LabeledCommand, raw_text: str, key: str) -> CommandRecord:

@@ -13,6 +13,7 @@ expects, ending with ``Therefore, the output should be : [b1 ... b8]``.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -164,21 +165,31 @@ def render_shot(shot: ShotExample, mode: ExplanationMode) -> tuple[str, str]:
     return shot.command, "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=64)
+def transcript_prefix(config: PromptConfig) -> Transcript:
+    """The system message, then one user/assistant pair per shot.
+
+    Every transcript of a config opens with this prefix.  It is built once
+    per config and shared, so the transcripts of one run hold the very same
+    prefix messages.
+    """
+    messages = [system(build_system_prompt(config))]
+    for shot in config.shots:
+        shot_user, shot_assistant = render_shot(shot, config.mode)
+        messages.append(user(shot_user))
+        messages.append(assistant(shot_assistant))
+    return tuple(messages)
+
+
 def build_transcript(config: PromptConfig, command: str) -> Transcript:
-    """System message, then one user/assistant pair per shot, then the command.
+    """The config's transcript prefix, then the command.
 
     The final user message is the command byte-for-byte; blank commands are
     rejected.  Total length is always 2 + 2 * len(config.shots).
     """
     if not command.strip():
         raise EmptyCommand("cannot build a transcript for a blank command")
-    messages = [system(build_system_prompt(config))]
-    for shot in config.shots:
-        shot_user, shot_assistant = render_shot(shot, config.mode)
-        messages.append(user(shot_user))
-        messages.append(assistant(shot_assistant))
-    messages.append(user(command))
-    return tuple(messages)
+    return transcript_prefix(config) + (user(command),)
 
 
 # =============================================================================

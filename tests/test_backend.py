@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
 import threading
 import time
@@ -13,6 +15,7 @@ from cmdreason.backend import (
     AuthError,
     BackendConfig,
     HttpChatBackend,
+    KeyHasher,
     MockChatBackend,
     ProtocolError,
     RateLimited,
@@ -22,8 +25,10 @@ from cmdreason.backend import (
     UnscriptedInput,
     cache_key,
     mock_config,
+    write_atomic,
 )
-from cmdreason.chat import assistant, system, user
+from cmdreason.chat import assistant, system, to_wire, user
+from cmdreason.prompt import MODE_ORDER, build_transcript, default_template, transcript_prefix
 
 
 def transcript_for(command: str):
@@ -63,6 +68,7 @@ def test_cache_key_changes_with_any_input():
     assert cache_key(mock_config(model_name="other"), transcript_for("Honk.")) != base
     assert cache_key(mock_config(temperature=0.7), transcript_for("Honk.")) != base
     assert cache_key(mock_config(max_output_tokens=64), transcript_for("Honk.")) != base
+    assert cache_key(mock_config(endpoint_url="http://other/v1"), transcript_for("Honk.")) != base
     with_assistant = transcript_for("Honk.") + (assistant("ok"), user("Honk."))
     assert cache_key(config, with_assistant) != base
 
@@ -70,6 +76,48 @@ def test_cache_key_changes_with_any_input():
 def test_cache_key_ignores_retry_and_concurrency_settings():
     base = cache_key(mock_config(), transcript_for("Honk."))
     assert cache_key(mock_config(max_retries=9, max_in_flight=2), transcript_for("Honk.")) == base
+
+
+def reference_key(config: BackendConfig, transcript) -> str:
+    """The whole request payload hashed in one piece."""
+    payload = {
+        "endpoint_url": config.endpoint_url,
+        "model": config.model_name,
+        "temperature": config.temperature,
+        "max_output_tokens": config.max_output_tokens,
+        "messages": to_wire(transcript),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_prefix_hashed_keys_equal_whole_payload_hash():
+    template = default_template()
+    configs = [
+        mock_config(),
+        BackendConfig(
+            endpoint_url='https://h\u00f6st/"v1"\\', model_name='m"x\\y "messages":[]',
+            temperature=0.25,
+        ),
+    ]
+    commands = ["Honk.", 'Say "hi" \\ then\\n stop', "Öffne das Fenster — bitte 🚗", "x\u2028\t\x00"]
+    for config in configs:
+        for mode in MODE_ORDER:
+            for shots in range(5):
+                prompt = template.config(mode, shots)
+                hasher = KeyHasher(config, transcript_prefix(prompt))
+                for command in commands:
+                    transcript = build_transcript(prompt, command)
+                    want = reference_key(config, transcript)
+                    assert hasher.key(transcript) == want
+                    assert cache_key(config, transcript) == want
+
+
+def test_key_hasher_rejects_transcript_with_other_prefix():
+    hasher = KeyHasher(mock_config(), transcript_for("Honk."))
+    assert hasher.key(transcript_for("Honk.")) == cache_key(mock_config(), transcript_for("Honk."))
+    with pytest.raises(ValueError):
+        hasher.key(transcript_for("Wave."))
 
 
 # =============================================================================
@@ -96,6 +144,27 @@ def test_cache_leaves_no_temp_files(tmp_path):
     names = [p.name for p in (tmp_path / "c").iterdir()]
     assert len(names) == 10
     assert not any(name.startswith(".tmp-") for name in names)
+
+
+def _fail_replace(src, dst):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failure", ["unencodable text", "failed replace"])
+def test_failed_atomic_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, failure):
+    path = tmp_path / "out" / "report.json"
+    write_atomic(path, "old content\n")
+    text = "new content\n"
+    if failure == "unencodable text":
+        text += "\ud800"  # a lone surrogate has no UTF-8 encoding
+        expected = UnicodeEncodeError
+    else:
+        monkeypatch.setattr(os, "replace", _fail_replace)
+        expected = OSError
+    with pytest.raises(expected):
+        write_atomic(path, text)
+    assert path.read_text() == "old content\n"
+    assert [p.name for p in path.parent.iterdir()] == ["report.json"]
 
 
 def test_cache_directory_from_env(tmp_path, monkeypatch):

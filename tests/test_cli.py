@@ -30,6 +30,7 @@ def test_run_with_gold_mock(toy_path, tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "100.00" in stdout
+    assert "cache hits: 0 of 24; requests sent: 24" in stdout
     assert (out / "report.json").is_file()
     assert json.loads((out / "report.json").read_text())["label"] == "demo"
 

@@ -3,13 +3,16 @@ from __future__ import annotations
 import csv
 import json
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cmdreason import harness
 from cmdreason.backend import (
     BackendConfig,
+    KeyHasher,
     MockChatBackend,
     ProtocolError,
     ResponseCache,
@@ -72,17 +75,21 @@ def test_gold_mock_run_is_perfect(toy_path, toy_data, template, tmp_path):
     assert result.report.n_parse_failures == 0
 
 
+def read_jsonl(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def test_run_persists_all_artifacts(toy_path, toy_data, template, tmp_path):
     out = tmp_path / "run"
     spec = make_spec(toy_path, template, out)
     run_experiment(spec, gold_backend(toy_data, tmp_path / "cache"))
-    assert (out / "spec.json").is_file()
-    assert (out / "records.jsonl").is_file()
-    assert (out / "report.json").is_file()
-    responses = sorted(p.name for p in (out / "responses").iterdir())
-    assert responses == sorted(f"{rec.command_id}.txt" for rec in toy_data)
-    text = (out / "responses" / "c01.txt").read_text()
-    assert text.endswith("[0 1 0 0 1 1 1 0]")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "records.jsonl", "report.json", "responses.jsonl", "spec.json"
+    ]
+    responses = read_jsonl(out / "responses.jsonl")
+    assert [row["id"] for row in responses] == [rec.command_id for rec in toy_data]
+    assert all(list(row) == ["id", "text"] for row in responses)
+    assert responses[0]["text"].endswith("[0 1 0 0 1 1 1 0]")
 
 
 def test_records_cover_every_command_once_in_dataset_order(
@@ -185,6 +192,8 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
     assert err.value.n_total == 24
     partial = load_records(out / "records.partial.jsonl")
     assert [r.command_id for r in partial] == [rec.command_id for rec in toy_data[:12]]
+    responses = read_jsonl(out / "responses.partial.jsonl")
+    assert [row["id"] for row in responses] == [rec.command_id for rec in toy_data[:12]]
     assert not (out / "records.jsonl").exists()
 
     healthy = MockChatBackend(
@@ -206,7 +215,7 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
     assert (out / "report.json").read_bytes() == (clean_out / "report.json").read_bytes()
 
 
-def test_response_filenames_are_sanitized(template, tmp_path):
+def test_response_ids_round_trip_verbatim(template, tmp_path):
     data = [
         LabeledCommand("weird/id: 1", "Honk the horn.", RequirementVector.from_bits("00010000"))
     ]
@@ -215,9 +224,112 @@ def test_response_filenames_are_sanitized(template, tmp_path):
     spec = make_spec(ds, template, tmp_path / "run")
     result = run_experiment(spec, MockChatBackend(gold_echo_script(data)))
     assert result.records[0].command_id == "weird/id: 1"
-    files = list((tmp_path / "run" / "responses").iterdir())
-    assert len(files) == 1
-    assert "/" not in files[0].name and ":" not in files[0].name and " " not in files[0].name
+    assert read_jsonl(tmp_path / "run" / "responses.jsonl") == [
+        {"id": "weird/id: 1", "text": gold_echo_script(data)["Honk the horn."]}
+    ]
+
+
+def test_responses_are_byte_identical_across_reruns_and_concurrency(
+    toy_path, toy_data, template, tmp_path
+):
+    outputs = []
+    for max_in_flight in (1, 4):
+        backend = gold_backend(toy_data, tmp_path / f"cache{max_in_flight}", max_in_flight)
+        for attempt in ("cold", "warm"):
+            out = tmp_path / f"run{max_in_flight}{attempt}"
+            run_experiment(make_spec(toy_path, template, out), backend)
+            outputs.append((out / "responses.jsonl").read_bytes())
+    assert len(set(outputs)) == 1
+
+
+def test_each_command_is_keyed_and_looked_up_once_and_warm_runs_send_nothing(
+    toy_path, toy_data, template, tmp_path, monkeypatch
+):
+    key_calls, get_calls = [], []
+    original_key, original_get = KeyHasher.key, ResponseCache.get
+
+    def counting_key(self, transcript):
+        key_calls.append(transcript[-1].content)
+        return original_key(self, transcript)
+
+    def counting_get(self, key):
+        get_calls.append(key)
+        return original_get(self, key)
+
+    monkeypatch.setattr(KeyHasher, "key", counting_key)
+    monkeypatch.setattr(ResponseCache, "get", counting_get)
+    spec = make_spec(toy_path, template, tmp_path / "run")
+    cold = run_experiment(spec, gold_backend(toy_data, tmp_path / "cache"))
+    assert key_calls == [rec.text for rec in toy_data]
+    assert get_calls == [record.cache_key for record in cold.records]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a fully warm run started a thread pool")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    key_calls.clear()
+    get_calls.clear()
+    warm = gold_backend(toy_data, tmp_path / "cache")
+    result = run_experiment(spec, warm)
+    assert warm.send_count == 0
+    assert result.n_cache_hits == len(toy_data)
+    assert key_calls == [rec.text for rec in toy_data]
+    assert len(get_calls) == len(toy_data)
+
+
+def test_cache_entries_of_another_endpoint_are_not_reused(
+    toy_path, toy_data, template, tmp_path
+):
+    gold_config = BackendConfig(endpoint_url="mock://gold", model_name="same-model")
+    gold = run_experiment(
+        make_spec(toy_path, template, tmp_path / "gold", backend_config=gold_config),
+        build_backend(gold_config, toy_data, ResponseCache(tmp_path / "cache")),
+    )
+    assert gold.report.command_level_accuracy == 1
+
+    other_config = BackendConfig(endpoint_url="http://127.0.0.1:9/v1", model_name="same-model")
+    zeros = MockChatBackend(
+        lambda transcript: "[0 0 0 0 0 0 0 0]",
+        config=other_config,
+        cache=ResponseCache(tmp_path / "cache"),
+    )
+    other = run_experiment(
+        make_spec(toy_path, template, tmp_path / "other", backend_config=other_config), zeros
+    )
+    assert other.n_cache_hits == 0
+    assert zeros.send_count == len(toy_data)
+    assert other.report.command_level_accuracy < 1
+
+
+class FullCache(ResponseCache):
+    def put(self, key: str, text: str) -> None:
+        raise OSError(28, "No space left on device")
+
+
+def test_worker_failure_stops_run_and_leaves_partial_snapshot(
+    toy_path, toy_data, template, tmp_path
+):
+    script = gold_echo_script(toy_data)
+
+    def slow(transcript):
+        time.sleep(0.005)
+        return script[transcript[-1].content]
+
+    out = tmp_path / "run"
+    spec = make_spec(toy_path, template, out)
+    backend = MockChatBackend(
+        slow, config=mock_config(max_in_flight=2), cache=FullCache(tmp_path / "cache")
+    )
+    with pytest.raises(OSError, match="No space left"):
+        run_experiment(spec, backend)
+    assert backend.send_count < len(toy_data)  # queued requests were cancelled
+    assert (out / "records.partial.jsonl").is_file()
+    assert (out / "responses.partial.jsonl").is_file()
+    assert not (out / "records.jsonl").exists()
+
+    run_experiment(spec, gold_backend(toy_data, tmp_path / "cache"))
+    assert not (out / "records.partial.jsonl").exists()
+    assert not (out / "responses.partial.jsonl").exists()
 
 
 def test_spec_json_round_trip(toy_path, template, tmp_path):
