@@ -54,7 +54,6 @@ from .harness import (
     AblationCell,
     AblationGrid,
     AbortedRun,
-    CommandRecord,
     ExperimentSpec,
     ResultRow,
     RunResult,

@@ -88,6 +88,8 @@ class BackendConfig:
     api_key_env: str = API_KEY_ENV
 
     def __post_init__(self) -> None:
+        # one spelling per endpoint, so the cache key and the posted URL agree
+        object.__setattr__(self, "endpoint_url", self.endpoint_url.rstrip("/"))
         if not self.endpoint_url:
             raise ValueError("endpoint_url must be non-empty")
         if not self.model_name:
@@ -305,7 +307,7 @@ class HttpChatBackend(ChatBackend):
         self._session = requests.Session()
 
     def _send(self, transcript: Transcript) -> str:
-        url = self.config.endpoint_url.rstrip("/") + "/chat/completions"
+        url = self.config.endpoint_url + "/chat/completions"
         payload = {
             "model": self.config.model_name,
             "messages": to_wire(transcript),

@@ -25,15 +25,14 @@ from .dataset import (
 from .errors import BackendError, DataError, UsageError
 from .harness import (
     AblationGrid,
-    CommandRecord,
     ExperimentSpec,
     REPORT_FORMATS,
     ResultRow,
     ablation_table,
+    comparison_table,
     emit_report,
     load_records,
     load_result_row,
-    records_to_predictions,
     render_table,
     run_ablation,
     run_experiment,
@@ -51,10 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_report(label: str, report: EvalReport) -> None:
-    row = ResultRow.from_eval(label, report)
-    header = ["Method", "Command", "Overall", *CATEGORY_TITLES]
-    cells = [[row.label, row.command_pct, row.question_pct, *row.per_question_pct]]
-    print(render_table(header, cells, "table"), end="")
+    print(comparison_table([ResultRow.from_eval(label, report)], "table"), end="")
     if report.n_parse_failures:
         print(
             f"parse failures: {report.n_parse_failures} of {report.n_commands}"
@@ -84,7 +80,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         backend_config=_backend_config(args),
         output_dir=args.out,
         failure_policy=args.policy,
-        seed=args.seed,
     )
     result = run_experiment(spec)
     _print_report(args.model, result.report)
@@ -112,7 +107,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         backend_config=_backend_config(args),
         output_dir=args.out,
         failure_policy=args.policy,
-        seed=args.seed,
     )
     try:
         grid = AblationGrid(base, modes, shot_counts)
@@ -137,22 +131,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         ruleset = load_rules(args.rules)
         vectors = [rule_classify(ruleset, rec.text) for rec in data]
         label = f"rules({Path(args.rules).name})"
-    predictions = [
-        PredictionRecord(rec.command_id, vec) for rec, vec in zip(data, vectors)
-    ]
-    report = evaluate(predictions, data, "strict")
-    records = [
-        CommandRecord(
-            command_id=rec.command_id,
-            cache_key="",
-            method="direct",
-            failure_reason=None,
-            predicted=vec.bits(),
-            gold=rec.gold.bits(),
-        )
-        for rec, vec in zip(data, vectors)
-    ]
-    save_run_artifacts(args.out, label, records, report)
+    records = [PredictionRecord(rec.command_id, vec) for rec, vec in zip(data, vectors)]
+    report = evaluate(records, data, "strict")
+    save_run_artifacts(args.out, label, data, records, report)
     _print_report(label, report)
     print(f"artifacts written to {args.out}")
     return 0
@@ -190,7 +171,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     records = load_records(args.records)
     data = load_dataset(args.dataset)
-    report = evaluate(records_to_predictions(records), data, args.policy)
+    report = evaluate(records, data, args.policy)
     _print_report(f"rescore({Path(args.records).name})", report)
     return 0
 
@@ -221,7 +202,6 @@ def build_parser() -> _Parser:
     run.add_argument("--mode", choices=[m.value for m in MODE_ORDER], default="stepwise")
     add_backend_args(run)
     run.add_argument("--policy", choices=FAILURE_POLICIES, default="strict")
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(handler=_cmd_run)
 
@@ -233,7 +213,6 @@ def build_parser() -> _Parser:
     ablate.add_argument("--shots", default="0,1,2,3,4", help="comma-separated shot counts")
     add_backend_args(ablate)
     ablate.add_argument("--policy", choices=FAILURE_POLICIES, default="strict")
-    ablate.add_argument("--seed", type=int, default=0)
     ablate.add_argument("--out", required=True, help="output directory")
     ablate.set_defaults(handler=_cmd_ablate)
 

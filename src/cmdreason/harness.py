@@ -7,11 +7,18 @@ re-score it offline:
                         results given the mock backend or a warm cache)
 * ``responses.jsonl`` - the raw response text of every command, one
                         ``{"id", "text"}`` line each, in dataset order
-* ``records.jsonl``   - per-command line records: id, cache_key, parse
-                        method/failure, predicted mask, gold mask
+* ``records.jsonl``   - one line per command: id, cache_key, parse
+                        method/failure, predicted mask, gold mask; the gold
+                        mask is for auditing, re-scoring reads gold from the
+                        dataset
 * ``report.json``     - the scored accuracies, display-rounded
 
 Each file is written once, whole, through a temp file and os.replace.
+
+Every command's parse becomes one metrics.PredictionRecord, which is what
+evaluate() scores, what RunResult.records holds and what load_records reads
+back; _write_records and load_records are the only code that knows the
+records.jsonl format.
 
 A run does each piece of per-command work once: the transcript prefix is
 built once per prompt config, each cache key is hashed once from that shared
@@ -58,7 +65,7 @@ from .metrics import (
     evaluate,
     format_percent,
 )
-from .parser import ParseOutcome, parse_response
+from .parser import parse_response
 from .prompt import (
     ANSWER_LINE_PREFIX,
     MODE_ORDER,
@@ -100,7 +107,6 @@ class ExperimentSpec:
     backend_config: BackendConfig
     output_dir: str
     failure_policy: str = "strict"
-    seed: int = 0  # provenance only; runs themselves draw no randomness
 
     def __post_init__(self) -> None:
         if self.failure_policy not in FAILURE_POLICIES:
@@ -111,7 +117,6 @@ class ExperimentSpec:
             "dataset_path": self.dataset_path,
             "output_dir": self.output_dir,
             "failure_policy": self.failure_policy,
-            "seed": self.seed,
             "prompt_config": self.prompt_config.to_json_dict(),
             "backend_config": dataclasses.asdict(self.backend_config),
         }
@@ -124,47 +129,13 @@ class ExperimentSpec:
             backend_config=BackendConfig(**data["backend_config"]),
             output_dir=data["output_dir"],
             failure_policy=data["failure_policy"],
-            seed=data["seed"],
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class CommandRecord:
-    """One line of records.jsonl: enough to re-score without re-querying."""
-
-    command_id: str
-    cache_key: str
-    method: str | None  # parse method, "direct" for baselines, None on failure
-    failure_reason: str | None
-    predicted: str | None  # 8-char mask, None on failure
-    gold: str  # 8-char mask
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.command_id,
-            "cache_key": self.cache_key,
-            "method": self.method,
-            "failure_reason": self.failure_reason,
-            "predicted": self.predicted,
-            "gold": self.gold,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "CommandRecord":
-        return cls(
-            command_id=data["id"],
-            cache_key=data["cache_key"],
-            method=data["method"],
-            failure_reason=data["failure_reason"],
-            predicted=data["predicted"],
-            gold=data["gold"],
         )
 
 
 @dataclass(frozen=True, slots=True)
 class RunResult:
     report: EvalReport
-    records: list[CommandRecord]
+    records: list[PredictionRecord]
     output_dir: Path
     n_cache_hits: int
     n_backend_attempts: int
@@ -218,7 +189,7 @@ def build_backend(
         if dataset is None:
             raise UsageError(f"{MOCK_GOLD_ENDPOINT} needs a dataset to echo from")
         return MockChatBackend(gold_echo_script(dataset), config=config, cache=cache)
-    if config.endpoint_url.startswith("mock://"):
+    if config.endpoint_url.startswith("mock:"):
         raise UsageError(
             f"unknown mock endpoint {config.endpoint_url!r}; only {MOCK_GOLD_ENDPOINT} is built in"
         )
@@ -259,25 +230,21 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
                 out_dir / "responses.partial.jsonl",
                 [_response_row(data[i], results[i]) for i in done],
             )
-            partial = [_make_record(data[i], results[i].raw_text, keys[i]) for i in done]
-            _write_jsonl(out_dir / "records.partial.jsonl", [r.to_json_dict() for r in partial])
+            _write_records(
+                out_dir / "records.partial.jsonl",
+                [data[i] for i in done],
+                [_predict(data[i], results[i].raw_text, keys[i]) for i in done],
+            )
             if isinstance(exc, BackendError):
                 raise AbortedRun(len(done), len(data), exc) from exc
             raise
 
-    records = [
-        _make_record(rec, res.raw_text, key)
-        for rec, res, key in zip(data, results, keys)
-    ]
-    predictions = [
-        PredictionRecord(rec.command_id, _outcome_of(record), res.raw_text)
-        for rec, res, record in zip(data, results, records)
-    ]
-    report = evaluate(predictions, data, spec.failure_policy)
+    records = [_predict(rec, res.raw_text, key) for rec, res, key in zip(data, results, keys)]
+    report = evaluate(records, data, spec.failure_policy)
     _write_jsonl(
         out_dir / "responses.jsonl", [_response_row(rec, res) for rec, res in zip(data, results)]
     )
-    _write_jsonl(out_dir / "records.jsonl", [r.to_json_dict() for r in records])
+    _write_records(out_dir / "records.jsonl", data, records)
     # a finished run supersedes any partial snapshot left by an aborted one
     (out_dir / "responses.partial.jsonl").unlink(missing_ok=True)
     (out_dir / "records.partial.jsonl").unlink(missing_ok=True)
@@ -320,79 +287,80 @@ def _response_row(rec: LabeledCommand, result: CompletionResult) -> dict[str, st
     return {"id": rec.command_id, "text": result.raw_text}
 
 
-def _make_record(rec: LabeledCommand, raw_text: str, key: str) -> CommandRecord:
+def _predict(rec: LabeledCommand, raw_text: str, key: str) -> PredictionRecord:
     outcome = parse_response(raw_text)
-    return CommandRecord(
-        command_id=rec.command_id,
-        cache_key=key,
-        method=outcome.method,
-        failure_reason=outcome.failure_reason,
-        predicted=outcome.vector.bits() if outcome.vector is not None else None,
-        gold=rec.gold.bits(),
+    return PredictionRecord(
+        rec.command_id, outcome.vector, outcome.method, outcome.failure_reason, key
     )
 
 
-def _outcome_of(record: CommandRecord) -> ParseOutcome:
-    if record.predicted is not None:
-        return ParseOutcome.success(
-            RequirementVector.from_bits(record.predicted), record.method
-        )
-    return ParseOutcome.failure(record.failure_reason)
-
-
 # =============================================================================
-# Records round-trip (offline re-scoring)
+# records.jsonl: written and read only here
 # =============================================================================
 
 
-def load_records(path: str | Path) -> list[CommandRecord]:
-    """Read a records.jsonl file back; raises MalformedRecord on bad lines."""
+def _write_records(
+    path: Path, data: list[LabeledCommand], records: list[PredictionRecord]
+) -> None:
+    """One line per record; data[i] is the command records[i] predicts."""
+    _write_jsonl(
+        path,
+        [
+            {
+                "id": record.command_id,
+                "cache_key": record.cache_key,
+                "method": record.method,
+                "failure_reason": record.failure_reason,
+                "predicted": record.vector.bits() if record.vector is not None else None,
+                "gold": rec.gold.bits(),
+            }
+            for rec, record in zip(data, records, strict=True)
+        ],
+    )
+
+
+def load_records(path: str | Path) -> list[PredictionRecord]:
+    """Read a records.jsonl file back; raises MalformedRecord on bad lines.
+
+    The ``gold`` column is not read: scoring takes gold from the dataset.
+    """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(path)
-    records: list[CommandRecord] = []
+    records: list[PredictionRecord] = []
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-                record = CommandRecord.from_json_dict(data)
-            except (ValueError, KeyError) as exc:
-                raise MalformedRecord(path, line_no, f"bad record line: {exc}") from exc
-            if record.predicted is None and record.failure_reason is None:
-                raise MalformedRecord(
-                    path, line_no, "record has neither predicted mask nor failure_reason"
+                row = json.loads(line)
+                mask = row["predicted"]
+                records.append(
+                    PredictionRecord(
+                        command_id=row["id"],
+                        vector=None if mask is None else RequirementVector.from_bits(mask),
+                        method=row["method"],
+                        failure_reason=row["failure_reason"],
+                        cache_key=row["cache_key"],
+                    )
                 )
-            records.append(record)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise MalformedRecord(path, line_no, f"bad record line: {exc!r}") from exc
     return records
 
 
 def save_run_artifacts(
     out_dir: str | Path,
     label: str,
-    records: list[CommandRecord],
+    data: list[LabeledCommand],
+    records: list[PredictionRecord],
     report: EvalReport,
 ) -> Path:
     """Persist records.jsonl and report.json for predictions made without a backend."""
     out = Path(out_dir)
-    _write_jsonl(out / "records.jsonl", [r.to_json_dict() for r in records])
+    _write_records(out / "records.jsonl", data, records)
     _write_json(out / "report.json", report_json_dict(label, report))
     return out
-
-
-def records_to_predictions(records: list[CommandRecord]) -> list[PredictionRecord]:
-    """Rebuild scoreable predictions from persisted records."""
-    predictions: list[PredictionRecord] = []
-    for record in records:
-        if record.predicted is not None:
-            outcome: ParseOutcome | RequirementVector = RequirementVector.from_bits(
-                record.predicted
-            )
-        else:
-            outcome = ParseOutcome.failure(record.failure_reason)
-        predictions.append(PredictionRecord(record.command_id, outcome))
-    return predictions
 
 
 # =============================================================================
@@ -595,15 +563,20 @@ def render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     raise ValueError(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
 
 
-def emit_report(rows: list[ResultRow], fmt: str, out_path: str | Path) -> Path:
-    """Write a method-comparison table: label, command, overall, 8 categories."""
-    if not rows:
-        raise ValueError("emit_report needs at least one row")
+def comparison_table(rows: list[ResultRow], fmt: str) -> str:
+    """Render a method-comparison table: label, command, overall, 8 categories."""
     header = ["Method", "Command", "Overall", *CATEGORY_TITLES]
     table = [
         [row.label, row.command_pct, row.question_pct, *row.per_question_pct]
         for row in rows
     ]
+    return render_table(header, table, fmt)
+
+
+def emit_report(rows: list[ResultRow], fmt: str, out_path: str | Path) -> Path:
+    """Write comparison_table(rows, fmt) to out_path."""
+    if not rows:
+        raise ValueError("emit_report needs at least one row")
     out_path = Path(out_path)
-    _write_text(out_path, render_table(header, table, fmt))
+    _write_text(out_path, comparison_table(rows, fmt))
     return out_path

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .dataset import CATEGORY_TITLES, N_QUESTIONS, LabeledCommand, RequirementVector
 from .errors import DataError
-from .parser import ParseOutcome
 
 FAILURE_POLICIES = ("strict", "exclude")
 
@@ -29,24 +28,25 @@ class IdMismatch(DataError):
 
 @dataclass(frozen=True, slots=True)
 class PredictionRecord:
-    """One prediction: a parsed outcome, or a vector produced directly (baselines)."""
+    """One command's prediction: a vector and how it was made, or why there is none.
+
+    Parsed responses carry the parse method and their cache key; baselines
+    build ``PredictionRecord(id, vector)`` with method ``direct``.
+    """
 
     command_id: str
-    outcome: ParseOutcome | RequirementVector
-    raw_text: str | None = None  # response text the outcome was parsed from, if any
+    vector: RequirementVector | None
+    method: str | None = "direct"  # parse method, "direct" for baselines
+    failure_reason: str | None = None
+    cache_key: str = ""  # cache key of the parsed response, "" for baselines
 
     def __post_init__(self) -> None:
         if not self.command_id:
             raise ValueError("command_id must be non-empty")
-        if not isinstance(self.outcome, (ParseOutcome, RequirementVector)):
-            raise ValueError(f"outcome must be ParseOutcome or RequirementVector, got {type(self.outcome)!r}")
-
-    @property
-    def vector(self) -> RequirementVector | None:
-        """The predicted vector, or None for a parse failure."""
-        if isinstance(self.outcome, RequirementVector):
-            return self.outcome
-        return self.outcome.vector
+        if self.vector is not None and self.method is None:
+            raise ValueError("a predicted vector needs a method")
+        if (self.vector is None) == (self.failure_reason is None):
+            raise ValueError("a record has exactly one of vector or failure_reason")
 
 
 @dataclass(frozen=True, slots=True)

@@ -73,6 +73,13 @@ def test_cache_key_changes_with_any_input():
     assert cache_key(config, with_assistant) != base
 
 
+def test_trailing_slash_names_the_same_endpoint():
+    plain = mock_config(endpoint_url="http://h/v1")
+    slashed = mock_config(endpoint_url="http://h/v1/")
+    assert slashed.endpoint_url == "http://h/v1"
+    assert cache_key(slashed, transcript_for("Honk.")) == cache_key(plain, transcript_for("Honk."))
+
+
 def test_cache_key_ignores_retry_and_concurrency_settings():
     base = cache_key(mock_config(), transcript_for("Honk."))
     assert cache_key(mock_config(max_retries=9, max_in_flight=2), transcript_for("Honk.")) == base
@@ -395,6 +402,12 @@ def test_http_happy_path_sends_expected_payload(server, monkeypatch):
         "temperature": 0.5,
         "max_tokens": 77,
     }
+
+
+def test_http_posts_trailing_slash_endpoint_to_one_url(server):
+    url = http_config(server).endpoint_url + "/"
+    HttpChatBackend(http_config(server, endpoint_url=url)).complete(transcript_for("Honk."))
+    assert server.seen[0]["path"] == "/chat/completions"
 
 
 def test_http_omits_auth_header_without_key(server, monkeypatch):

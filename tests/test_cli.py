@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +247,20 @@ def test_score_mismatched_dataset_is_data_error(toy_path, tmp_path, capsys):
     assert code == 2
 
 
+def test_score_malformed_record_is_data_error(toy_path, tmp_path, capsys):
+    out = tmp_path / "rand"
+    run_cli("baseline", "--dataset", toy_path, "--random", "--out", str(out))
+    records = out / "records.jsonl"
+    lines = records.read_text().splitlines(keepends=True)
+    row = json.loads(lines[0])
+    row["predicted"] = "0123"
+    lines[0] = json.dumps(row) + "\n"
+    records.write_text("".join(lines))
+    capsys.readouterr()
+    assert run_cli("score", "--records", str(records), "--dataset", toy_path) == 2
+    assert "records.jsonl:1: bad record line" in capsys.readouterr().err
+
+
 def test_score_missing_records_is_data_error(toy_path, tmp_path):
     assert run_cli("score", "--records", str(tmp_path / "no.jsonl"), "--dataset", toy_path) == 2
 
@@ -255,8 +271,11 @@ def test_score_missing_records_is_data_error(toy_path, tmp_path):
 
 
 def test_console_script_help_runs():
+    # the child does not inherit pytest's pythonpath setting, so name the package's root
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run(
-        [sys.executable, "-m", "cmdreason.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "cmdreason.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0
     assert "SUBCOMMAND" in result.stdout

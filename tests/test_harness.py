@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -18,7 +19,13 @@ from cmdreason.backend import (
     ResponseCache,
     mock_config,
 )
-from cmdreason.dataset import load_dataset, save_dataset, LabeledCommand, RequirementVector
+from cmdreason.dataset import (
+    LabeledCommand,
+    MalformedRecord,
+    RequirementVector,
+    load_dataset,
+    save_dataset,
+)
 from cmdreason.errors import UsageError
 from cmdreason.harness import (
     AblationGrid,
@@ -32,7 +39,6 @@ from cmdreason.harness import (
     gold_echo_script,
     load_records,
     load_result_row,
-    records_to_predictions,
     run_ablation,
     run_experiment,
 )
@@ -101,7 +107,57 @@ def test_records_cover_every_command_once_in_dataset_order(
     on_disk = load_records(tmp_path / "run" / "records.jsonl")
     assert on_disk == result.records
     assert all(r.method == "bracket" for r in on_disk)
-    assert all(r.gold == rec.gold.bits() for r, rec in zip(on_disk, toy_data))
+    rows = read_jsonl(tmp_path / "run" / "records.jsonl")
+    assert [row["gold"] for row in rows] == [rec.gold.bits() for rec in toy_data]
+
+
+def test_warm_run_builds_each_vector_once_from_the_dataset(
+    toy_path, toy_data, template, tmp_path, monkeypatch
+):
+    spec = make_spec(toy_path, template, tmp_path / "run")
+    run_experiment(spec, gold_backend(toy_data, tmp_path / "cache"))
+    callers = []
+    from_bits = RequirementVector.from_bits.__func__
+
+    def counting(cls, bits):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return from_bits(cls, bits)
+
+    monkeypatch.setattr(RequirementVector, "from_bits", classmethod(counting))
+    warm = run_experiment(spec, gold_backend(toy_data, tmp_path / "cache"))
+    assert warm.n_cache_hits == len(toy_data)
+    assert callers == ["cmdreason.dataset"] * len(toy_data)
+
+
+GOOD_RECORD = {
+    "id": "c01", "cache_key": "k", "method": "bracket", "failure_reason": None,
+    "predicted": "01001110", "gold": "01001110",
+}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        json.dumps({**GOOD_RECORD, "predicted": "0123"}),
+        json.dumps([GOOD_RECORD]),
+        json.dumps({**GOOD_RECORD, "method": None}),
+        json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "method"}),
+        json.dumps({**GOOD_RECORD, "failure_reason": "no_bracket_no_steps"}),
+        json.dumps({**GOOD_RECORD, "method": None, "predicted": None}),
+        json.dumps({**GOOD_RECORD, "id": ""}),
+        "{not json",
+    ],
+    ids=[
+        "short-mask", "json-list", "mask-without-method", "missing-key",
+        "mask-and-failure", "neither", "empty-id", "not-json",
+    ],
+)
+def test_load_records_rejects_malformed_lines(tmp_path, line):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        load_records(path)
+    assert err.value.line_no == 2
 
 
 def test_one_unparseable_response_hand_count(toy_path, toy_data, template, tmp_path):
@@ -118,7 +174,7 @@ def test_one_unparseable_response_hand_count(toy_path, toy_data, template, tmp_p
     assert strict.report.per_question_accuracy == (Fraction(23, 24),) * 8
     failed = [r for r in strict.records if r.failure_reason][0]
     assert failed.command_id == "c08"
-    assert failed.predicted is None
+    assert failed.vector is None
     assert failed.failure_reason == "no_bracket_no_steps"
 
     excl = run_experiment(
@@ -333,11 +389,17 @@ def test_worker_failure_stops_run_and_leaves_partial_snapshot(
 
 
 def test_spec_json_round_trip(toy_path, template, tmp_path):
-    spec = make_spec(toy_path, template, tmp_path / "run", failure_policy="exclude", seed=7)
+    spec = make_spec(toy_path, template, tmp_path / "run", failure_policy="exclude")
     assert ExperimentSpec.from_json_dict(spec.to_json_dict()) == spec
     run_experiment(spec, MockChatBackend(gold_echo_script(load_dataset(toy_path))))
     on_disk = json.loads((tmp_path / "run" / "spec.json").read_text())
     assert ExperimentSpec.from_json_dict(on_disk) == spec
+
+
+def test_spec_json_with_old_seed_key_still_loads(toy_path, template, tmp_path):
+    spec = make_spec(toy_path, template, tmp_path / "run")
+    assert ExperimentSpec.from_json_dict({**spec.to_json_dict(), "seed": 7}) == spec
+    assert "seed" not in spec.to_json_dict()
 
 
 def test_spec_rejects_unknown_policy(toy_path, template, tmp_path):
@@ -523,5 +585,5 @@ def test_score_round_trip_matches_original_report(toy_path, toy_data, template, 
     spec = make_spec(toy_path, template, tmp_path / "run")
     result = run_experiment(spec, MockChatBackend(script))
     records = load_records(tmp_path / "run" / "records.jsonl")
-    rescored = evaluate(records_to_predictions(records), toy_data, "strict")
+    rescored = evaluate(records, toy_data, "strict")
     assert rescored == result.report

@@ -16,7 +16,6 @@ from cmdreason.metrics import (
     format_percent,
     per_question_breakdown,
 )
-from cmdreason.parser import ParseOutcome
 from cmdreason.rng import SplitMix64
 
 
@@ -29,7 +28,7 @@ def pred(command_id: str, bits: str) -> PredictionRecord:
 
 
 def fail(command_id: str) -> PredictionRecord:
-    return PredictionRecord(command_id, ParseOutcome.failure("no_bracket_no_steps"))
+    return PredictionRecord(command_id, None, None, "no_bracket_no_steps")
 
 
 # =============================================================================
@@ -138,7 +137,7 @@ def naive_eval(predictions, gold_records, policy):
     failures = 0
     for rec in gold_records:
         p = lookup[rec.command_id]
-        vector = p.outcome if isinstance(p.outcome, RequirementVector) else p.outcome.vector
+        vector = p.vector
         if vector is None:
             failures += 1
             if policy == "strict":
