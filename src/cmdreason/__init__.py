@@ -70,7 +70,6 @@ from .metrics import (
     PredictionRecord,
     evaluate,
     format_percent,
-    per_question_breakdown,
 )
 from .parser import ParseOutcome, parse_response
 from .prompt import (

@@ -4,9 +4,11 @@ complete() answers one transcript: lookup() reads the response cache, and on
 a miss fetch() drives the retry loop around the transport-specific _send(),
 holding a semaphore slot only while a request is actually in flight.  The
 harness calls lookup() and fetch() itself, so that it resolves every hit
-before it starts any worker.  Retryable failures (RateLimited, Timeout) back
-off exponentially with full jitter: attempt i sleeps uniform(0, 1s * 2**i).
-AuthError and ProtocolError abort immediately.
+before it starts any worker.  Each answer is a CompletionResult: the raw
+text and the number of requests it took, 0 when it came from the cache.
+Retryable failures (RateLimited, Timeout) back off exponentially with full
+jitter: attempt i sleeps uniform(0, 1s * 2**i).  AuthError and ProtocolError
+abort immediately.
 """
 from __future__ import annotations
 
@@ -107,10 +109,11 @@ class BackendConfig:
 @dataclass(frozen=True, slots=True)
 class CompletionResult:
     raw_text: str
-    model_name: str
-    cache_hit: bool
-    latency_seconds: float
-    attempt_count: int  # 0 on a cache hit
+    attempt_count: int  # requests sent for this answer; 0 when it came from the cache
+
+    @property
+    def cache_hit(self) -> bool:
+        return self.attempt_count == 0
 
 
 # Canonical JSON for cache keys: sorted keys, no whitespace, UTF-8 as is.
@@ -247,17 +250,8 @@ class ChatBackend:
         """The cached completion for key, or None on a miss or without a cache."""
         if self.cache is None:
             return None
-        start = time.monotonic()
         cached = self.cache.get(key)
-        if cached is None:
-            return None
-        return CompletionResult(
-            raw_text=cached,
-            model_name=self.config.model_name,
-            cache_hit=True,
-            latency_seconds=time.monotonic() - start,
-            attempt_count=0,
-        )
+        return None if cached is None else CompletionResult(cached, attempt_count=0)
 
     def complete(self, transcript: Transcript) -> CompletionResult:
         """Return the assistant text for a transcript, consulting the cache first."""
@@ -270,7 +264,6 @@ class ChatBackend:
             raise ValueError("transcript must not be empty")
         if transcript[0].role != "system":
             raise ValueError("transcript must start with a system message")
-        start = time.monotonic()
         attempt = 0
         while True:
             attempt += 1
@@ -290,13 +283,7 @@ class ChatBackend:
                 self._sleep(delay)
         if self.cache is not None:
             self.cache.put(key, text)
-        return CompletionResult(
-            raw_text=text,
-            model_name=self.config.model_name,
-            cache_hit=False,
-            latency_seconds=time.monotonic() - start,
-            attempt_count=attempt,
-        )
+        return CompletionResult(text, attempt_count=attempt)
 
 
 class HttpChatBackend(ChatBackend):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .dataset import N_QUESTIONS, LabeledCommand, MissingFile, RequirementVector
+from .dataset import N_QUESTIONS, LabeledCommand, RequirementVector, read_masked_tsv
 from .errors import DataError
 from .rng import SplitMix64
 
@@ -74,35 +74,19 @@ def random_classify(seed: int, commands: Sequence[LabeledCommand]) -> list[Requi
 def load_rules(path: str | Path) -> RuleSet:
     """Load a TSV rules file; raise MalformedRule on the first bad line."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
     rules: list[Rule] = []
     default = ALL_NO
     saw_default = False
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise MalformedRule(
-                    path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
-                )
-            pattern, mask_bits = fields
-            try:
-                mask = RequirementVector.from_bits(mask_bits)
-            except ValueError as exc:
-                raise MalformedRule(path, line_no, str(exc)) from exc
-            if pattern == "default":
-                if saw_default:
-                    raise MalformedRule(path, line_no, "duplicate default line")
-                default = mask
-                saw_default = True
-            elif pattern:
-                rules.append(Rule(pattern, mask))
-            else:
-                raise MalformedRule(path, line_no, "empty pattern")
+    for line_no, (pattern,), mask in read_masked_tsv(path, 2, MalformedRule):
+        if pattern == "default":
+            if saw_default:
+                raise MalformedRule(path, line_no, "duplicate default line")
+            default = mask
+            saw_default = True
+        elif pattern:
+            rules.append(Rule(pattern, mask))
+        else:
+            raise MalformedRule(path, line_no, "empty pattern")
     return RuleSet(tuple(rules), default)
 
 

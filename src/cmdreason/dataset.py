@@ -7,12 +7,13 @@ File format (one record per line, UTF-8):
 where ``labels`` is exactly 8 characters of ``0``/``1`` in category order
 (perception, in-cabin monitoring, localization, vehicle control,
 entertainment, personal data, network access, traffic laws).  Lines that are
-blank or start with ``#`` are ignored on load.
+blank or start with ``#`` are ignored on load.  read_masked_tsv reads this
+layout for datasets and for keyword-rule files alike.
 """
 from __future__ import annotations
 
 import logging
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -154,36 +155,48 @@ class LabelDistribution:
 # =============================================================================
 
 
-def load_dataset(path: str | Path) -> list[LabeledCommand]:
-    """Load a TSV dataset file; raise MalformedRecord on the first bad line."""
-    path = Path(path)
+def read_masked_tsv(
+    path: Path, n_fields: int, error: Callable[[Path, int, str], DataError]
+) -> Iterator[tuple[int, list[str], RequirementVector]]:
+    """Yield (line number, leading fields, mask) for each record of a TSV file.
+
+    A record line has n_fields tab-separated fields, the last of them an
+    8-character 0/1 mask; blank lines and ``#`` lines are skipped.  A missing
+    file raises MissingFile, a bad line error(path, line_no, reason).
+    """
     if not path.is_file():
         raise MissingFile(path)
-    records: list[LabeledCommand] = []
-    seen: set[str] = set()
     with path.open(encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) != 3:
-                raise MalformedRecord(
-                    path, line_no, f"expected 3 tab-separated fields, got {len(fields)}"
+            if len(fields) != n_fields:
+                raise error(
+                    path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}"
                 )
-            command_id, text, labels = fields
-            if not command_id:
-                raise MalformedRecord(path, line_no, "empty id")
-            if command_id in seen:
-                raise MalformedRecord(path, line_no, f"duplicate id {command_id!r}")
-            if not text.strip():
-                raise MalformedRecord(path, line_no, "empty command text")
             try:
-                gold = RequirementVector.from_bits(labels)
+                mask = RequirementVector.from_bits(fields[-1])
             except ValueError as exc:
-                raise MalformedRecord(path, line_no, str(exc)) from exc
-            seen.add(command_id)
-            records.append(LabeledCommand(command_id, text, gold))
+                raise error(path, line_no, str(exc)) from exc
+            yield line_no, fields[:-1], mask
+
+
+def load_dataset(path: str | Path) -> list[LabeledCommand]:
+    """Load a TSV dataset file; raise MalformedRecord on the first bad line."""
+    path = Path(path)
+    records: list[LabeledCommand] = []
+    seen: set[str] = set()
+    for line_no, (command_id, text), gold in read_masked_tsv(path, 3, MalformedRecord):
+        if not command_id:
+            raise MalformedRecord(path, line_no, "empty id")
+        if command_id in seen:
+            raise MalformedRecord(path, line_no, f"duplicate id {command_id!r}")
+        if not text.strip():
+            raise MalformedRecord(path, line_no, "empty command text")
+        seen.add(command_id)
+        records.append(LabeledCommand(command_id, text, gold))
     log.debug("loaded %d records from %s", len(records), path)
     return records
 

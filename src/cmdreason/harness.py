@@ -4,7 +4,9 @@ A run owns an output directory and persists everything needed to audit or
 re-score it offline:
 
 * ``spec.json``       - the resolved experiment spec (re-runs reproduce
-                        results given the mock backend or a warm cache)
+                        results given the mock backend or a warm cache);
+                        written only once the backend is built, so a
+                        rejected endpoint leaves nothing behind
 * ``responses.jsonl`` - the raw response text of every command, one
                         ``{"id", "text"}`` line each, in dataset order
 * ``records.jsonl``   - one line per command: id, cache_key, parse
@@ -14,6 +16,12 @@ re-score it offline:
 * ``report.json``     - the scored accuracies, display-rounded
 
 Each file is written once, whole, through a temp file and os.replace.
+Runs and baselines write records.jsonl and report.json through
+save_run_artifacts.
+
+ResultRow.from_eval is the one conversion from an EvalReport to display
+strings: report.json, ablation.json, ablation.md and every comparison table
+take their percentages from it.
 
 Every command's parse becomes one metrics.PredictionRecord, which is what
 evaluate() scores, what RunResult.records holds and what load_records reads
@@ -71,7 +79,6 @@ from .prompt import (
     MODE_ORDER,
     ExplanationMode,
     PromptConfig,
-    ShotExample,
     build_transcript,
     transcript_prefix,
 )
@@ -211,10 +218,10 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
     from the cache.
     """
     data = load_dataset(spec.dataset_path)
-    out_dir = Path(spec.output_dir)
-    _write_json(out_dir / "spec.json", spec.to_json_dict())
     if backend is None:
         backend = build_backend(spec.backend_config, dataset=data)
+    out_dir = Path(spec.output_dir)
+    _write_json(out_dir / "spec.json", spec.to_json_dict())
 
     transcripts = [build_transcript(spec.prompt_config, rec.text) for rec in data]
     hasher = KeyHasher(backend.config, transcript_prefix(spec.prompt_config))
@@ -244,14 +251,10 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
     _write_jsonl(
         out_dir / "responses.jsonl", [_response_row(rec, res) for rec, res in zip(data, results)]
     )
-    _write_records(out_dir / "records.jsonl", data, records)
+    save_run_artifacts(out_dir, spec.backend_config.model_name, data, records, report)
     # a finished run supersedes any partial snapshot left by an aborted one
     (out_dir / "responses.partial.jsonl").unlink(missing_ok=True)
     (out_dir / "records.partial.jsonl").unlink(missing_ok=True)
-    _write_json(
-        out_dir / "report.json",
-        report_json_dict(spec.backend_config.model_name, report),
-    )
     return RunResult(
         report=report,
         records=records,
@@ -356,7 +359,7 @@ def save_run_artifacts(
     records: list[PredictionRecord],
     report: EvalReport,
 ) -> Path:
-    """Persist records.jsonl and report.json for predictions made without a backend."""
+    """Persist records.jsonl and report.json, for runs and baselines alike."""
     out = Path(out_dir)
     _write_records(out / "records.jsonl", data, records)
     _write_json(out / "report.json", report_json_dict(label, report))
@@ -370,28 +373,25 @@ def save_run_artifacts(
 
 @dataclass(frozen=True, slots=True)
 class AblationGrid:
-    """Cartesian product of explanation modes and shot counts over one base spec."""
+    """Cartesian product of explanation modes and shot counts over one base spec.
+
+    Each cell takes its shots as a prefix of the base config's shots.
+    """
 
     base: ExperimentSpec
     explanation_modes: tuple[ExplanationMode, ...]
     shot_counts: tuple[int, ...]
-    # shots are always taken as a prefix of this pool; defaults to the base
-    # config's shots
-    shot_pool: tuple[ShotExample, ...] | None = None
 
     def __post_init__(self) -> None:
         modes = tuple(m for m in MODE_ORDER if m in set(self.explanation_modes))
         counts = tuple(sorted(set(self.shot_counts)))
         if not modes or not counts:
             raise ValueError("ablation grid must have at least one mode and one shot count")
-        pool = self.shot_pool if self.shot_pool is not None else self.base.prompt_config.shots
-        if counts[0] < 0 or counts[-1] > len(pool):
-            raise ValueError(
-                f"shot counts must be within 0..{len(pool)} (pool size), got {counts}"
-            )
+        pool = len(self.base.prompt_config.shots)
+        if counts[0] < 0 or counts[-1] > pool:
+            raise ValueError(f"shot counts must be within 0..{pool} (pool size), got {counts}")
         object.__setattr__(self, "explanation_modes", modes)
         object.__setattr__(self, "shot_counts", counts)
-        object.__setattr__(self, "shot_pool", pool)
 
     def cells(self) -> list[tuple[ExplanationMode, int]]:
         """Grid cells in canonical order: mode-major, shots ascending."""
@@ -415,12 +415,11 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
     Writes ablation.json and ablation.md under the base output_dir.
     """
     base_out = Path(grid.base.output_dir)
+    base_config = grid.base.prompt_config
     cells: list[AblationCell] = []
     for mode, shot_count in grid.cells():
         cell_dir = base_out / f"{mode.value}_{shot_count}shot"
-        config = dataclasses.replace(
-            grid.base.prompt_config, mode=mode, shots=grid.shot_pool[:shot_count]
-        )
+        config = dataclasses.replace(base_config, mode=mode, shots=base_config.shots[:shot_count])
         spec = dataclasses.replace(
             grid.base, prompt_config=config, output_dir=str(cell_dir)
         )
@@ -438,36 +437,27 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
 
 
 def _cell_json(cell: AblationCell) -> dict[str, Any]:
+    """One ablation.json row; the percentages are None for a failed cell."""
+    row = ResultRow.from_eval("", cell.report) if cell.report is not None else None
     return {
         "mode": cell.mode.value,
         "shots": cell.shot_count,
-        "command_level": format_percent(cell.report.command_level_accuracy)
-        if cell.report
-        else None,
-        "question_level": format_percent(cell.report.question_level_accuracy)
-        if cell.report
-        else None,
+        "command_level": row.command_pct if row else None,
+        "question_level": row.question_pct if row else None,
         "error": cell.error,
     }
 
 
 def ablation_table(cells: list[AblationCell], fmt: str) -> str:
-    """Render the (mode, shots, command, question) grid table."""
-    header = ["Mode", "Shots", "Command", "Question"]
+    """Render the (mode, shots, command, question) grid table of the ablation.json rows."""
     rows = []
-    for cell in cells:
-        if cell.report is not None:
-            rows.append(
-                [
-                    cell.mode.value,
-                    str(cell.shot_count),
-                    format_percent(cell.report.command_level_accuracy),
-                    format_percent(cell.report.question_level_accuracy),
-                ]
-            )
+    for cell in map(_cell_json, cells):
+        if cell["command_level"] is not None:
+            scores = [cell["command_level"], cell["question_level"]]
         else:
-            rows.append([cell.mode.value, str(cell.shot_count), "error", cell.error or ""])
-    return render_table(header, rows, fmt)
+            scores = ["error", cell["error"] or ""]
+        rows.append([cell["mode"], str(cell["shots"]), *scores])
+    return render_table(["Mode", "Shots", "Command", "Question"], rows, fmt)
 
 
 # =============================================================================
@@ -486,29 +476,29 @@ class ResultRow:
 
     @classmethod
     def from_eval(cls, label: str, report: EvalReport) -> "ResultRow":
-        return cls(
-            label=label,
-            command_pct=format_percent(report.command_level_accuracy),
-            question_pct=format_percent(report.question_level_accuracy),
-            per_question_pct=tuple(
-                format_percent(acc) for acc in report.per_question_accuracy
+        """The one place where a report's accuracies become display strings."""
+        command, question, *per_question = map(
+            format_percent,
+            (
+                report.command_level_accuracy,
+                report.question_level_accuracy,
+                *report.per_question_accuracy,
             ),
         )
+        return cls(label, command, question, tuple(per_question))
 
 
 def report_json_dict(label: str, report: EvalReport) -> dict[str, Any]:
-    """The report.json schema: display strings plus scoring metadata."""
+    """The report.json schema: the ResultRow's strings plus scoring metadata."""
+    row = ResultRow.from_eval(label, report)
     return {
-        "label": label,
+        "label": row.label,
         "failure_policy": report.failure_policy,
         "n_commands": report.n_commands,
         "n_parse_failures": report.n_parse_failures,
-        "command_level": format_percent(report.command_level_accuracy),
-        "question_level": format_percent(report.question_level_accuracy),
-        "per_question": {
-            title: format_percent(acc)
-            for title, acc in zip(CATEGORY_TITLES, report.per_question_accuracy)
-        },
+        "command_level": row.command_pct,
+        "question_level": row.question_pct,
+        "per_question": dict(zip(CATEGORY_TITLES, row.per_question_pct)),
     }
 
 
@@ -519,14 +509,18 @@ def load_result_row(run_dir: str | Path) -> ResultRow:
         raise MissingFile(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        return ResultRow(
+        row = ResultRow(
             label=data["label"],
             command_pct=data["command_level"],
             question_pct=data["question_level"],
             per_question_pct=tuple(data["per_question"][t] for t in CATEGORY_TITLES),
         )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a valid report file: {exc}") from exc
+    cells = (row.label, row.command_pct, row.question_pct, *row.per_question_pct)
+    if not all(isinstance(cell, str) for cell in cells):
+        raise DataError(f"{path}: not a valid report file: every value must be a string")
+    return row
 
 
 def render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:

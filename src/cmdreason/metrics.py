@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dataset import CATEGORY_TITLES, N_QUESTIONS, LabeledCommand, RequirementVector
+from .dataset import N_QUESTIONS, LabeledCommand, RequirementVector
 from .errors import DataError
 
 FAILURE_POLICIES = ("strict", "exclude")
@@ -120,13 +120,6 @@ def evaluate(
         n_parse_failures=n_failures,
         failure_policy=failure_policy,
     )
-
-
-def per_question_breakdown(report: EvalReport) -> list[tuple[str, Fraction]]:
-    """(category title, accuracy) rows in category order, then an Overall row."""
-    rows = list(zip(CATEGORY_TITLES, report.per_question_accuracy))
-    rows.append(("Overall", report.question_level_accuracy))
-    return rows
 
 
 def format_percent(value: Fraction) -> str:

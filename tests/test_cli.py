@@ -74,11 +74,15 @@ def test_run_backend_failure_exits_three(toy_path, tmp_path, monkeypatch, capsys
 
 
 def test_unknown_mock_endpoint_is_usage_error(toy_path, tmp_path, capsys):
-    code = run_cli(
-        "run", "--dataset", toy_path, "--endpoint", "mock://chaos", "--model", "demo",
-        "--out", str(tmp_path / "r"),
-    )
-    assert code == 1
+    # the endpoint is rejected before any artifact is written
+    for command in ("run", "ablate"):
+        code = run_cli(
+            command, "--dataset", toy_path, "--endpoint", "mock://chaos", "--model", "demo",
+            "--out", str(tmp_path / command),
+        )
+        assert code == 1
+        assert "unknown mock endpoint" in capsys.readouterr().err
+    assert list(tmp_path.rglob("spec.json")) == []
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -231,6 +235,27 @@ def test_report_tabulates_runs(toy_path, tmp_path, capsys):
 def test_report_missing_run_dir_is_data_error(tmp_path, capsys):
     code = run_cli("report", "--in", str(tmp_path / "ghost"), "--out", str(tmp_path / "r.md"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda report: [report],
+        lambda report: {**report, "command_level": 5},
+        lambda report: {**report, "per_question": list(report["per_question"].values())},
+    ],
+    ids=["json-list", "number-percentage", "per-question-list"],
+)
+def test_report_malformed_report_json_is_data_error(change, toy_path, tmp_path, capsys):
+    run_dir = tmp_path / "rand"
+    run_cli("baseline", "--dataset", toy_path, "--random", "--out", str(run_dir))
+    report = run_dir / "report.json"
+    report.write_text(json.dumps(change(json.loads(report.read_text()))))
+    capsys.readouterr()
+    code = run_cli("report", "--in", str(run_dir), "--out", str(tmp_path / "r.md"))
+    assert code == 2
+    assert "not a valid report file" in capsys.readouterr().err
+    assert not (tmp_path / "r.md").exists()
 
 
 # =============================================================================

@@ -497,6 +497,106 @@ def test_grid_continues_past_failing_cell(toy_path, toy_data, template, tmp_path
     assert "error" in table
 
 
+PINNED_ABLATION_JSON = """\
+[
+  {
+    "command_level": "70.83",
+    "error": null,
+    "mode": "none",
+    "question_level": "85.42",
+    "shots": 0
+  },
+  {
+    "command_level": null,
+    "error": "AbortedRun: run aborted after 5 of 24 commands: scripted failure (HTTP 500): overloaded",
+    "mode": "none",
+    "question_level": null,
+    "shots": 2
+  },
+  {
+    "command_level": "70.83",
+    "error": null,
+    "mode": "stepwise",
+    "question_level": "85.42",
+    "shots": 0
+  },
+  {
+    "command_level": "66.67",
+    "error": null,
+    "mode": "stepwise",
+    "question_level": "81.25",
+    "shots": 2
+  }
+]
+"""
+
+PINNED_ABLATION_MD = """\
+| Mode | Shots | Command | Question |
+| --- | --- | --- | --- |
+| none | 0 | 70.83 | 85.42 |
+| none | 2 | error | AbortedRun: run aborted after 5 of 24 commands: scripted failure (HTTP 500): overloaded |
+| stepwise | 0 | 70.83 | 85.42 |
+| stepwise | 2 | 66.67 | 81.25 |
+"""
+
+PINNED_CELL_REPORT_JSON = """\
+{
+  "command_level": "66.67",
+  "failure_policy": "strict",
+  "label": "mock-gold",
+  "n_commands": 24,
+  "n_parse_failures": 4,
+  "per_question": {
+    "Entertainment": "83.33",
+    "In-cabin Monitoring": "83.33",
+    "Localization": "79.17",
+    "Network Access": "83.33",
+    "Perception": "79.17",
+    "Personal Data": "79.17",
+    "Traffic Laws": "79.17",
+    "Vehicle Control": "83.33"
+  },
+  "question_level": "81.25"
+}
+"""
+
+
+def test_small_grid_output_bytes_are_pinned(toy_path, toy_data, template, tmp_path):
+    # bracket, step-fallback and unparseable answers with a few wrong bits, so
+    # that no accuracy is a round number, and one cell that fails part-way
+    index = {rec.text: i for i, rec in enumerate(toy_data)}
+
+    def script(transcript):
+        i = index[transcript[-1].content]
+        shots = (len(transcript) - 2) // 2
+        if shots == 2 and i == 5 and "Step 1:" not in transcript[0].content:
+            raise ProtocolError("scripted failure", 500, "overloaded")
+        if (i + shots) % 7 == 3:
+            return "I would rather not say."
+        flags = list(toy_data[i].gold)
+        if (i * 3 + shots) % 5 == 0:
+            flags[(i + shots) % 8] = not flags[(i + shots) % 8]
+        if i % 4 == 1:
+            return "\n".join(
+                f"Step {k}: {'Yes' if f else 'No'}." for k, f in enumerate(flags, start=1)
+            )
+        return "Answer: " + RequirementVector(tuple(flags)).bracket()
+
+    backend = MockChatBackend(
+        script, config=mock_config(max_in_flight=1), cache=ResponseCache(tmp_path / "cache")
+    )
+    out = tmp_path / "grid"
+    grid = AblationGrid(
+        make_spec(toy_path, template, out, shots=4),
+        (ExplanationMode.NONE, ExplanationMode.STEPWISE),
+        (0, 2),
+    )
+    run_ablation(grid, backend)
+    assert (out / "ablation.json").read_text() == PINNED_ABLATION_JSON
+    assert (out / "ablation.md").read_text() == PINNED_ABLATION_MD
+    assert (out / "stepwise_2shot" / "report.json").read_text() == PINNED_CELL_REPORT_JSON
+
+
 # =============================================================================
 # Report emission
 # =============================================================================

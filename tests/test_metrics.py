@@ -14,7 +14,6 @@ from cmdreason.metrics import (
     PredictionRecord,
     evaluate,
     format_percent,
-    per_question_breakdown,
 )
 from cmdreason.rng import SplitMix64
 
@@ -194,25 +193,8 @@ def test_matches_brute_force_on_random_instances():
 
 
 # =============================================================================
-# Breakdown and formatting
+# Formatting
 # =============================================================================
-
-
-def test_breakdown_rows_are_titled_and_end_with_overall():
-    report = evaluate([pred("a", "11111111")], [gold("a", "11111111")])
-    rows = per_question_breakdown(report)
-    assert [r[0] for r in rows] == [
-        "Perception",
-        "In-cabin Monitoring",
-        "Localization",
-        "Vehicle Control",
-        "Entertainment",
-        "Personal Data",
-        "Network Access",
-        "Traffic Laws",
-        "Overall",
-    ]
-    assert all(acc == 1 for _, acc in rows)
 
 
 @pytest.mark.parametrize(
