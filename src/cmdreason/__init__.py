@@ -75,7 +75,6 @@ from .parser import ParseOutcome, parse_response
 from .prompt import (
     ExplanationMode,
     PromptConfig,
-    PromptTemplate,
     ShotExample,
     TemplateError,
     build_system_prompt,

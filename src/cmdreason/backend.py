@@ -1,11 +1,12 @@
 """Chat-completion backends: HTTP client, scripted mock, cache, retry policy.
 
 complete() answers one transcript: lookup() reads the response cache, and on
-a miss fetch() drives the retry loop around the transport-specific _send(),
-holding a semaphore slot only while a request is actually in flight.  The
-harness calls lookup() and fetch() itself, so that it resolves every hit
-before it starts any worker.  Each answer is a CompletionResult: the raw
-text and the number of requests it took, 0 when it came from the cache.
+a miss fetch() drives the retry loop around the transport-specific _send().
+The harness calls lookup() and fetch() itself, so that it resolves every hit
+before it starts any worker; its pool of max_in_flight workers, not a
+semaphore here, bounds the requests in flight.  Each answer is a
+CompletionResult: the raw text, replayed byte for byte from the cache, and
+the number of requests it took, 0 when it came from the cache.
 Retryable failures (RateLimited, Timeout) back off exponentially with full
 jitter: attempt i sleeps uniform(0, 1s * 2**i).  AuthError and ProtocolError
 abort immediately.
@@ -86,7 +87,7 @@ class BackendConfig:
     max_output_tokens: int = 1024
     timeout_seconds: float = 60.0
     max_retries: int = 3  # retries after the first attempt
-    max_in_flight: int = 4  # concurrent requests allowed
+    max_in_flight: int = 4  # concurrent requests a run sends
     api_key_env: str = API_KEY_ENV
 
     def __post_init__(self) -> None:
@@ -213,7 +214,8 @@ class ResponseCache:
 
     def get(self, key: str) -> str | None:
         try:
-            return self._path(key).read_text(encoding="utf-8")
+            # bytes, not read_text: universal newlines would turn \r\n into \n
+            return self._path(key).read_bytes().decode("utf-8")
         except FileNotFoundError:
             return None
 
@@ -227,7 +229,7 @@ class ResponseCache:
 
 
 class ChatBackend:
-    """Base class: caching, retries, and concurrency limiting around _send()."""
+    """Base class: caching and retries around _send()."""
 
     def __init__(
         self,
@@ -241,7 +243,6 @@ class ChatBackend:
         self.cache = cache
         self._sleep = sleep
         self._backoff_rng = backoff_rng or random.Random()
-        self._limiter = threading.BoundedSemaphore(config.max_in_flight)
 
     def _send(self, transcript: Transcript) -> str:
         raise NotImplementedError
@@ -268,8 +269,7 @@ class ChatBackend:
         while True:
             attempt += 1
             try:
-                with self._limiter:
-                    text = self._send(transcript)
+                text = self._send(transcript)
                 break
             except _RETRYABLE as exc:
                 if attempt > self.config.max_retries:
@@ -348,7 +348,7 @@ class MockChatBackend(ChatBackend):
     The script is either a callable(transcript) -> text (which may raise), or
     a mapping from the final user-message content to text / an exception
     instance to raise.  Tracks how many sends happened and the peak number in
-    flight at once, so tests can assert the concurrency limit held.
+    flight at once, so tests can assert the harness's concurrency limit held.
     """
 
     def __init__(

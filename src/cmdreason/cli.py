@@ -72,11 +72,9 @@ def _backend_config(args: argparse.Namespace) -> BackendConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    template = _load_template(args)
-    config = template.config(ExplanationMode(args.mode), args.shots)
     spec = ExperimentSpec(
         dataset_path=args.dataset,
-        prompt_config=config,
+        prompt_config=_load_template(args).config(ExplanationMode(args.mode), args.shots),
         backend_config=_backend_config(args),
         output_dir=args.out,
         failure_policy=args.policy,
@@ -103,7 +101,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     load_dataset(args.dataset)  # validate up front so a bad file exits 2, not per-cell
     base = ExperimentSpec(
         dataset_path=args.dataset,
-        prompt_config=template.config(ExplanationMode.STEPWISE, len(template.shots)),
+        prompt_config=template,
         backend_config=_backend_config(args),
         output_dir=args.out,
         failure_policy=args.policy,

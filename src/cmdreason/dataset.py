@@ -24,6 +24,7 @@ from .rng import SplitMix64
 log = logging.getLogger(__name__)
 
 N_QUESTIONS = 8
+SAMPLE_MAX_SWAPS = 10_000  # swaps stratified_sample tries before giving up
 
 # Category order is load-bearing: it fixes label-string positions, prompt
 # question order, and report column order.
@@ -245,14 +246,13 @@ def stratified_sample(
     n: int,
     seed: int,
     tolerance: float = 0.05,
-    max_iterations: int = 10_000,
 ) -> list[LabeledCommand]:
     """Select n records whose per-question positive rates track the full set.
 
-    Starts from a seeded uniform subset, then performs up to max_iterations
+    Starts from a seeded uniform subset, then performs up to SAMPLE_MAX_SWAPS
     randomized single-record swaps, keeping a swap only if it strictly reduces
     the maximum per-question rate deviation.  Deterministic for a given
-    (records, n, seed, tolerance, max_iterations).  Returns the chosen records
+    (records, n, seed, tolerance).  Returns the chosen records
     in their original dataset order.  Raises InfeasibleSample, with the best
     deviation achieved, if the tolerance is never reached.
     """
@@ -276,7 +276,7 @@ def stratified_sample(
             counts[i] += flag
     best = _max_deviation(counts, n, full)
 
-    for _ in range(max_iterations):
+    for _ in range(SAMPLE_MAX_SWAPS):
         if best <= tol:
             break
         if not rest:  # n == len(records): nothing to swap with

@@ -41,7 +41,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -211,7 +212,7 @@ def build_backend(
 def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> RunResult:
     """Run one configuration over a dataset and persist all artifacts.
 
-    If a request fails, the run stops: queued requests are cancelled, the
+    If a request fails, the run stops: queued requests are not sent, the
     completed responses stay cached, and ``records.partial.jsonl`` and
     ``responses.partial.jsonl`` snapshot them.  A BackendError is raised as
     AbortedRun, anything else as itself.  Re-running the same spec resumes
@@ -273,16 +274,29 @@ def _fetch_misses(
 ) -> None:
     """Fill results[i] for each i in misses from up to max_in_flight workers.
 
-    On the first failure the queued requests are cancelled, those in flight
-    finish, and the failure is raised.
+    The pool is the one bound on requests in flight.  The first failure, in
+    a worker or on the calling thread, sets `failed`, and a queued request
+    that starts after that sends nothing, whatever the thread timing.
+    Requests in flight finish and keep their results, and the failure of
+    the first failed command in dataset order is raised.
     """
-    with ThreadPoolExecutor(max_workers=backend.config.max_in_flight) as pool:
-        futures = {pool.submit(backend.fetch, transcripts[i], keys[i]): i for i in misses}
+    failed = threading.Event()
+
+    def fetch(i: int) -> None:
+        if failed.is_set():
+            return
         try:
-            for future in as_completed(futures):
-                results[futures[future]] = future.result()
+            results[i] = backend.fetch(transcripts[i], keys[i])
         except BaseException:
-            pool.shutdown(wait=True, cancel_futures=True)
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=backend.config.max_in_flight) as pool:
+        try:
+            for future in [pool.submit(fetch, i) for i in misses]:
+                future.result()
+        except BaseException:
+            failed.set()
             raise
 
 
@@ -415,13 +429,13 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
     Writes ablation.json and ablation.md under the base output_dir.
     """
     base_out = Path(grid.base.output_dir)
-    base_config = grid.base.prompt_config
     cells: list[AblationCell] = []
     for mode, shot_count in grid.cells():
         cell_dir = base_out / f"{mode.value}_{shot_count}shot"
-        config = dataclasses.replace(base_config, mode=mode, shots=base_config.shots[:shot_count])
         spec = dataclasses.replace(
-            grid.base, prompt_config=config, output_dir=str(cell_dir)
+            grid.base,
+            prompt_config=grid.base.prompt_config.config(mode, shot_count),
+            output_dir=str(cell_dir),
         )
         try:
             result = run_experiment(spec, backend=backend)

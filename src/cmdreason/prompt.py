@@ -13,6 +13,7 @@ expects, ending with ``Therefore, the output should be : [b1 ... b8]``.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import re
 from dataclasses import dataclass
@@ -130,6 +131,14 @@ class PromptConfig:
             format_instruction=data["format_instruction"],
         )
 
+    def config(self, mode: ExplanationMode, shot_count: int) -> "PromptConfig":
+        """This config's prose in the given mode, with the first shot_count of its shots."""
+        if not 0 <= shot_count <= len(self.shots):
+            raise UsageError(
+                f"template provides {len(self.shots)} shots, cannot take {shot_count}"
+            )
+        return dataclasses.replace(self, mode=mode, shots=self.shots[:shot_count])
+
 
 # =============================================================================
 # Rendering
@@ -201,30 +210,6 @@ _SECTION_RE = re.compile(r"^\[([a-z0-9_]+)\]\s*$")
 _SHOT_KEYS = ("command", "gold") + tuple(f"r{k}" for k in range(1, 9))
 
 
-@dataclass(frozen=True, slots=True)
-class PromptTemplate:
-    """Parsed template file: the prose sections plus a pool of shots."""
-
-    preamble: str
-    question_texts: tuple[str, ...]
-    format_instruction: str
-    shots: tuple[ShotExample, ...]
-
-    def config(self, mode: ExplanationMode, shot_count: int) -> PromptConfig:
-        """Build a PromptConfig using the first shot_count shots of the pool."""
-        if not 0 <= shot_count <= len(self.shots):
-            raise UsageError(
-                f"template provides {len(self.shots)} shots, cannot take {shot_count}"
-            )
-        return PromptConfig(
-            mode=mode,
-            shots=self.shots[:shot_count],
-            question_texts=self.question_texts,
-            preamble=self.preamble,
-            format_instruction=self.format_instruction,
-        )
-
-
 def _parse_shot(path: Path, start_line: int, lines: list[str]) -> ShotExample:
     fields: dict[str, str] = {}
     for offset, line in enumerate(lines):
@@ -253,13 +238,14 @@ def _parse_shot(path: Path, start_line: int, lines: list[str]) -> ShotExample:
         raise TemplateError(f"{path}:{start_line}: {exc}") from exc
 
 
-def load_template(path: str | Path) -> PromptTemplate:
-    """Parse a template file.
+def load_template(path: str | Path) -> PromptConfig:
+    """Parse a template file into a stepwise PromptConfig holding all its shots.
 
     The file is a series of ``[section]`` headers.  Prose sections (preamble,
     q1..q8, format_instruction) take free text up to the next header; each
     ``[shot]`` section takes ``key: value`` lines (command, gold, r1..r8).
-    Lines before the first header must be blank or ``#`` comments.
+    Lines before the first header must be blank or ``#`` comments.  A file
+    that breaks a PromptConfig rule raises TemplateError too.
     """
     path = Path(path)
     if not path.is_file():
@@ -306,11 +292,12 @@ def load_template(path: str | Path) -> PromptTemplate:
     if missing:
         raise TemplateError(f"{path}: missing sections: {', '.join(missing)}")
     try:
-        return PromptTemplate(
-            preamble=prose["preamble"],
-            question_texts=tuple(prose[f"q{k}"] for k in range(1, 9)),
-            format_instruction=prose["format_instruction"],
+        return PromptConfig(
+            mode=ExplanationMode.STEPWISE,
             shots=tuple(shots),
+            question_texts=tuple(prose[f"q{k}"] for k in range(1, 9)),
+            preamble=prose["preamble"],
+            format_instruction=prose["format_instruction"],
         )
     except ValueError as exc:
         raise TemplateError(f"{path}: {exc}") from exc
@@ -321,5 +308,5 @@ def default_template_path() -> Path:
     return Path(resources.files("cmdreason").joinpath("data/default_template.txt"))
 
 
-def default_template() -> PromptTemplate:
+def default_template() -> PromptConfig:
     return load_template(default_template_path())

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from cmdreason.dataset import LabeledCommand, RequirementVector, load_dataset
-from cmdreason.prompt import PromptTemplate, ShotExample, default_template
+from cmdreason.prompt import PromptConfig, ShotExample, default_template
 
 
 def toy_dataset_path() -> str:
@@ -23,7 +23,7 @@ def toy_data(toy_path) -> list[LabeledCommand]:
 
 
 @pytest.fixture()
-def template() -> PromptTemplate:
+def template() -> PromptConfig:
     return default_template()
 
 

@@ -5,8 +5,6 @@ import json
 import os
 import re
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -299,7 +297,7 @@ def test_auth_and_protocol_errors_are_not_retried():
 
 
 # =============================================================================
-# Cache integration and concurrency
+# Cache integration
 # =============================================================================
 
 
@@ -320,20 +318,6 @@ def test_cache_is_keyed_by_transcript(tmp_path):
     assert backend.complete(transcript_for("Honk.")).raw_text == "a"
     assert backend.complete(transcript_for("Wave.")).raw_text == "b"
     assert backend.send_count == 2
-
-
-def test_in_flight_requests_never_exceed_limit():
-    def slow(transcript):
-        time.sleep(0.02)
-        return "ok"
-
-    backend = MockChatBackend(slow, config=mock_config(max_in_flight=3))
-    with ThreadPoolExecutor(max_workers=10) as pool:
-        futures = [pool.submit(backend.complete, transcript_for(f"c{i}")) for i in range(12)]
-        results = [f.result() for f in futures]
-    assert all(r.raw_text == "ok" for r in results)
-    assert backend.send_count == 12
-    assert backend.peak_in_flight <= 3
 
 
 # =============================================================================

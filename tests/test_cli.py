@@ -12,6 +12,7 @@ import cmdreason.cli as cli
 from cmdreason.backend import ProtocolError
 from cmdreason.dataset import load_dataset, save_dataset, LabeledCommand, RequirementVector
 from cmdreason.harness import AbortedRun
+from cmdreason.prompt import default_template_path
 
 
 def run_cli(*args) -> int:
@@ -82,6 +83,20 @@ def test_unknown_mock_endpoint_is_usage_error(toy_path, tmp_path, capsys):
         )
         assert code == 1
         assert "unknown mock endpoint" in capsys.readouterr().err
+    assert list(tmp_path.rglob("spec.json")) == []
+
+
+def test_template_without_output_pattern_is_data_error(toy_path, tmp_path, capsys):
+    default = default_template_path().read_text(encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(default.replace("[A1 A2 A3 A4 A5 A6 A7 A8]", "eight bits"), encoding="utf-8")
+    for command in ("run", "ablate"):
+        code = run_cli(
+            command, "--dataset", toy_path, "--template", str(bad), "--endpoint", "mock://gold",
+            "--model", "demo", "--out", str(tmp_path / command),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: format instruction")
     assert list(tmp_path.rglob("spec.json")) == []
 
 

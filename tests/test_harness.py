@@ -388,6 +388,95 @@ def test_worker_failure_stops_run_and_leaves_partial_snapshot(
     assert not (out / "responses.partial.jsonl").exists()
 
 
+def test_pool_bounds_requests_in_flight(toy_path, toy_data, template, tmp_path):
+    script = gold_echo_script(toy_data)
+
+    def slow(transcript):
+        time.sleep(0.02)
+        return script[transcript[-1].content]
+
+    backend = MockChatBackend(slow, config=mock_config(max_in_flight=3))
+    result = run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
+    assert result.report.command_level_accuracy == 1
+    assert backend.send_count == len(toy_data)
+    assert backend.peak_in_flight == 3
+
+
+def test_no_request_is_sent_after_a_failure(toy_path, toy_data, template, tmp_path):
+    script = gold_echo_script(toy_data)
+    calls = []
+
+    def third_call_fails(transcript):
+        calls.append(transcript[-1].content)
+        if len(calls) == 3:
+            raise ProtocolError("scripted failure")
+        return script[transcript[-1].content]
+
+    cache_dir = tmp_path / "cache"
+    backend = MockChatBackend(
+        third_call_fails, config=mock_config(max_in_flight=1), cache=ResponseCache(cache_dir)
+    )
+    with pytest.raises(AbortedRun):
+        run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
+    assert backend.send_count == 3
+    assert len(list(cache_dir.iterdir())) == 2
+
+
+def test_failure_under_contention_keeps_every_completed_result(
+    toy_path, toy_data, template, tmp_path
+):
+    # more workers than cores and frequent thread switches: every completed
+    # request must reach the partial snapshot, and at most the requests
+    # already in flight may still go out after the failure
+    script = gold_echo_script(toy_data)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(10):
+            lock = threading.Lock()
+            calls = []
+
+            def fifth_call_fails(transcript):
+                with lock:
+                    calls.append(transcript)
+                    n = len(calls)
+                if n == 5:
+                    raise ProtocolError("scripted failure")
+                return script[transcript[-1].content]
+
+            cache_dir = tmp_path / f"cache{attempt}"
+            out = tmp_path / f"run{attempt}"
+            backend = MockChatBackend(
+                fifth_call_fails, config=mock_config(max_in_flight=8),
+                cache=ResponseCache(cache_dir),
+            )
+            with pytest.raises(AbortedRun) as err:
+                run_experiment(make_spec(toy_path, template, out), backend)
+            cached = len(list(cache_dir.iterdir()))
+            assert backend.send_count <= 5 + 7
+            assert cached == backend.send_count - 1 == err.value.n_completed
+            assert len(load_records(out / "records.partial.jsonl")) == cached
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_cached_responses_replay_byte_for_byte(newline, toy_path, toy_data, template, tmp_path):
+    script = {
+        text: f"Step 1: Yes.{newline}{answer}{newline}"
+        for text, answer in gold_echo_script(toy_data).items()
+    }
+    backend = MockChatBackend(script, cache=ResponseCache(tmp_path / "cache"))
+    outputs = []
+    for attempt in ("cold", "warm"):
+        out = tmp_path / attempt
+        run_experiment(make_spec(toy_path, template, out), backend)
+        outputs.append((out / "responses.jsonl").read_bytes())
+    assert backend.send_count == len(toy_data)  # the warm run replayed every answer
+    assert read_jsonl(tmp_path / "cold" / "responses.jsonl")[0]["text"].endswith(newline)
+    assert outputs[0] == outputs[1]
+
+
 def test_spec_json_round_trip(toy_path, template, tmp_path):
     spec = make_spec(toy_path, template, tmp_path / "run", failure_policy="exclude")
     assert ExperimentSpec.from_json_dict(spec.to_json_dict()) == spec

@@ -254,6 +254,19 @@ def test_template_text_before_first_header_rejected(tmp_path):
         load_template(p)
 
 
+def test_template_without_output_pattern_is_template_error(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text(_template_text(format_instruction="Answer with eight bits."))
+    with pytest.raises(TemplateError, match=re.escape(f"{p}: format instruction must contain")):
+        load_template(p)
+
+
+def test_loaded_template_is_a_stepwise_config_of_every_shot(template):
+    assert isinstance(template, PromptConfig)
+    assert template.mode is ExplanationMode.STEPWISE
+    assert template.config(ExplanationMode.STEPWISE, len(template.shots)) == template
+
+
 def test_template_shot_block_parses(tmp_path):
     shot_lines = ["[shot]", "command: Wave hello.", "gold: 00000000"]
     shot_lines += [f"r{k}: No, not needed." for k in range(1, 9)]
