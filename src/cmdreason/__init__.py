@@ -19,6 +19,7 @@ from .backend import (
     RateLimited,
     ResponseCache,
     RetriesExhausted,
+    ServerError,
     Timeout,
     UnscriptedInput,
     cache_key,

@@ -7,24 +7,35 @@ before it starts any worker; its pool of max_in_flight workers, not a
 semaphore here, bounds the requests in flight.  Each answer is a
 CompletionResult: the raw text, replayed byte for byte from the cache, and
 the number of requests it took, 0 when it came from the cache.
-Retryable failures (RateLimited, Timeout) back off exponentially with full
-jitter: attempt i sleeps uniform(0, 1s * 2**i).  AuthError and ProtocolError
-abort immediately.
+Retryable failures (RateLimited, ServerError for HTTP 500/502/503/504,
+Timeout) back off exponentially with full jitter: attempt i sleeps
+uniform(0, 1s * 2**i).  AuthError and any other ProtocolError abort
+immediately.
+
+HttpChatBackend uses only the standard library: http.client on keep-alive
+connections that are reused across requests, a CONNECT tunnel through the
+proxy that the environment names (honouring NO_PROXY), and TLS verified
+against the system trust store.  A reused connection that the server has
+closed while idle is reopened once, with no backoff and no attempt counted.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
 import os
+import queue
 import random
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .chat import Transcript, to_wire
 from .errors import BackendError
@@ -63,6 +74,10 @@ class ProtocolError(BackendError):
         self.body_excerpt = body_excerpt
 
 
+class ServerError(ProtocolError):
+    """The endpoint failed on its side (HTTP 500/502/503/504); a retry may succeed."""
+
+
 class RetriesExhausted(BackendError):
     """Every allowed attempt failed with a retryable error."""
 
@@ -76,7 +91,8 @@ class UnscriptedInput(BackendError):
     """A mock backend received a transcript it has no script entry for."""
 
 
-_RETRYABLE = (RateLimited, Timeout)
+_RETRYABLE = (RateLimited, ServerError, Timeout)
+_SERVER_ERROR_STATUSES = (500, 502, 503, 504)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +104,6 @@ class BackendConfig:
     timeout_seconds: float = 60.0
     max_retries: int = 3  # retries after the first attempt
     max_in_flight: int = 4  # concurrent requests a run sends
-    api_key_env: str = API_KEY_ENV
 
     def __post_init__(self) -> None:
         # one spelling per endpoint, so the cache key and the posted URL agree
@@ -247,6 +262,9 @@ class ChatBackend:
     def _send(self, transcript: Transcript) -> str:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend keeps open between requests; here, nothing."""
+
     def lookup(self, key: str) -> CompletionResult | None:
         """The cached completion for key, or None on a miss or without a cache."""
         if self.cache is None:
@@ -287,14 +305,83 @@ class ChatBackend:
 
 
 class HttpChatBackend(ChatBackend):
-    """POSTs to an OpenAI-style ``<endpoint_url>/chat/completions`` route."""
+    """POSTs to an OpenAI-style ``<endpoint_url>/chat/completions`` route.
+
+    Idle keep-alive connections wait in a queue: a request takes one or opens
+    one, and puts it back once the whole response body is read, so there are
+    never more connections than requests in flight.
+    """
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None, **kwargs) -> None:
         super().__init__(config, cache, **kwargs)
-        self._session = requests.Session()
+        self._url = config.endpoint_url + "/chat/completions"
+        url = urllib.parse.urlsplit(self._url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError("not an http(s) URL")
+        self._target = url.path
+        # url.port raises ValueError on a bad port; None stands for the scheme's default
+        self._address = (url.hostname, url.port)
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._proxy: tuple[str, int | None] | None = None
+        self._proxy_headers: dict[str, str] = {}
+        proxy_url = urllib.request.getproxies().get(url.scheme)
+        if proxy_url and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+            proxy = urllib.parse.urlsplit(proxy_url if "://" in proxy_url else f"http://{proxy_url}")
+            self._proxy = (proxy.hostname, proxy.port)
+            if proxy.username is not None:
+                unquote = urllib.parse.unquote
+                credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+                self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+        self._idle: queue.SimpleQueue[http.client.HTTPConnection] = queue.SimpleQueue()
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        try:
+            while True:
+                self._idle.get_nowait().close()
+        except queue.Empty:
+            pass
+
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = self._proxy or self._address
+        timeout = self.config.timeout_seconds
+        if self._tls is None:
+            conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        else:
+            conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._tls)
+        if self._proxy:
+            conn.set_tunnel(*self._address, headers=self._proxy_headers)
+        return conn
+
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """Status and body of one POST, on an idle connection if there is one."""
+        try:
+            conn, reused = self._idle.get_nowait(), True
+        except queue.Empty:
+            conn, reused = self._connect(), False
+        while True:
+            try:
+                conn.request("POST", self._target, body, headers)
+                response = conn.getresponse()
+                data = response.read()
+            # RemoteDisconnected is a ConnectionResetError
+            except (ConnectionResetError, BrokenPipeError) as exc:
+                conn.close()
+                if reused:  # the server closed the idle connection: not a failed attempt
+                    conn, reused = self._connect(), False
+                    continue
+                raise Timeout(f"could not reach {self._url}: {exc}") from exc
+            except TimeoutError as exc:
+                conn.close()
+                raise Timeout(f"request to {self._url} timed out") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise Timeout(f"could not reach {self._url}: {exc}") from exc
+            self._idle.put(conn)
+            return response.status, data
 
     def _send(self, transcript: Transcript) -> str:
-        url = self.config.endpoint_url + "/chat/completions"
         payload = {
             "model": self.config.model_name,
             "messages": to_wire(transcript),
@@ -302,39 +389,28 @@ class HttpChatBackend(ChatBackend):
             "max_tokens": self.config.max_output_tokens,
         }
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.config.api_key_env, "")
+        api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        try:
-            response = self._session.post(
-                url, json=payload, headers=headers, timeout=self.config.timeout_seconds
-            )
-        except requests.Timeout as exc:
-            raise Timeout(f"request to {url} timed out") from exc
-        except requests.ConnectionError as exc:
-            # connection resets/refusals are transient the same way timeouts are
-            raise Timeout(f"could not reach {url}: {exc}") from exc
-        if response.status_code in (401, 403):
+        status, data = self._post(json.dumps(payload).encode("utf-8"), headers)
+        if status in (401, 403):
             raise AuthError(
-                f"endpoint rejected credentials (HTTP {response.status_code}); "
-                f"is {self.config.api_key_env} set correctly?"
+                f"endpoint rejected credentials (HTTP {status}); "
+                f"is {API_KEY_ENV} set correctly?"
             )
-        if response.status_code == 429:
+        if status == 429:
             raise RateLimited("endpoint returned HTTP 429")
-        if not 200 <= response.status_code < 300:
-            raise ProtocolError(
-                "unexpected status", response.status_code, response.text[:200]
-            )
+        if not 200 <= status < 300:
+            error = ServerError if status in _SERVER_ERROR_STATUSES else ProtocolError
+            raise error("unexpected status", status, data.decode("utf-8", "replace")[:200])
         try:
-            body = response.json()
-            content = body["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(
-                "response is not a chat completion", response.status_code,
-                response.text[:200],
+                "response is not a chat completion", status, data.decode("utf-8", "replace")[:200]
             ) from exc
         if not isinstance(content, str):
-            raise ProtocolError("completion content is not text", response.status_code)
+            raise ProtocolError("completion content is not text", status)
         return content
 
 

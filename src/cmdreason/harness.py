@@ -134,7 +134,10 @@ class ExperimentSpec:
         return cls(
             dataset_path=data["dataset_path"],
             prompt_config=PromptConfig.from_json_dict(data["prompt_config"]),
-            backend_config=BackendConfig(**data["backend_config"]),
+            # "api_key_env" is written by older versions; the key is now always API_KEY_ENV
+            backend_config=BackendConfig(
+                **{k: v for k, v in data["backend_config"].items() if k != "api_key_env"}
+            ),
             output_dir=data["output_dir"],
             failure_policy=data["failure_policy"],
         )
@@ -190,6 +193,7 @@ def build_backend(
 
     ``mock://gold`` answers from the dataset's own gold labels (an offline
     oracle for demos and smoke tests); any http(s) URL gets the real client.
+    Any other endpoint is a UsageError.
     """
     if cache is None:
         cache = ResponseCache()
@@ -201,7 +205,10 @@ def build_backend(
         raise UsageError(
             f"unknown mock endpoint {config.endpoint_url!r}; only {MOCK_GOLD_ENDPOINT} is built in"
         )
-    return HttpChatBackend(config, cache)
+    try:
+        return HttpChatBackend(config, cache)
+    except ValueError as exc:
+        raise UsageError(f"bad endpoint {config.endpoint_url!r}: {exc}") from exc
 
 
 # =============================================================================
@@ -219,7 +226,8 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
     from the cache.
     """
     data = load_dataset(spec.dataset_path)
-    if backend is None:
+    own_backend = backend is None
+    if own_backend:
         backend = build_backend(spec.backend_config, dataset=data)
     out_dir = Path(spec.output_dir)
     _write_json(out_dir / "spec.json", spec.to_json_dict())
@@ -246,6 +254,9 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
             if isinstance(exc, BackendError):
                 raise AbortedRun(len(done), len(data), exc) from exc
             raise
+        finally:
+            if own_backend:
+                backend.close()
 
     records = [_predict(rec, res.raw_text, key) for rec, res, key in zip(data, results, keys)]
     report = evaluate(records, data, spec.failure_policy)

@@ -76,14 +76,20 @@ def test_run_backend_failure_exits_three(toy_path, tmp_path, monkeypatch, capsys
 
 def test_unknown_mock_endpoint_is_usage_error(toy_path, tmp_path, capsys):
     # the endpoint is rejected before any artifact is written
-    for command in ("run", "ablate"):
-        code = run_cli(
-            command, "--dataset", toy_path, "--endpoint", "mock://chaos", "--model", "demo",
-            "--out", str(tmp_path / command),
-        )
-        assert code == 1
-        assert "unknown mock endpoint" in capsys.readouterr().err
-    assert list(tmp_path.rglob("spec.json")) == []
+    endpoints = {
+        "mock://chaos": "unknown mock endpoint",
+        "localhost:8000/v1": "bad endpoint 'localhost:8000/v1': not an http(s) URL",
+        "ftp://h/v1": "bad endpoint 'ftp://h/v1': not an http(s) URL",
+    }
+    for endpoint, message in endpoints.items():
+        for command in ("run", "ablate"):
+            code = run_cli(
+                command, "--dataset", toy_path, "--endpoint", endpoint, "--model", "demo",
+                "--out", str(tmp_path / command),
+            )
+            assert code == 1
+            assert message in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_template_without_output_pattern_is_data_error(toy_path, tmp_path, capsys):
@@ -319,3 +325,20 @@ def test_console_script_help_runs():
     )
     assert result.returncode == 0
     assert "SUBCOMMAND" in result.stdout
+
+
+def test_cli_imports_nothing_outside_the_standard_library():
+    # compared before and after the import, since a site .pth may preload packages
+    code = (
+        "import sys; before = set(sys.modules); import cmdreason.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    added = result.stdout.split()
+    assert "cmdreason.cli" in added
+    allowed = {*sys.stdlib_module_names, "cmdreason"}
+    assert [name for name in added if name.partition(".")[0] not in allowed] == []

@@ -491,6 +491,14 @@ def test_spec_json_with_old_seed_key_still_loads(toy_path, template, tmp_path):
     assert "seed" not in spec.to_json_dict()
 
 
+def test_spec_json_with_old_api_key_env_still_loads(toy_path, template, tmp_path):
+    spec = make_spec(toy_path, template, tmp_path / "run")
+    old = spec.to_json_dict()
+    old["backend_config"] = {**old["backend_config"], "api_key_env": "CMDREASON_API_KEY"}
+    assert ExperimentSpec.from_json_dict(old) == spec
+    assert "api_key_env" not in spec.to_json_dict()["backend_config"]
+
+
 def test_spec_rejects_unknown_policy(toy_path, template, tmp_path):
     with pytest.raises(ValueError):
         make_spec(toy_path, template, tmp_path, failure_policy="lenient")
