@@ -50,12 +50,12 @@ class RuleSet:
 
 def rule_classify(ruleset: RuleSet, command: str) -> RequirementVector:
     """OR the masks of all matching rules into the default vector."""
-    flags = list(ruleset.default.flags)
+    flags = ruleset.default
     lowered = command.lower()
     for rule in ruleset.rules:
         if rule.pattern.lower() in lowered:
-            flags = [a or b for a, b in zip(flags, rule.sets.flags)]
-    return RequirementVector(tuple(flags))
+            flags = [a or b for a, b in zip(flags, rule.sets)]
+    return RequirementVector(flags)
 
 
 def random_classify(seed: int, commands: Sequence[LabeledCommand]) -> list[RequirementVector]:
@@ -66,7 +66,7 @@ def random_classify(seed: int, commands: Sequence[LabeledCommand]) -> list[Requi
     """
     rng = SplitMix64(seed)
     return [
-        RequirementVector(tuple(rng.next_bit() for _ in range(N_QUESTIONS)))
+        RequirementVector(rng.next_bit() for _ in range(N_QUESTIONS))
         for _ in commands
     ]
 

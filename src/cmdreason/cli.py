@@ -98,7 +98,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     if not modes or not shot_counts:
         raise UsageError("--modes and --shots must each name at least one value")
     template = _load_template(args)
-    load_dataset(args.dataset)  # validate up front so a bad file exits 2, not per-cell
     base = ExperimentSpec(
         dataset_path=args.dataset,
         prompt_config=template,

@@ -8,12 +8,13 @@ where ``labels`` is exactly 8 characters of ``0``/``1`` in category order
 (perception, in-cabin monitoring, localization, vehicle control,
 entertainment, personal data, network access, traffic laws).  Lines that are
 blank or start with ``#`` are ignored on load.  read_masked_tsv reads this
-layout for datasets and for keyword-rule files alike.
+layout for datasets and for keyword-rule files alike.  A labels string loads
+as a RequirementVector: a tuple of 8 bools, equal to the plain tuple of them.
 """
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -85,43 +86,33 @@ class InfeasibleSample(DataError):
         self.best_deviation = best_deviation
 
 
-@dataclass(frozen=True, slots=True)
-class RequirementVector:
-    """Answers to the 8 binary requirement questions, in category order."""
+class RequirementVector(tuple):
+    """Answers to the 8 binary requirement questions, in category order: a tuple of 8 bools."""
 
-    flags: tuple[bool, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.flags, tuple):
-            object.__setattr__(self, "flags", tuple(self.flags))
-        if len(self.flags) != N_QUESTIONS:
-            raise ValueError(f"expected {N_QUESTIONS} flags, got {len(self.flags)}")
-        for f in self.flags:
+    def __new__(cls, flags: Iterable[bool]) -> "RequirementVector":
+        self = super().__new__(cls, flags)
+        if len(self) != N_QUESTIONS:
+            raise ValueError(f"expected {N_QUESTIONS} flags, got {len(self)}")
+        for f in self:
             if not isinstance(f, bool):
                 raise ValueError(f"flags must be bool, got {f!r}")
+        return self
 
     @classmethod
     def from_bits(cls, bits: str) -> "RequirementVector":
         """Build from an 8-character 0/1 string such as ``01001110``."""
-        if len(bits) != N_QUESTIONS or any(c not in "01" for c in bits):
+        if not isinstance(bits, str) or len(bits) != N_QUESTIONS or bits.strip("01"):
             raise ValueError(f"labels must be {N_QUESTIONS} chars of 0/1, got {bits!r}")
-        return cls(tuple(c == "1" for c in bits))
+        return cls(c == "1" for c in bits)
 
     def bits(self) -> str:
-        return "".join("1" if f else "0" for f in self.flags)
+        return "".join("1" if f else "0" for f in self)
 
     def bracket(self) -> str:
         """Render as the answer-line form, e.g. ``[0 1 0 0 1 1 1 0]``."""
-        return "[" + " ".join("1" if f else "0" for f in self.flags) + "]"
-
-    def __iter__(self):
-        return iter(self.flags)
-
-    def __len__(self) -> int:
-        return N_QUESTIONS
-
-    def __getitem__(self, i: int) -> bool:
-        return self.flags[i]
+        return "[" + " ".join("1" if f else "0" for f in self) + "]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,11 +216,8 @@ def distribution(records: Sequence[LabeledCommand]) -> LabelDistribution:
     """Count positives per question; raise EmptyDataset on an empty input."""
     if not records:
         raise EmptyDataset("cannot compute a distribution over zero records")
-    counts = [0] * N_QUESTIONS
-    for rec in records:
-        for i, flag in enumerate(rec.gold.flags):
-            counts[i] += flag
-    return LabelDistribution(tuple(counts), len(records))
+    counts = tuple(map(sum, zip(*(rec.gold for rec in records))))
+    return LabelDistribution(counts, len(records))
 
 
 def _max_deviation(
@@ -270,10 +258,7 @@ def stratified_sample(
     selected = indices[:n]
     rest = indices[n:]
 
-    counts = [0] * N_QUESTIONS
-    for idx in selected:
-        for i, flag in enumerate(records[idx].gold.flags):
-            counts[i] += flag
+    counts = distribution([records[idx] for idx in selected]).counts
     best = _max_deviation(counts, n, full)
 
     for _ in range(SAMPLE_MAX_SWAPS):
@@ -283,9 +268,8 @@ def stratified_sample(
             break
         si = rng.randrange(n)
         ri = rng.randrange(len(rest))
-        trial = list(counts)
-        for i in range(N_QUESTIONS):
-            trial[i] += records[rest[ri]].gold.flags[i] - records[selected[si]].gold.flags[i]
+        incoming, outgoing = records[rest[ri]].gold, records[selected[si]].gold
+        trial = tuple(c + a - b for c, a, b in zip(counts, incoming, outgoing))
         dev = _max_deviation(trial, n, full)
         if dev < best:  # only strictly improving swaps are kept
             selected[si], rest[ri] = rest[ri], selected[si]

@@ -362,6 +362,12 @@ def load_records(path: str | Path) -> list[PredictionRecord]:
                 continue
             try:
                 row = json.loads(line)
+                if not all(isinstance(row[k], str) for k in ("id", "cache_key")):
+                    raise TypeError("id and cache_key must be strings")
+                if not all(
+                    isinstance(row[k], (str, type(None))) for k in ("method", "failure_reason")
+                ):
+                    raise TypeError("method and failure_reason must be strings or null")
                 mask = row["predicted"]
                 records.append(
                     PredictionRecord(
@@ -435,27 +441,38 @@ class AblationCell:
 def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list[AblationCell]:
     """Run every grid cell; failures are recorded per cell and the grid continues.
 
-    All cells share one response cache (the injected backend's, or the default
-    directory), so re-running a grid replays completed cells from cache.
+    All cells share one backend, and with it one response cache and one set of
+    open connections, so re-running a grid replays completed cells from cache.
+    Without an injected backend, one is built from the base spec and closed
+    when the grid ends; the base dataset is loaded first for it, so a missing
+    or malformed dataset raises before any cell runs.
     Writes ablation.json and ablation.md under the base output_dir.
     """
+    own_backend = backend is None
+    if own_backend:
+        data = load_dataset(grid.base.dataset_path)
+        backend = build_backend(grid.base.backend_config, dataset=data)
     base_out = Path(grid.base.output_dir)
     cells: list[AblationCell] = []
-    for mode, shot_count in grid.cells():
-        cell_dir = base_out / f"{mode.value}_{shot_count}shot"
-        spec = dataclasses.replace(
-            grid.base,
-            prompt_config=grid.base.prompt_config.config(mode, shot_count),
-            output_dir=str(cell_dir),
-        )
-        try:
-            result = run_experiment(spec, backend=backend)
-            cells.append(AblationCell(mode, shot_count, result.report, None, cell_dir))
-        except (DataError, BackendError) as exc:
-            log.warning("cell %s/%d failed: %s", mode.value, shot_count, exc)
-            cells.append(
-                AblationCell(mode, shot_count, None, f"{type(exc).__name__}: {exc}", cell_dir)
+    try:
+        for mode, shot_count in grid.cells():
+            cell_dir = base_out / f"{mode.value}_{shot_count}shot"
+            spec = dataclasses.replace(
+                grid.base,
+                prompt_config=grid.base.prompt_config.config(mode, shot_count),
+                output_dir=str(cell_dir),
             )
+            try:
+                result = run_experiment(spec, backend=backend)
+                cells.append(AblationCell(mode, shot_count, result.report, None, cell_dir))
+            except (DataError, BackendError) as exc:
+                log.warning("cell %s/%d failed: %s", mode.value, shot_count, exc)
+                cells.append(
+                    AblationCell(mode, shot_count, None, f"{type(exc).__name__}: {exc}", cell_dir)
+                )
+    finally:
+        if own_backend:
+            backend.close()
     _write_json(base_out / "ablation.json", [_cell_json(c) for c in cells])
     _write_text(base_out / "ablation.md", ablation_table(cells, "md"))
     return cells

@@ -101,13 +101,9 @@ def evaluate(
                 n_scored += 1  # counts in denominators, contributes nothing
             continue
         n_scored += 1
-        exact = True
-        for i in range(N_QUESTIONS):
-            if vector[i] == rec.gold[i]:
-                question_correct[i] += 1
-            else:
-                exact = False
-        command_correct += exact
+        command_correct += vector == rec.gold
+        for i, (flag, gold_flag) in enumerate(zip(vector, rec.gold)):
+            question_correct[i] += flag == gold_flag
 
     def rate(numerator: int, denominator: int) -> Fraction:
         return Fraction(numerator, denominator) if denominator else Fraction(0)

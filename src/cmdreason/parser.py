@@ -53,21 +53,13 @@ class ParseOutcome:
     def ok(self) -> bool:
         return self.vector is not None
 
-    @classmethod
-    def success(cls, vector: RequirementVector, method: str) -> "ParseOutcome":
-        return cls(vector=vector, method=method, failure_reason=None)
-
-    @classmethod
-    def failure(cls, reason: str) -> "ParseOutcome":
-        return cls(vector=None, method=None, failure_reason=reason)
-
 
 def _find_bracket_vector(text: str) -> RequirementVector | None:
     last: RequirementVector | None = None
     for match in _GROUP_RE.finditer(text):
         tokens = [t for t in _TOKEN_SEP_RE.split(match.group(1).strip()) if t]
         if len(tokens) == N_QUESTIONS and all(t in ("0", "1") for t in tokens):
-            last = RequirementVector(tuple(t == "1" for t in tokens))
+            last = RequirementVector(t == "1" for t in tokens)
     return last
 
 
@@ -86,23 +78,23 @@ def _step_fallback(text: str) -> ParseOutcome:
             word.group(1).lower() == "yes" if word else None
         )
     if not answers:
-        return ParseOutcome.failure("no_bracket_no_steps")
+        return ParseOutcome(None, None, "no_bracket_no_steps")
     flags: list[bool] = []
     for k in range(1, N_QUESTIONS + 1):
         found = answers.get(k)
         if found is None:
-            return ParseOutcome.failure(f"missing_step({k})")
+            return ParseOutcome(None, None, f"missing_step({k})")
         if len(found) > 1:
-            return ParseOutcome.failure("duplicate_step")
+            return ParseOutcome(None, None, "duplicate_step")
         if found[0] is None:
-            return ParseOutcome.failure(f"ambiguous_step({k})")
+            return ParseOutcome(None, None, f"ambiguous_step({k})")
         flags.append(found[0])
-    return ParseOutcome.success(RequirementVector(tuple(flags)), METHOD_STEP_FALLBACK)
+    return ParseOutcome(RequirementVector(flags), METHOD_STEP_FALLBACK, None)
 
 
 def parse_response(text: str) -> ParseOutcome:
     """Parse a raw model response; never raises on bad input."""
     vector = _find_bracket_vector(text)
     if vector is not None:
-        return ParseOutcome.success(vector, METHOD_BRACKET)
+        return ParseOutcome(vector, METHOD_BRACKET, None)
     return _step_fallback(text)

@@ -108,7 +108,7 @@ def test_random_classify_matches_raw_bit_stream(toy_data):
         [bool(rng.next_u64() >> 63) for _ in range(8)] for _ in range(len(toy_data))
     ]
     got = random_classify(99, toy_data)
-    assert [list(v.flags) for v in got] == expected
+    assert [list(v) for v in got] == expected
 
 
 def test_random_classify_is_deterministic(toy_data):
@@ -130,7 +130,7 @@ def test_example_rules_beat_random_on_toy_dataset(toy_data):
 
     def question_hits(predictions):
         return sum(
-            sum(p == g for p, g in zip(pred.flags, rec.gold.flags))
+            sum(p == g for p, g in zip(pred, rec.gold))
             for pred, rec in zip(predictions, toy_data)
         )
 

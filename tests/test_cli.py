@@ -4,11 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 import cmdreason.cli as cli
+from cmdreason import harness
 from cmdreason.backend import ProtocolError
 from cmdreason.dataset import load_dataset, save_dataset, LabeledCommand, RequirementVector
 from cmdreason.harness import AbortedRun
@@ -309,6 +313,123 @@ def test_score_malformed_record_is_data_error(toy_path, tmp_path, capsys):
 
 def test_score_missing_records_is_data_error(toy_path, tmp_path):
     assert run_cli("score", "--records", str(tmp_path / "no.jsonl"), "--dataset", toy_path) == 2
+
+
+# =============================================================================
+# Connections to an HTTP endpoint
+# =============================================================================
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """Answers every chat completion on a keep-alive connection; counts connections."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 30  # far longer than any test waits, so only the client closes a connection
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.opened += 1
+            self.server.open_now += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with self.server.lock:
+                self.server.open_now -= 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        answer = {"role": "assistant", "content": "Answer: [0 1 0 0 1 1 1 0]"}
+        body = json.dumps({"choices": [{"message": answer}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def chat_server(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    httpd.daemon_threads = True
+    httpd.block_on_close = False
+    httpd.lock = threading.Lock()
+    httpd.opened = httpd.open_now = 0
+    httpd.url = f"http://127.0.0.1:{httpd.server_address[1]}/v1"
+    threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True).start()
+    yield httpd
+    httpd.shutdown()
+    httpd.server_close()
+
+
+@pytest.fixture()
+def http_backends(monkeypatch):
+    """Every HttpChatBackend the harness builds, held alive so only close() closes it."""
+    built = []
+
+    class Recorded(harness.HttpChatBackend):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "HttpChatBackend", Recorded)
+    yield built
+    for backend in built:
+        backend.close()
+
+
+def all_closed(server, within: float = 3.0) -> bool:
+    """Whether the server sees no open connection, waiting for it to notice the closes."""
+    deadline = time.monotonic() + within
+    while server.open_now and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return server.open_now == 0
+
+
+def test_run_closes_the_connections_of_the_backend_it_builds(
+    chat_server, http_backends, toy_path, tmp_path, capsys
+):
+    code = run_cli(
+        "run", "--dataset", toy_path, "--endpoint", chat_server.url, "--model", "m",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 0
+    assert "requests sent: 24" in capsys.readouterr().out
+    assert len(http_backends) == 1
+    assert chat_server.opened >= 1
+    assert all_closed(chat_server)
+
+
+def test_ablate_shares_one_backend_across_cells_and_closes_it(
+    chat_server, http_backends, toy_path, tmp_path
+):
+    code = run_cli(
+        "ablate", "--dataset", toy_path, "--endpoint", chat_server.url, "--model", "m",
+        "--modes", "none,stepwise", "--shots", "0,2", "--out", str(tmp_path / "grid"),
+    )
+    assert code == 0
+    assert len(json.loads((tmp_path / "grid" / "ablation.json").read_text())) == 4
+    assert len(http_backends) == 1
+    assert 1 <= chat_server.opened <= http_backends[0].config.max_in_flight
+    assert all_closed(chat_server)
+
+
+def test_ablate_bad_dataset_is_data_error_before_any_cell(tmp_path, capsys):
+    code = run_cli(
+        "ablate", "--dataset", str(tmp_path / "missing.tsv"), "--endpoint", "mock://gold",
+        "--model", "demo", "--out", str(tmp_path / "grid"),
+    )
+    assert code == 2
+    assert "no such file" in capsys.readouterr().err
+    assert not (tmp_path / "grid").exists()
 
 
 # =============================================================================

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -40,7 +42,31 @@ def test_vector_rejects_non_bool():
 
 def test_vector_accepts_list_and_freezes_to_tuple():
     vec = RequirementVector([True] + [False] * 7)
-    assert vec.flags == (True,) + (False,) * 7
+    assert vec == (True,) + (False,) * 7
+
+
+def test_vector_is_a_tuple_of_its_flags():
+    vec = RequirementVector.from_bits("01001110")
+    assert isinstance(vec, tuple)
+    assert vec == (False, True, False, False, True, True, True, False)
+    assert hash(vec) == hash(tuple(vec))
+
+
+@pytest.mark.parametrize(
+    "copy_of", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_vector_pickle_and_deepcopy_keep_the_type(copy_of):
+    vec = RequirementVector.from_bits("01001110")
+    twin = copy_of(vec)
+    assert type(twin) is RequirementVector
+    assert twin == vec
+    assert twin.bits() == "01001110"
+
+
+@pytest.mark.parametrize("flags", [(True,) * 7, (1, 0, 1, 0, 1, 0, 1, 0)], ids=["7-flags", "ints"])
+def test_vector_checks_a_generator_too(flags):
+    with pytest.raises(ValueError):
+        RequirementVector(f for f in flags)
 
 
 @given(bits_strategy)
@@ -49,7 +75,7 @@ def test_bits_round_trip(bits):
 
 
 def test_from_bits_rejects_bad_strings():
-    for bad in ("0100111", "010011101", "0100112a", "01 01 01"):
+    for bad in ("0100111", "010011101", "0100112a", "01 01 01", list("01001110"), b"01001110"):
         with pytest.raises(ValueError):
             RequirementVector.from_bits(bad)
 

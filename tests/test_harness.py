@@ -146,10 +146,19 @@ GOOD_RECORD = {
         json.dumps({**GOOD_RECORD, "method": None, "predicted": None}),
         json.dumps({**GOOD_RECORD, "id": ""}),
         "{not json",
+        json.dumps({**GOOD_RECORD, "predicted": list("01001110")}),
+        json.dumps({**GOOD_RECORD, "predicted": 1001110}),
+        json.dumps({**GOOD_RECORD, "id": 7}),
+        json.dumps({**GOOD_RECORD, "method": 1}),
+        json.dumps({**GOOD_RECORD, "method": None, "predicted": None, "failure_reason": 3}),
+        json.dumps({**GOOD_RECORD, "cache_key": 12}),
+        json.dumps({**GOOD_RECORD, "cache_key": None}),
     ],
     ids=[
         "short-mask", "json-list", "mask-without-method", "missing-key",
         "mask-and-failure", "neither", "empty-id", "not-json",
+        "mask-as-list", "mask-as-number", "int-id", "int-method",
+        "int-failure-reason", "int-cache-key", "null-cache-key",
     ],
 )
 def test_load_records_rejects_malformed_lines(tmp_path, line):
