@@ -17,12 +17,12 @@ from .backend import (
     MockChatBackend,
     ProtocolError,
     RateLimited,
+    RequestEncoder,
     ResponseCache,
     RetriesExhausted,
     ServerError,
     Timeout,
     UnscriptedInput,
-    cache_key,
 )
 from .baselines import (
     MalformedRule,

@@ -1,16 +1,17 @@
-"""Chat-completion backends: HTTP client, scripted mock, cache, retry policy.
+"""Chat-completion backends: request encoding, HTTP client, scripted mock, cache, retries.
 
-complete() answers one transcript: lookup() reads the response cache, and on
-a miss fetch() drives the retry loop around the transport-specific _send().
-The harness calls lookup() and fetch() itself, so that it resolves every hit
-before it starts any worker; its pool of max_in_flight workers, not a
-semaphore here, bounds the requests in flight.  Each answer is a
-CompletionResult: the raw text, replayed byte for byte from the cache, and
-the number of requests it took, 0 when it came from the cache.
-Retryable failures (RateLimited, ServerError for HTTP 500/502/503/504,
-Timeout) back off exponentially with full jitter: attempt i sleeps
-uniform(0, 1s * 2**i).  AuthError and any other ProtocolError abort
-immediately.
+A RequestEncoder gives each request its one encoding: the JSON body sent, and
+the cache key, sha256 over the endpoint URL and that body.  complete()
+answers one transcript: lookup() reads the response cache, and on a miss
+fetch() drives the retry loop around the transport-specific _send(body).
+The harness encodes, looks up and fetches itself, so that it resolves every
+hit before it starts any worker; its pool of max_in_flight workers bounds
+the requests in flight.  Each answer is a CompletionResult: the raw text,
+replayed byte for byte from the cache, and the requests it took, 0 when it
+came from the cache.  Retryable failures (RateLimited, ServerError for HTTP
+500/502/503/504, Timeout) back off exponentially with full jitter: attempt i
+waits uniform(0, 1s * 2**i), cut short once the run has failed.  AuthError
+and any other ProtocolError abort immediately.
 
 HttpChatBackend uses only the standard library: http.client on keep-alive
 connections that are reused across requests, a CONNECT tunnel through the
@@ -37,7 +38,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chat import Transcript, to_wire
+from .chat import ChatMessage, Transcript
 from .errors import BackendError
 
 log = logging.getLogger(__name__)
@@ -132,64 +133,48 @@ class CompletionResult:
         return self.attempt_count == 0
 
 
-# Canonical JSON for cache keys: sorted keys, no whitespace, UTF-8 as is.
-_KEY_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# The request body: compact JSON, UTF-8 as is.
+_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
-def _messages_json(transcript: Transcript) -> str:
-    """Canonical JSON of the messages, comma-separated, without the list brackets.
-
-    Only the strings go through the encoder, which is several times faster
-    than encoding one dict per message; the object around them is the one
-    sort_keys gives.
-    """
-    encode = _KEY_JSON.encode
-    return ",".join(
-        f'{{"content":{encode(m.content)},"role":{encode(m.role)}}}' for m in transcript
-    )
+def _messages_json(messages: Transcript) -> str:
+    """The messages' JSON objects, comma-separated; a role is a name from chat.ROLES."""
+    return ",".join(f'{{"role":"{m.role}","content":{_JSON(m.content)}}}' for m in messages)
 
 
-class KeyHasher:
-    """Cache keys of transcripts that open with a shared prefix.
+class RequestEncoder:
+    """Request bodies and cache keys of transcripts that open with a shared prefix.
 
-    A key is sha256 over the canonical JSON of everything that shapes the
-    answer: endpoint, model, sampling parameters and the messages.  Sorted
-    keys put the messages in the middle of that JSON, so the part up to and
-    including the prefix's messages is hashed once here, and key() hashes
-    only the rest on a copy of that state.  The digest equals that of the
-    whole payload hashed in one piece.
+    A body is compact JSON: model, temperature, max_tokens, then the messages.
+    Its head, through the prefix's messages, is encoded once here; tail()
+    encodes the rest of one transcript, and head + tail is the body sent.  A
+    cache key is sha256 over the endpoint URL, a NUL byte (which JSON
+    escapes) and that body; key() hashes the tail on a copy of the head's state.
     """
 
     def __init__(self, config: BackendConfig, prefix: Transcript = ()) -> None:
-        payload = {
-            "endpoint_url": config.endpoint_url,
-            "model": config.model_name,
-            "temperature": config.temperature,
-            "max_output_tokens": config.max_output_tokens,
-            "messages": [],
-        }
-        # string values escape their quotes, so this marker occurs only as the key
-        head, _, tail = _KEY_JSON.encode(payload).partition('"messages":[]')
+        self.head = (
+            f'{{"model":{_JSON(config.model_name)},"temperature":{_JSON(config.temperature)},'
+            f'"max_tokens":{_JSON(config.max_output_tokens)},"messages":[{_messages_json(prefix)}'
+        ).encode("utf-8")
         self._prefix = prefix
-        self._tail = "]" + tail
-        self._state = hashlib.sha256(
-            (head + '"messages":[' + _messages_json(prefix)).encode("utf-8")
-        )
+        self._state = hashlib.sha256(config.endpoint_url.encode("utf-8") + b"\0" + self.head)
 
-    def key(self, transcript: Transcript) -> str:
+    def tail(self, transcript: Transcript) -> bytes:
+        """The body's bytes after the head: the messages past the prefix, then ']}'."""
+        if not transcript or transcript[0].role != "system":
+            raise ValueError("transcript must start with a system message")
         n = len(self._prefix)
         if transcript[:n] != self._prefix:
-            raise ValueError("transcript does not open with the hasher's prefix")
+            raise ValueError("transcript does not open with the encoder's prefix")
         rest = _messages_json(transcript[n:])
-        separator = "," if n and rest else ""
+        return f'{"," if n and rest else ""}{rest}]}}'.encode("utf-8")
+
+    def key(self, tail: bytes) -> str:
+        """The cache key of the body head + tail."""
         digest = self._state.copy()
-        digest.update((separator + rest + self._tail).encode("utf-8"))
+        digest.update(tail)
         return digest.hexdigest()
-
-
-def cache_key(config: BackendConfig, transcript: Transcript) -> str:
-    """Content address of one request: sha256 over everything that shapes the answer."""
-    return KeyHasher(config).key(transcript)
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -259,7 +244,7 @@ class ChatBackend:
         self._sleep = sleep
         self._backoff_rng = backoff_rng or random.Random()
 
-    def _send(self, transcript: Transcript) -> str:
+    def _send(self, body: bytes) -> str:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -274,31 +259,34 @@ class ChatBackend:
 
     def complete(self, transcript: Transcript) -> CompletionResult:
         """Return the assistant text for a transcript, consulting the cache first."""
-        key = cache_key(self.config, transcript)
-        return self.lookup(key) or self.fetch(transcript, key)
+        encoder = RequestEncoder(self.config)
+        tail = encoder.tail(transcript)
+        key = encoder.key(tail)
+        return self.lookup(key) or self.fetch(encoder.head + tail, key)
 
-    def fetch(self, transcript: Transcript, key: str) -> CompletionResult:
-        """Send the transcript without looking in the cache, then cache the answer under key."""
-        if not transcript:
-            raise ValueError("transcript must not be empty")
-        if transcript[0].role != "system":
-            raise ValueError("transcript must start with a system message")
+    def fetch(
+        self, body: bytes, key: str, failed: threading.Event | None = None
+    ) -> CompletionResult:
+        """Send body without looking in the cache, then cache the answer under key.
+
+        Given the run's `failed` event, a backoff waits on it instead of
+        sleeping, and once it is set the retries give up as RetriesExhausted.
+        """
         attempt = 0
         while True:
             attempt += 1
             try:
-                text = self._send(transcript)
+                text = self._send(body)
                 break
             except _RETRYABLE as exc:
                 if attempt > self.config.max_retries:
                     raise RetriesExhausted(attempt, exc) from exc
-                delay = self._backoff_rng.uniform(
-                    0.0, BACKOFF_BASE_SECONDS * 2 ** (attempt - 1)
-                )
-                log.warning(
-                    "attempt %d failed (%s); retrying in %.2fs", attempt, exc, delay
-                )
-                self._sleep(delay)
+                delay = self._backoff_rng.uniform(0.0, BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
+                log.warning("attempt %d failed (%s); retrying in %.2fs", attempt, exc, delay)
+                if failed is None:
+                    self._sleep(delay)
+                elif failed.wait(delay):
+                    raise RetriesExhausted(attempt, exc) from exc
         if self.cache is not None:
             self.cache.put(key, text)
         return CompletionResult(text, attempt_count=attempt)
@@ -381,18 +369,12 @@ class HttpChatBackend(ChatBackend):
             self._idle.put(conn)
             return response.status, data
 
-    def _send(self, transcript: Transcript) -> str:
-        payload = {
-            "model": self.config.model_name,
-            "messages": to_wire(transcript),
-            "temperature": self.config.temperature,
-            "max_tokens": self.config.max_output_tokens,
-        }
+    def _send(self, body: bytes) -> str:
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        status, data = self._post(json.dumps(payload).encode("utf-8"), headers)
+        status, data = self._post(body, headers)
         if status in (401, 403):
             raise AuthError(
                 f"endpoint rejected credentials (HTTP {status}); "
@@ -423,8 +405,9 @@ class MockChatBackend(ChatBackend):
 
     The script is either a callable(transcript) -> text (which may raise), or
     a mapping from the final user-message content to text / an exception
-    instance to raise.  Tracks how many sends happened and the peak number in
-    flight at once, so tests can assert the harness's concurrency limit held.
+    instance to raise, for the transcript read back from the request body.
+    Tracks how many sends happened and the peak number in flight at once, so
+    tests can assert the harness's concurrency limit held.
     """
 
     def __init__(
@@ -441,12 +424,13 @@ class MockChatBackend(ChatBackend):
         self.send_count = 0
         self.peak_in_flight = 0
 
-    def _send(self, transcript: Transcript) -> str:
+    def _send(self, body: bytes) -> str:
         with self._stats_lock:
             self._in_flight += 1
             self.send_count += 1
             self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
         try:
+            transcript = tuple(ChatMessage(**m) for m in json.loads(body)["messages"])
             if callable(self._script):
                 return self._script(transcript)
             final_user = transcript[-1].content

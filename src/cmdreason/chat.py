@@ -32,7 +32,3 @@ def user(content: str) -> ChatMessage:
 def assistant(content: str) -> ChatMessage:
     return ChatMessage("assistant", content)
 
-
-def to_wire(transcript: Transcript) -> list[dict[str, str]]:
-    """Render a transcript as the JSON message list chat endpoints expect."""
-    return [{"role": m.role, "content": m.content} for m in transcript]

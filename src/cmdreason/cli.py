@@ -29,6 +29,7 @@ from .harness import (
     REPORT_FORMATS,
     ResultRow,
     ablation_table,
+    clear_run_dir,
     comparison_table,
     emit_report,
     load_records,
@@ -130,7 +131,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         label = f"rules({Path(args.rules).name})"
     records = [PredictionRecord(rec.command_id, vec) for rec, vec in zip(data, vectors)]
     report = evaluate(records, data, "strict")
-    save_run_artifacts(args.out, label, data, records, report)
+    save_run_artifacts(clear_run_dir(args.out), label, data, records, report)
     _print_report(label, report)
     print(f"artifacts written to {args.out}")
     return 0

@@ -15,7 +15,8 @@ re-score it offline:
                         dataset
 * ``report.json``     - the scored accuracies, display-rounded
 
-Each file is written once, whole, through a temp file and os.replace.
+Each file is written once, whole, through a temp file and os.replace, after
+clear_run_dir has deleted every artifact of an earlier run or baseline.
 Runs and baselines write records.jsonl and report.json through
 save_run_artifacts.
 
@@ -28,9 +29,10 @@ evaluate() scores, what RunResult.records holds and what load_records reads
 back; _write_records and load_records are the only code that knows the
 records.jsonl format.
 
-A run does each piece of per-command work once: the transcript prefix is
-built once per prompt config, each cache key is hashed once from that shared
-prefix, and cache hits are read on the calling thread before any worker
+A run does each piece of per-command work once: the transcript prefix and
+its request-body head are built once per prompt config, each command is
+encoded once into the tail of its body, whose key is hashed from the head's
+state, and cache hits are read on the calling thread before any worker
 exists.  Only misses go to a thread pool, up to max_in_flight at a time, so a
 fully warm run starts no pool.  Records and reports are always aggregated in
 dataset order, so parallelism never changes any output byte.  Nothing
@@ -42,7 +44,7 @@ import dataclasses
 import json
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -52,12 +54,11 @@ from .backend import (
     ChatBackend,
     CompletionResult,
     HttpChatBackend,
-    KeyHasher,
     MockChatBackend,
+    RequestEncoder,
     ResponseCache,
     write_atomic,
 )
-from .chat import Transcript
 from .dataset import (
     CATEGORY_TITLES,
     LabeledCommand,
@@ -172,6 +173,21 @@ def _write_jsonl(path: Path, rows: list[dict[str, Any]]) -> None:
     _write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
+RUN_ARTIFACTS = ("spec.json", "responses.jsonl", "records.jsonl", "report.json",
+                 "responses.partial.jsonl", "records.partial.jsonl")
+
+
+def clear_run_dir(out_dir: str | Path) -> Path:
+    """Delete every run artifact in out_dir, so that it never mixes two runs' files."""
+    out = Path(out_dir)
+    try:
+        for name in RUN_ARTIFACTS:
+            (out / name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot clear {out}: {exc}") from exc
+    return out
+
+
 # =============================================================================
 # Backends for runs
 # =============================================================================
@@ -219,9 +235,10 @@ def build_backend(
 def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> RunResult:
     """Run one configuration over a dataset and persist all artifacts.
 
-    If a request fails, the run stops: queued requests are not sent, the
-    completed responses stay cached, and ``records.partial.jsonl`` and
-    ``responses.partial.jsonl`` snapshot them.  A BackendError is raised as
+    Once the backend is built, clear_run_dir empties the output directory.
+    If a request fails, the run stops: queued requests and retries are not
+    sent, the completed responses stay cached, and ``records.partial.jsonl``
+    and ``responses.partial.jsonl`` snapshot them.  A BackendError is raised as
     AbortedRun, anything else as itself.  Re-running the same spec resumes
     from the cache.
     """
@@ -229,17 +246,17 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
     own_backend = backend is None
     if own_backend:
         backend = build_backend(spec.backend_config, dataset=data)
-    out_dir = Path(spec.output_dir)
+    out_dir = clear_run_dir(spec.output_dir)
     _write_json(out_dir / "spec.json", spec.to_json_dict())
 
-    transcripts = [build_transcript(spec.prompt_config, rec.text) for rec in data]
-    hasher = KeyHasher(backend.config, transcript_prefix(spec.prompt_config))
-    keys = [hasher.key(t) for t in transcripts]
+    encoder = RequestEncoder(backend.config, transcript_prefix(spec.prompt_config))
+    tails = [encoder.tail(build_transcript(spec.prompt_config, rec.text)) for rec in data]
+    keys = [encoder.key(tail) for tail in tails]
     results = [backend.lookup(key) for key in keys]
     misses = [i for i, result in enumerate(results) if result is None]
     if misses:
         try:
-            _fetch_misses(backend, transcripts, keys, results, misses)
+            _fetch_misses(backend, encoder.head, tails, keys, results, misses)
         except Exception as exc:
             done = [i for i, result in enumerate(results) if result is not None]
             _write_jsonl(
@@ -264,9 +281,6 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
         out_dir / "responses.jsonl", [_response_row(rec, res) for rec, res in zip(data, results)]
     )
     save_run_artifacts(out_dir, spec.backend_config.model_name, data, records, report)
-    # a finished run supersedes any partial snapshot left by an aborted one
-    (out_dir / "responses.partial.jsonl").unlink(missing_ok=True)
-    (out_dir / "records.partial.jsonl").unlink(missing_ok=True)
     return RunResult(
         report=report,
         records=records,
@@ -278,7 +292,8 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
 
 def _fetch_misses(
     backend: ChatBackend,
-    transcripts: list[Transcript],
+    head: bytes,
+    tails: list[bytes],
     keys: list[str],
     results: list[CompletionResult | None],
     misses: list[int],
@@ -286,29 +301,32 @@ def _fetch_misses(
     """Fill results[i] for each i in misses from up to max_in_flight workers.
 
     The pool is the one bound on requests in flight.  The first failure, in
-    a worker or on the calling thread, sets `failed`, and a queued request
-    that starts after that sends nothing, whatever the thread timing.
-    Requests in flight finish and keep their results, and the failure of
-    the first failed command in dataset order is raised.
+    a worker or on the calling thread, sets `failed`: a queued request that
+    starts after that sends nothing, whatever the thread timing, and a retry
+    that is backing off gives up at once.  Requests in flight finish and
+    keep their results, and the first failure is raised.
     """
     failed = threading.Event()
+    errors: list[BaseException] = []
 
     def fetch(i: int) -> None:
         if failed.is_set():
             return
         try:
-            results[i] = backend.fetch(transcripts[i], keys[i])
-        except BaseException:
+            results[i] = backend.fetch(head + tails[i], keys[i], failed)
+        except BaseException as exc:
+            errors.append(exc)
             failed.set()
             raise
 
     with ThreadPoolExecutor(max_workers=backend.config.max_in_flight) as pool:
         try:
-            for future in [pool.submit(fetch, i) for i in misses]:
-                future.result()
+            wait([pool.submit(fetch, i) for i in misses])
         except BaseException:
             failed.set()
             raise
+    if errors:
+        raise errors[0]
 
 
 def _response_row(rec: LabeledCommand, result: CompletionResult) -> dict[str, str]:

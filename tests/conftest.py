@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import threading
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 
 import pytest
@@ -41,3 +45,96 @@ def make_shot(command: str, bits: str) -> ShotExample:
         for flag in gold
     )
     return ShotExample(command, gold, rationales)
+
+
+# =============================================================================
+# In-process chat-completions endpoint
+# =============================================================================
+
+
+def serve(httpd):
+    """Serve httpd on a daemon thread; the returned callable stops it."""
+    httpd.daemon_threads = True
+    httpd.block_on_close = False  # idle keep-alive handlers time out on their own
+    threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True).start()
+
+    def stop():
+        httpd.shutdown()
+        httpd.server_close()
+
+    return stop
+
+
+class ChatStub(ThreadingHTTPServer):
+    """A scripted chat-completions endpoint on 127.0.0.1, with keep-alive connections.
+
+    Every POST is recorded in `requests` as (path, Authorization header, raw
+    body).  `responder(body)` maps the raw body to (status, payload); a dict
+    payload is sent as JSON, bytes as they are.  `opened` and `open_now`
+    count connections.  With `drop_idle` the stub closes each connection
+    after its response, as a server does that drops an idle connection; with
+    `chunked` the body goes out in chunked transfer encoding.  Each response
+    is sent in one write.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _ChatStubHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
+        self.lock = threading.Lock()
+        self.requests: list[tuple[str, str | None, bytes]] = []
+        self.opened = self.open_now = 0
+        self.drop_idle = self.chunked = False
+        answer = {"choices": [{"message": {"role": "assistant", "content": "hello there"}}]}
+        self.responder = lambda body: (200, answer)
+
+
+class _ChatStubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    timeout = 30  # far longer than any test waits: only the client or drop_idle closes
+    server: ChatStub
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.opened += 1
+            self.server.open_now += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with self.server.lock:
+                self.server.open_now -= 1
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            self.server.requests.append((self.path, self.headers.get("Authorization"), body))
+        status, payload = self.server.responder(body)
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        if self.server.chunked:
+            framing = "Transfer-Encoding: chunked"
+            pieces = [data[i:i + 7] for i in range(0, len(data), 7)] + [b""]
+            data = b"".join(b"%x\r\n%s\r\n" % (len(piece), piece) for piece in pieces)
+        else:
+            framing = f"Content-Length: {len(data)}"
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: application/json\r\n{framing}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("ascii") + data)
+        # closing without a Connection: close header is a server dropping an idle connection
+        self.close_connection = self.server.drop_idle
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def chat_stub(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    httpd = ChatStub()
+    stop = serve(httpd)
+    yield httpd
+    stop()

@@ -4,9 +4,7 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -316,58 +314,58 @@ def test_score_missing_records_is_data_error(toy_path, tmp_path):
 
 
 # =============================================================================
-# Connections to an HTTP endpoint
+# A run directory holds one run
 # =============================================================================
 
 
-class _ChatHandler(BaseHTTPRequestHandler):
-    """Answers every chat completion on a keep-alive connection; counts connections."""
-
-    protocol_version = "HTTP/1.1"
-    timeout = 30  # far longer than any test waits, so only the client closes a connection
-    disable_nagle_algorithm = True
-
-    def setup(self):
-        super().setup()
-        with self.server.lock:
-            self.server.opened += 1
-            self.server.open_now += 1
-
-    def finish(self):
-        try:
-            super().finish()
-        finally:
-            with self.server.lock:
-                self.server.open_now -= 1
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        answer = {"role": "assistant", "content": "Answer: [0 1 0 0 1 1 1 0]"}
-        body = json.dumps({"choices": [{"message": answer}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+def refuse_every_request(stub):
+    # HTTP 400 is a ProtocolError, which aborts at once without a retry
+    stub.responder = lambda body: (400, {"error": "bad request"})
 
 
-@pytest.fixture()
-def chat_server(monkeypatch):
-    for name in ("http_proxy", "HTTP_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    httpd.daemon_threads = True
-    httpd.block_on_close = False
-    httpd.lock = threading.Lock()
-    httpd.opened = httpd.open_now = 0
-    httpd.url = f"http://127.0.0.1:{httpd.server_address[1]}/v1"
-    threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True).start()
-    yield httpd
-    httpd.shutdown()
-    httpd.server_close()
+def test_aborted_run_leaves_no_earlier_run_to_report(chat_stub, toy_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("run", "--dataset", toy_path, "--endpoint", "mock://gold", "--model", "A",
+            "--out", str(out))
+    refuse_every_request(chat_stub)
+    code = run_cli("run", "--dataset", toy_path, "--endpoint", chat_stub.url, "--model", "B",
+                   "--out", str(out))
+    assert code == 3
+    assert sorted(p.name for p in out.iterdir()) == [
+        "records.partial.jsonl", "responses.partial.jsonl", "spec.json"
+    ]
+    assert json.loads((out / "spec.json").read_text())["backend_config"]["model_name"] == "B"
+    capsys.readouterr()
+    assert run_cli("report", "--in", str(out), "--out", str(tmp_path / "r.md")) == 2
+    assert "report.json" in capsys.readouterr().err
+
+
+def test_failed_ablation_cell_keeps_no_earlier_report(chat_stub, toy_path, tmp_path):
+    out = tmp_path / "grid"
+    grid = ("--modes", "none", "--shots", "0", "--out", str(out))
+    run_cli("ablate", "--dataset", toy_path, "--endpoint", "mock://gold", "--model", "A", *grid)
+    assert (out / "none_0shot" / "report.json").is_file()
+    refuse_every_request(chat_stub)
+    code = run_cli("ablate", "--dataset", toy_path, "--endpoint", chat_stub.url, "--model", "B",
+                   *grid)
+    assert code == 3
+    assert json.loads((out / "ablation.json").read_text())[0]["error"] is not None
+    assert not (out / "none_0shot" / "report.json").exists()
+    assert not (out / "none_0shot" / "records.jsonl").exists()
+
+
+def test_baseline_over_a_run_leaves_only_its_own_files(toy_path, tmp_path):
+    out = tmp_path / "run"
+    run_cli("run", "--dataset", toy_path, "--endpoint", "mock://gold", "--model", "A",
+            "--out", str(out))
+    assert run_cli("baseline", "--dataset", toy_path, "--random", "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["records.jsonl", "report.json"]
+    assert json.loads((out / "report.json").read_text())["label"] == "random(seed=0)"
+
+
+# =============================================================================
+# Connections to an HTTP endpoint
+# =============================================================================
 
 
 @pytest.fixture()
@@ -395,31 +393,31 @@ def all_closed(server, within: float = 3.0) -> bool:
 
 
 def test_run_closes_the_connections_of_the_backend_it_builds(
-    chat_server, http_backends, toy_path, tmp_path, capsys
+    chat_stub, http_backends, toy_path, tmp_path, capsys
 ):
     code = run_cli(
-        "run", "--dataset", toy_path, "--endpoint", chat_server.url, "--model", "m",
+        "run", "--dataset", toy_path, "--endpoint", chat_stub.url, "--model", "m",
         "--out", str(tmp_path / "run"),
     )
     assert code == 0
     assert "requests sent: 24" in capsys.readouterr().out
     assert len(http_backends) == 1
-    assert chat_server.opened >= 1
-    assert all_closed(chat_server)
+    assert chat_stub.opened >= 1
+    assert all_closed(chat_stub)
 
 
 def test_ablate_shares_one_backend_across_cells_and_closes_it(
-    chat_server, http_backends, toy_path, tmp_path
+    chat_stub, http_backends, toy_path, tmp_path
 ):
     code = run_cli(
-        "ablate", "--dataset", toy_path, "--endpoint", chat_server.url, "--model", "m",
+        "ablate", "--dataset", toy_path, "--endpoint", chat_stub.url, "--model", "m",
         "--modes", "none,stepwise", "--shots", "0,2", "--out", str(tmp_path / "grid"),
     )
     assert code == 0
     assert len(json.loads((tmp_path / "grid" / "ablation.json").read_text())) == 4
     assert len(http_backends) == 1
-    assert 1 <= chat_server.opened <= http_backends[0].config.max_in_flight
-    assert all_closed(chat_server)
+    assert 1 <= chat_stub.opened <= http_backends[0].config.max_in_flight
+    assert all_closed(chat_stub)
 
 
 def test_ablate_bad_dataset_is_data_error_before_any_cell(tmp_path, capsys):

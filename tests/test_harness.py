@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import sys
 import threading
@@ -13,9 +14,11 @@ import pytest
 from cmdreason import harness
 from cmdreason.backend import (
     BackendConfig,
-    KeyHasher,
+    HttpChatBackend,
     MockChatBackend,
     ProtocolError,
+    RateLimited,
+    RequestEncoder,
     ResponseCache,
     mock_config,
 )
@@ -311,17 +314,17 @@ def test_each_command_is_keyed_and_looked_up_once_and_warm_runs_send_nothing(
     toy_path, toy_data, template, tmp_path, monkeypatch
 ):
     key_calls, get_calls = [], []
-    original_key, original_get = KeyHasher.key, ResponseCache.get
+    original_key, original_get = RequestEncoder.key, ResponseCache.get
 
-    def counting_key(self, transcript):
-        key_calls.append(transcript[-1].content)
-        return original_key(self, transcript)
+    def counting_key(self, tail):
+        key_calls.append(json.loads(self.head + tail)["messages"][-1]["content"])
+        return original_key(self, tail)
 
     def counting_get(self, key):
         get_calls.append(key)
         return original_get(self, key)
 
-    monkeypatch.setattr(KeyHasher, "key", counting_key)
+    monkeypatch.setattr(RequestEncoder, "key", counting_key)
     monkeypatch.setattr(ResponseCache, "get", counting_get)
     spec = make_spec(toy_path, template, tmp_path / "run")
     cold = run_experiment(spec, gold_backend(toy_data, tmp_path / "cache"))
@@ -364,6 +367,35 @@ def test_cache_entries_of_another_endpoint_are_not_reused(
     assert other.n_cache_hits == 0
     assert zeros.send_count == len(toy_data)
     assert other.report.command_level_accuracy < 1
+
+
+def test_each_record_keys_the_bytes_the_endpoint_received(chat_stub, template, tmp_path):
+    data = [
+        LabeledCommand("c1", "Öffne das Fenster — bitte 🚗", RequirementVector.from_bits("10000000")),
+        LabeledCommand("c2", 'Say "hi" \\ then stop', RequirementVector.from_bits("01000000")),
+        LabeledCommand("c3", "Honk.", RequirementVector.from_bits("00010000")),
+    ]
+    ds = tmp_path / "d.tsv"
+    save_dataset(data, ds)
+    config = BackendConfig(endpoint_url=chat_stub.url, model_name="modèle")
+    base = ExperimentSpec(str(ds), template, config, str(tmp_path / "grid"))
+    backend = HttpChatBackend(config)
+    try:
+        cells = run_ablation(AblationGrid(base, tuple(ExplanationMode), (0, 2)), backend)
+    finally:
+        backend.close()
+    received = {
+        hashlib.sha256(chat_stub.url.encode() + b"\0" + body).hexdigest(): json.loads(body)
+        for _, _, body in chat_stub.requests
+    }
+    assert len(received) == len(chat_stub.requests) == 6 * len(data)
+    texts = {rec.command_id: rec.text for rec in data}
+    keys = []
+    for cell in cells:
+        for record in load_records(cell.output_dir / "records.jsonl"):
+            keys.append(record.cache_key)
+            assert received[record.cache_key]["messages"][-1]["content"] == texts[record.command_id]
+    assert sorted(keys) == sorted(received)
 
 
 class FullCache(ResponseCache):
@@ -429,6 +461,42 @@ def test_no_request_is_sent_after_a_failure(toy_path, toy_data, template, tmp_pa
         run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
     assert backend.send_count == 3
     assert len(list(cache_dir.iterdir())) == 2
+
+
+class LongBackoff:
+    """A backoff rng whose every draw is 30 seconds."""
+
+    def uniform(self, low, high):
+        return 30.0
+
+
+def test_failure_ends_a_siblings_backoff(toy_path, toy_data, template, tmp_path):
+    script = gold_echo_script(toy_data)
+    first, second = toy_data[0].text, toy_data[1].text
+    sent = []
+    backing_off = threading.Event()
+
+    def answer(transcript):
+        text = transcript[-1].content
+        sent.append(text)
+        if text == first:
+            backing_off.set()
+            raise RateLimited("slow down")
+        if text == second:
+            backing_off.wait(5)
+            raise ProtocolError("scripted failure")
+        return script[text]
+
+    backend = MockChatBackend(
+        answer, config=mock_config(max_in_flight=2, max_retries=3), backoff_rng=LongBackoff()
+    )
+    start = time.monotonic()
+    with pytest.raises(AbortedRun) as err:
+        run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
+    assert time.monotonic() - start < 10  # the sibling's backoff alone is 30 s
+    assert sorted(sent) == sorted([first, second])  # the sibling sent nothing more
+    assert isinstance(err.value.cause, ProtocolError)  # the failure, not the cut backoff
+    assert err.value.n_completed == 0
 
 
 def test_failure_under_contention_keeps_every_completed_result(
