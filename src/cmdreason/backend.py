@@ -10,8 +10,13 @@ the requests in flight.  Each answer is a CompletionResult: the raw text,
 replayed byte for byte from the cache, and the requests it took, 0 when it
 came from the cache.  Retryable failures (RateLimited, ServerError for HTTP
 500/502/503/504, Timeout) back off exponentially with full jitter: attempt i
-waits uniform(0, 1s * 2**i), cut short once the run has failed.  AuthError
-and any other ProtocolError abort immediately.
+waits uniform(0, 1s * 2**i), or, after a 429 or 503 whose Retry-After header
+gives delta-seconds, that many seconds up to RETRY_AFTER_MAX_SECONDS; either
+wait is cut short once the run has failed.  AuthError and any other
+ProtocolError abort immediately.
+
+ResponseCache keeps every answer in one sqlite3 file per cache directory,
+which several processes can share.
 
 HttpChatBackend uses only the standard library: http.client on keep-alive
 connections that are reused across requests, a CONNECT tunnel through the
@@ -29,11 +34,13 @@ import logging
 import os
 import queue
 import random
+import sqlite3
 import ssl
 import threading
 import time
 import urllib.parse
 import urllib.request
+import weakref
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +54,7 @@ API_KEY_ENV = "CMDREASON_API_KEY"
 CACHE_DIR_ENV = "CMDREASON_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".cmdreason-cache"
 BACKOFF_BASE_SECONDS = 1.0
+RETRY_AFTER_MAX_SECONDS = 60.0  # the longest Retry-After wait honoured
 
 
 class AuthError(BackendError):
@@ -55,6 +63,10 @@ class AuthError(BackendError):
 
 class RateLimited(BackendError):
     """The endpoint asked us to slow down (HTTP 429)."""
+
+    def __init__(self, message: str, retry_after: float | None = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class Timeout(BackendError):
@@ -77,6 +89,16 @@ class ProtocolError(BackendError):
 
 class ServerError(ProtocolError):
     """The endpoint failed on its side (HTTP 500/502/503/504); a retry may succeed."""
+
+    def __init__(
+        self,
+        message: str,
+        status: int | None = None,
+        body_excerpt: str = "",
+        retry_after: float | None = None,
+    ) -> None:
+        super().__init__(message, status, body_excerpt)
+        self.retry_after = retry_after
 
 
 class RetriesExhausted(BackendError):
@@ -198,29 +220,101 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 class ResponseCache:
-    """One file per completed request, named by its cache key.
+    """Answers of completed requests by cache key, in one sqlite3 file.
 
-    Entries are written with write_atomic, so a crash mid-write never leaves
-    a truncated entry and concurrent writers of the same key are safe.
+    The file is ``<directory>/responses.sqlite``, a table
+    ``responses(key, text)``, opened on first use.  Each put commits on its
+    own, and the first answer stored for a key is the one kept.  In WAL mode
+    a reader never waits for a writer, and several processes can share one
+    cache: a writer waits up to BUSY_TIMEOUT_SECONDS for another's write.  A
+    process that dies mid-run leaves every committed answer readable and no
+    torn one.  With synchronous=NORMAL, a power loss can drop the last
+    commits but not corrupt the file.  The WAL is checkpointed every
+    WAL_CHECKPOINT_PAGES pages and truncated after, so the directory stays
+    small while the connection is open.
+
+    A cache holds one connection, which its threads share under a lock.
+    close() closes it and a later call opens it again; a cache dropped
+    unclosed closes it when collected.
     """
+
+    FILE_NAME = "responses.sqlite"
+    BUSY_TIMEOUT_SECONDS = 30.0
+    WAL_CHECKPOINT_PAGES = 64
 
     def __init__(self, directory: str | Path | None = None) -> None:
         if directory is None:
             directory = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
         self.directory = Path(directory)
+        self._lock = threading.Lock()
+        self._db: sqlite3.Connection | None = None
+        self._close_db: weakref.finalize | None = None
 
-    def _path(self, key: str) -> Path:
-        return self.directory / key
+    def _connection(self) -> sqlite3.Connection:
+        """The open connection, opened first if need be; the caller holds the lock."""
+        if self._db is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            db = sqlite3.connect(
+                self.directory / self.FILE_NAME,
+                timeout=self.BUSY_TIMEOUT_SECONDS,
+                isolation_level=None,  # autocommit: each put is its own transaction
+                check_same_thread=False,
+            )
+            try:
+                db.execute(
+                    "CREATE TABLE IF NOT EXISTS responses"
+                    " (key TEXT PRIMARY KEY, text TEXT NOT NULL) WITHOUT ROWID"
+                )
+                self._switch_to_wal(db)
+                db.execute("PRAGMA synchronous=NORMAL")
+                db.execute(f"PRAGMA wal_autocheckpoint={self.WAL_CHECKPOINT_PAGES}")
+                db.execute("PRAGMA journal_size_limit=0")
+                # 128 KiB of page cache rather than 2 MB: a run reads each
+                # answer once, and peak memory is worth more than the re-reads
+                db.execute("PRAGMA cache_size=-128")
+            except BaseException:
+                db.close()
+                raise
+            self._close_db = weakref.finalize(self, db.close)
+            self._db = db
+        return self._db
+
+    def _switch_to_wal(self, db: sqlite3.Connection) -> None:
+        """Put the file in WAL mode, which it keeps; a no-op once it is.
+
+        While another process opens a new file, the switch can fail with
+        "database is locked" at once, without the busy timeout's wait, so
+        it is retried here until that timeout.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_SECONDS
+        while True:
+            try:
+                db.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if str(exc) != "database is locked" or time.monotonic() > deadline:
+                    raise
+            time.sleep(0.01)
 
     def get(self, key: str) -> str | None:
-        try:
-            # bytes, not read_text: universal newlines would turn \r\n into \n
-            return self._path(key).read_bytes().decode("utf-8")
-        except FileNotFoundError:
-            return None
+        with self._lock:
+            row = self._connection().execute(
+                "SELECT text FROM responses WHERE key = ?", (key,)
+            ).fetchone()
+        return None if row is None else row[0]
 
     def put(self, key: str, text: str) -> None:
-        write_atomic(self._path(key), text)
+        with self._lock:
+            self._connection().execute(
+                "INSERT OR IGNORE INTO responses (key, text) VALUES (?, ?)", (key, text)
+            )
+
+    def close(self) -> None:
+        """Close the connection, if open; a later get or put opens it again."""
+        with self._lock:
+            if self._close_db is not None:
+                self._close_db()
+                self._db = self._close_db = None
 
 
 # =============================================================================
@@ -248,7 +342,9 @@ class ChatBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release what the backend keeps open between requests; here, nothing."""
+        """Release what the backend keeps open between requests: its cache's connection."""
+        if self.cache is not None:
+            self.cache.close()
 
     def lookup(self, key: str) -> CompletionResult | None:
         """The cached completion for key, or None on a miss or without a cache."""
@@ -281,7 +377,9 @@ class ChatBackend:
             except _RETRYABLE as exc:
                 if attempt > self.config.max_retries:
                     raise RetriesExhausted(attempt, exc) from exc
-                delay = self._backoff_rng.uniform(0.0, BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
+                delay = exc.retry_after
+                if delay is None:
+                    delay = self._backoff_rng.uniform(0.0, BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
                 log.warning("attempt %d failed (%s); retrying in %.2fs", attempt, exc, delay)
                 if failed is None:
                     self._sleep(delay)
@@ -324,7 +422,8 @@ class HttpChatBackend(ChatBackend):
         self._idle: queue.SimpleQueue[http.client.HTTPConnection] = queue.SimpleQueue()
 
     def close(self) -> None:
-        """Close the idle connections; a later request opens a new one."""
+        """Close the idle connections and the cache's; a later request opens new ones."""
+        super().close()
         try:
             while True:
                 self._idle.get_nowait().close()
@@ -342,8 +441,10 @@ class HttpChatBackend(ChatBackend):
             conn.set_tunnel(*self._address, headers=self._proxy_headers)
         return conn
 
-    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
-        """Status and body of one POST, on an idle connection if there is one."""
+    def _post(
+        self, body: bytes, headers: dict[str, str]
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """The response to one POST and its whole body, on an idle connection if there is one."""
         try:
             conn, reused = self._idle.get_nowait(), True
         except queue.Empty:
@@ -367,24 +468,28 @@ class HttpChatBackend(ChatBackend):
                 conn.close()
                 raise Timeout(f"could not reach {self._url}: {exc}") from exc
             self._idle.put(conn)
-            return response.status, data
+            return response, data
 
     def _send(self, body: bytes) -> str:
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        status, data = self._post(body, headers)
+        response, data = self._post(body, headers)
+        status = response.status
         if status in (401, 403):
             raise AuthError(
                 f"endpoint rejected credentials (HTTP {status}); "
                 f"is {API_KEY_ENV} set correctly?"
             )
         if status == 429:
-            raise RateLimited("endpoint returned HTTP 429")
+            raise RateLimited("endpoint returned HTTP 429", _retry_after(response))
         if not 200 <= status < 300:
-            error = ServerError if status in _SERVER_ERROR_STATUSES else ProtocolError
-            raise error("unexpected status", status, data.decode("utf-8", "replace")[:200])
+            excerpt = data.decode("utf-8", "replace")[:200]
+            if status not in _SERVER_ERROR_STATUSES:
+                raise ProtocolError("unexpected status", status, excerpt)
+            retry_after = _retry_after(response) if status == 503 else None
+            raise ServerError("unexpected status", status, excerpt, retry_after)
         try:
             content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -394,6 +499,18 @@ class HttpChatBackend(ChatBackend):
         if not isinstance(content, str):
             raise ProtocolError("completion content is not text", status)
         return content
+
+
+def _retry_after(response: http.client.HTTPResponse) -> float | None:
+    """The response's Retry-After delay in seconds, at most RETRY_AFTER_MAX_SECONDS.
+
+    None without the header, and for its HTTP-date form: only delta-seconds
+    (RFC 9110 section 10.2.3) are honoured.
+    """
+    value = (response.getheader("Retry-After") or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), RETRY_AFTER_MAX_SECONDS)
 
 
 # Mapping values: the response text, or an exception instance to raise.

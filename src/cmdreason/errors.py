@@ -21,3 +21,5 @@ class DataError(CmdReasonError):
 
 class BackendError(CmdReasonError):
     """A chat-completion backend failed in a way the harness cannot recover from."""
+
+    retry_after: float | None = None  # seconds the endpoint asked to wait before a retry

@@ -44,6 +44,7 @@ import dataclasses
 import json
 import logging
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -240,7 +241,8 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
     sent, the completed responses stay cached, and ``records.partial.jsonl``
     and ``responses.partial.jsonl`` snapshot them.  A BackendError is raised as
     AbortedRun, anything else as itself.  Re-running the same spec resumes
-    from the cache.
+    from the cache.  A backend built here, with its cache, is closed before
+    the run returns or raises.
     """
     data = load_dataset(spec.dataset_path)
     own_backend = backend is None
@@ -252,28 +254,29 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
     encoder = RequestEncoder(backend.config, transcript_prefix(spec.prompt_config))
     tails = [encoder.tail(build_transcript(spec.prompt_config, rec.text)) for rec in data]
     keys = [encoder.key(tail) for tail in tails]
-    results = [backend.lookup(key) for key in keys]
-    misses = [i for i, result in enumerate(results) if result is None]
-    if misses:
-        try:
-            _fetch_misses(backend, encoder.head, tails, keys, results, misses)
-        except Exception as exc:
-            done = [i for i, result in enumerate(results) if result is not None]
-            _write_jsonl(
-                out_dir / "responses.partial.jsonl",
-                [_response_row(data[i], results[i]) for i in done],
-            )
-            _write_records(
-                out_dir / "records.partial.jsonl",
-                [data[i] for i in done],
-                [_predict(data[i], results[i].raw_text, keys[i]) for i in done],
-            )
-            if isinstance(exc, BackendError):
-                raise AbortedRun(len(done), len(data), exc) from exc
-            raise
-        finally:
-            if own_backend:
-                backend.close()
+    try:
+        results = [backend.lookup(key) for key in keys]
+        misses = [i for i, result in enumerate(results) if result is None]
+        if misses:
+            try:
+                _fetch_misses(backend, encoder.head, tails, keys, results, misses)
+            except Exception as exc:
+                done = [i for i, result in enumerate(results) if result is not None]
+                _write_jsonl(
+                    out_dir / "responses.partial.jsonl",
+                    [_response_row(data[i], results[i]) for i in done],
+                )
+                _write_records(
+                    out_dir / "records.partial.jsonl",
+                    [data[i] for i in done],
+                    [_predict(data[i], results[i].raw_text, keys[i]) for i in done],
+                )
+                if isinstance(exc, BackendError):
+                    raise AbortedRun(len(done), len(data), exc) from exc
+                raise
+    finally:
+        if own_backend:
+            backend.close()
 
     records = [_predict(rec, res.raw_text, key) for rec, res, key in zip(data, results, keys)]
     report = evaluate(records, data, spec.failure_policy)
@@ -310,6 +313,12 @@ def _fetch_misses(
     errors: list[BaseException] = []
 
     def fetch(i: int) -> None:
+        # Give up the interpreter lock before the check.  A worker that goes
+        # from one request to the next without blocking (each cache put
+        # releases and retakes the lock around sqlite3 calls) can otherwise
+        # hold off a sibling whose request just failed for many requests,
+        # and each of them would be sent after the failure.
+        time.sleep(0)
         if failed.is_set():
             return
         try:

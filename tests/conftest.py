@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import sqlite3
 import threading
+from contextlib import closing
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import cmdreason
 from cmdreason.dataset import LabeledCommand, RequirementVector, load_dataset
 from cmdreason.prompt import PromptConfig, ShotExample, default_template
 
@@ -35,6 +40,18 @@ def template() -> PromptConfig:
 def _isolated_cache(monkeypatch, tmp_path):
     # never let a test touch the repo-level default cache directory
     monkeypatch.setenv("CMDREASON_CACHE_DIR", str(tmp_path / "autocache"))
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this checkout's cmdreason."""
+    paths = [str(Path(cmdreason.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def cache_entries(directory: Path) -> dict[str, str]:
+    """Every entry of the response cache in directory, read through a connection of its own."""
+    with closing(sqlite3.connect(directory / "responses.sqlite")) as db:
+        return dict(db.execute("SELECT key, text FROM responses"))
 
 
 def make_shot(command: str, bits: str) -> ShotExample:
@@ -69,12 +86,12 @@ class ChatStub(ThreadingHTTPServer):
     """A scripted chat-completions endpoint on 127.0.0.1, with keep-alive connections.
 
     Every POST is recorded in `requests` as (path, Authorization header, raw
-    body).  `responder(body)` maps the raw body to (status, payload); a dict
-    payload is sent as JSON, bytes as they are.  `opened` and `open_now`
-    count connections.  With `drop_idle` the stub closes each connection
-    after its response, as a server does that drops an idle connection; with
-    `chunked` the body goes out in chunked transfer encoding.  Each response
-    is sent in one write.
+    body).  `responder(body)` maps the raw body to (status, payload) or
+    (status, payload, extra headers); a dict payload is sent as JSON, bytes
+    as they are.  `opened` and `open_now` count connections.  With
+    `drop_idle` the stub closes each connection after its response, as a
+    server does that drops an idle connection; with `chunked` the body goes
+    out in chunked transfer encoding.  Each response is sent in one write.
     """
 
     def __init__(self) -> None:
@@ -110,7 +127,7 @@ class _ChatStubHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         with self.server.lock:
             self.server.requests.append((self.path, self.headers.get("Authorization"), body))
-        status, payload = self.server.responder(body)
+        status, payload, *extra = self.server.responder(body)
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         if self.server.chunked:
             framing = "Transfer-Encoding: chunked"
@@ -118,9 +135,11 @@ class _ChatStubHandler(BaseHTTPRequestHandler):
             data = b"".join(b"%x\r\n%s\r\n" % (len(piece), piece) for piece in pieces)
         else:
             framing = f"Content-Length: {len(data)}"
+        extra_headers = extra[0] if extra else {}
+        headers = "".join(f"{name}: {value}\r\n" for name, value in extra_headers.items())
         head = (
             f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-            f"Content-Type: application/json\r\n{framing}\r\n\r\n"
+            f"Content-Type: application/json\r\n{headers}{framing}\r\n\r\n"
         )
         self.wfile.write(head.encode("ascii") + data)
         # closing without a Connection: close header is a server dropping an idle connection

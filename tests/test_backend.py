@@ -1,20 +1,26 @@
 from __future__ import annotations
 
 import base64
+import gc
 import hashlib
 import json
 import os
 import re
 import select
 import socket
+import subprocess
 import sys
+import threading
+import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from conftest import serve
+from conftest import cache_entries, child_env, serve
 from cmdreason.backend import (
+    RETRY_AFTER_MAX_SECONDS,
     AuthError,
     BackendConfig,
     HttpChatBackend,
@@ -165,7 +171,7 @@ def test_cache_leaves_no_temp_files(tmp_path):
     for i in range(10):
         cache.put(f"{i:064d}", f"text {i}")
     names = [p.name for p in (tmp_path / "c").iterdir()]
-    assert len(names) == 10
+    assert len(cache_entries(tmp_path / "c")) == 10
     assert not any(name.startswith(".tmp-") for name in names)
 
 
@@ -194,12 +200,112 @@ def test_cache_directory_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CMDREASON_CACHE_DIR", str(tmp_path / "envcache"))
     cache = ResponseCache()
     cache.put("b" * 64, "x")
-    assert (tmp_path / "envcache" / ("b" * 64)).is_file()
+    assert cache_entries(tmp_path / "envcache") == {"b" * 64: "x"}
 
 
 def test_cache_default_directory_without_env(monkeypatch):
     monkeypatch.delenv("CMDREASON_CACHE_DIR", raising=False)
     assert ResponseCache().directory.name == ".cmdreason-cache"
+
+
+@pytest.mark.parametrize(
+    "text", ["NUL \0 inside", "CRLF\r\nline", "CR\rline", "non-BMP \U0001F697", ""]
+)
+def test_cache_replays_text_exactly(tmp_path, text):
+    cache = ResponseCache(tmp_path / "c")
+    cache.put("k" * 64, text)
+    assert cache.get("k" * 64) == text
+    cache.close()
+    assert cache.get("k" * 64) == text  # read back from the file by a new connection
+
+
+def test_unencodable_text_raises_and_stores_nothing(tmp_path):
+    cache = ResponseCache(tmp_path / "c")
+    with pytest.raises(UnicodeEncodeError):
+        cache.put("k" * 64, "lone surrogate \ud800")
+    assert cache.get("k" * 64) is None
+    assert cache_entries(tmp_path / "c") == {}
+
+
+def test_two_caches_on_one_directory_see_each_others_writes(tmp_path):
+    first, second = ResponseCache(tmp_path / "c"), ResponseCache(tmp_path / "c")
+    first.put("a" * 64, "from first")
+    assert second.get("a" * 64) == "from first"
+    second.put("b" * 64, "from second")
+    assert first.get("b" * 64) == "from second"
+    second.put("a" * 64, "a later answer")
+    assert first.get("a" * 64) == "from first"  # the first answer stored stays
+    first.close()
+    second.close()
+
+
+_FILLER = """
+import sys
+from cmdreason.backend import ResponseCache
+
+directory, name = sys.argv[1:]
+print("ready", flush=True)
+sys.stdin.readline()  # start with the other filler
+cache = ResponseCache(directory)
+for i in range(200):
+    cache.put(f"{name}-{i:03d}", f"{name} answer {i}")
+    cache.put(f"shared-{i:03d}", f"shared answer {i}")
+cache.close()
+"""
+
+
+def test_two_processes_fill_one_new_cache_without_losing_an_entry(tmp_path):
+    expected = {f"shared-{i:03d}": f"shared answer {i}" for i in range(200)}
+    expected.update({f"{n}-{i:03d}": f"{n} answer {i}" for n in "ab" for i in range(200)})
+    for trial in range(3):  # each trial races to create the file and switch it to WAL
+        directory = tmp_path / f"c{trial}"
+        fillers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _FILLER, str(directory), name],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=child_env(),
+            )
+            for name in "ab"
+        ]
+        assert [filler.stdout.readline() for filler in fillers] == ["ready\n"] * 2
+        for filler in fillers:
+            filler.stdin.write("go\n")
+            filler.stdin.flush()
+        errors = [filler.communicate(timeout=60)[1] for filler in fillers]
+        assert [filler.returncode for filler in fillers] == [0, 0], errors
+        assert cache_entries(directory) == expected
+
+
+def test_open_cache_stays_under_a_megabyte_for_1000_entries(tmp_path):
+    cache = ResponseCache(tmp_path / "c")
+    largest = 0
+    for i in range(1000):
+        cache.put(f"{i:064x}", "Step 1: No. " * 28)  # about the size of a stepwise answer
+        largest = max(largest, sum(p.stat().st_blocks * 512 for p in (tmp_path / "c").iterdir()))
+    assert largest < 1_000_000
+    cache.close()
+
+
+def test_dropped_cache_closes_its_connection_without_a_warning(tmp_path):
+    cache = ResponseCache(tmp_path / "c")
+    cache.put("a" * 64, "x")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del cache
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    # the last connection to close removes the WAL and its index
+    assert [p.name for p in (tmp_path / "c").iterdir()] == ["responses.sqlite"]
+
+
+def test_backend_close_closes_its_cache(tmp_path):
+    backend = MockChatBackend({"Honk.": "beep"}, cache=ResponseCache(tmp_path / "c"))
+    backend.complete(transcript_for("Honk."))
+    assert len(list((tmp_path / "c").iterdir())) == 3  # the file, its WAL and the WAL index
+    backend.close()
+    assert [p.name for p in (tmp_path / "c").iterdir()] == ["responses.sqlite"]
+    assert backend.complete(transcript_for("Honk.")).cache_hit  # a later call reopens it
+    backend.close()
 
 
 # =============================================================================
@@ -444,6 +550,48 @@ def test_http_503_is_retried_and_the_answer_cached(chat_stub, http_backend, tmp_
     assert slept == [0.5]
     assert backend.complete(transcript_for("Honk.")).cache_hit
     assert len(chat_stub.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, waited",
+    [
+        (429, "1", 1.0),
+        (503, "2", 2.0),
+        (429, "86400", RETRY_AFTER_MAX_SECONDS),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),  # an HTTP-date: the jittered backoff
+        (500, "3", 0.5),  # only 429 and 503 carry Retry-After
+    ],
+)
+def test_retry_after_sets_the_wait(chat_stub, http_backend, status, retry_after, waited):
+    replies = [(status, {"error": "busy"}, {"Retry-After": retry_after})]
+    ok = chat_stub.responder
+    chat_stub.responder = lambda body: replies.pop(0) if replies else ok(body)
+    slept = []
+    backend = http_backend(sleep=slept.append, backoff_rng=FakeRandom())
+    assert backend.complete(transcript_for("Honk.")).attempt_count == 2
+    assert slept == [waited]
+
+
+class NoBackoff:
+    def uniform(self, low, high):
+        return 0.0
+
+
+def test_failed_run_cuts_a_retry_after_wait_short(chat_stub, http_backend):
+    chat_stub.responder = lambda body: (429, {"error": "busy"}, {"Retry-After": "30"})
+    backend = http_backend(backoff_rng=NoBackoff())
+    failed = threading.Event()
+    timer = threading.Timer(0.2, failed.set)
+    start = time.monotonic()
+    timer.start()
+    try:
+        with pytest.raises(RetriesExhausted) as err:
+            backend.fetch(body_for(backend.config), "k" * 64, failed)
+    finally:
+        timer.cancel()
+    assert 0.2 <= time.monotonic() - start < 10
+    assert err.value.attempts == 1  # waited on Retry-After, not the zero backoff
+    assert len(chat_stub.requests) == 1
 
 
 # =============================================================================

@@ -1,14 +1,13 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 import cmdreason.cli as cli
 from cmdreason import harness
 from cmdreason.backend import ProtocolError
@@ -437,10 +436,9 @@ def test_ablate_bad_dataset_is_data_error_before_any_cell(tmp_path, capsys):
 
 def test_console_script_help_runs():
     # the child does not inherit pytest's pythonpath setting, so name the package's root
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run(
-        [sys.executable, "-m", "cmdreason.cli", "--help"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "cmdreason.cli", "--help"],
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 0
     assert "SUBCOMMAND" in result.stdout
@@ -452,10 +450,8 @@ def test_cli_imports_nothing_outside_the_standard_library():
         "import sys; before = set(sys.modules); import cmdreason.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True
     )
     added = result.stdout.split()
     assert "cmdreason.cli" in added

@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cache_entries, child_env
 from cmdreason import harness
 from cmdreason.backend import (
     BackendConfig,
@@ -283,6 +286,73 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
     assert (out / "report.json").read_bytes() == (clean_out / "report.json").read_bytes()
 
 
+_KILLED_RUN = """
+import itertools, os, sys
+from cmdreason.backend import BackendConfig, MockChatBackend, ResponseCache, mock_config
+from cmdreason.dataset import load_dataset
+from cmdreason.harness import ExperimentSpec, gold_echo_script, run_experiment
+from cmdreason.prompt import ExplanationMode, default_template
+
+
+class LoggedCache(ResponseCache):
+    def put(self, key, text):
+        super().put(key, text)
+        sys.stdout.write(key + "\\n")  # committed
+        sys.stdout.flush()
+
+
+dataset, out, cache_dir = sys.argv[1:]
+script = gold_echo_script(load_dataset(dataset))
+calls = itertools.count(1)
+
+
+def answer(transcript):
+    if next(calls) == 10:
+        os._exit(9)  # dies while other workers may be writing to the cache
+    return script[transcript[-1].content]
+
+
+spec = ExperimentSpec(
+    dataset,
+    default_template().config(ExplanationMode.STEPWISE, 2),
+    BackendConfig(endpoint_url="mock://gold", model_name="mock-gold"),
+    out,
+)
+run_experiment(spec, MockChatBackend(answer, mock_config(max_in_flight=4), LoggedCache(cache_dir)))
+"""
+
+
+def snapshot(root: Path) -> dict[Path, bytes]:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_killed_run_keeps_each_committed_answer_and_resumes_to_the_same_artifacts(
+    toy_path, toy_data, template, tmp_path
+):
+    out, cache_dir = tmp_path / "run", tmp_path / "cache"
+    spec = make_spec(toy_path, template, out)
+    run_experiment(spec, gold_backend(toy_data, tmp_path / "clean-cache"))
+    clean = snapshot(out)
+    answers = cache_entries(tmp_path / "clean-cache")
+    shutil.rmtree(out)
+
+    child = subprocess.run(
+        [sys.executable, "-c", _KILLED_RUN, toy_path, str(out), str(cache_dir)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert child.returncode == 9, child.stderr
+    entries = cache_entries(cache_dir)
+    assert set(child.stdout.split()) <= set(entries)  # every committed answer is there
+    assert entries == {key: answers[key] for key in entries}  # and no torn one
+    assert 0 < len(entries) < len(toy_data)
+
+    backend = gold_backend(toy_data, cache_dir)
+    resumed = run_experiment(spec, backend)
+    assert resumed.n_cache_hits == len(entries)
+    assert backend.send_count == len(toy_data) - len(entries)
+    assert snapshot(out) == clean
+
+
 def test_response_ids_round_trip_verbatim(template, tmp_path):
     data = [
         LabeledCommand("weird/id: 1", "Honk the horn.", RequirementVector.from_bits("00010000"))
@@ -460,7 +530,7 @@ def test_no_request_is_sent_after_a_failure(toy_path, toy_data, template, tmp_pa
     with pytest.raises(AbortedRun):
         run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
     assert backend.send_count == 3
-    assert len(list(cache_dir.iterdir())) == 2
+    assert len(cache_entries(cache_dir)) == 2
 
 
 class LongBackoff:
@@ -529,7 +599,7 @@ def test_failure_under_contention_keeps_every_completed_result(
             )
             with pytest.raises(AbortedRun) as err:
                 run_experiment(make_spec(toy_path, template, out), backend)
-            cached = len(list(cache_dir.iterdir()))
+            cached = len(cache_entries(cache_dir))
             assert backend.send_count <= 5 + 7
             assert cached == backend.send_count - 1 == err.value.n_completed
             assert len(load_records(out / "records.partial.jsonl")) == cached
