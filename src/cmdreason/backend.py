@@ -34,7 +34,6 @@ import logging
 import os
 import queue
 import random
-import sqlite3
 import ssl
 import threading
 import time
@@ -44,9 +43,13 @@ import weakref
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .chat import ChatMessage, Transcript
 from .errors import BackendError
+
+if TYPE_CHECKING:
+    import sqlite3
 
 log = logging.getLogger(__name__)
 
@@ -253,6 +256,8 @@ class ResponseCache:
     def _connection(self) -> sqlite3.Connection:
         """The open connection, opened first if need be; the caller holds the lock."""
         if self._db is None:
+            import sqlite3  # here, so that commands that open no cache do not load it
+
             self.directory.mkdir(parents=True, exist_ok=True)
             db = sqlite3.connect(
                 self.directory / self.FILE_NAME,
@@ -286,6 +291,8 @@ class ResponseCache:
         "database is locked" at once, without the busy timeout's wait, so
         it is retried here until that timeout.
         """
+        import sqlite3
+
         deadline = time.monotonic() + self.BUSY_TIMEOUT_SECONDS
         while True:
             try:

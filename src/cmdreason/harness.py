@@ -29,14 +29,21 @@ evaluate() scores, what RunResult.records holds and what load_records reads
 back; _write_records and load_records are the only code that knows the
 records.jsonl format.
 
-A run does each piece of per-command work once: the transcript prefix and
-its request-body head are built once per prompt config, each command is
-encoded once into the tail of its body, whose key is hashed from the head's
-state, and cache hits are read on the calling thread before any worker
-exists.  Only misses go to a thread pool, up to max_in_flight at a time, so a
-fully warm run starts no pool.  Records and reports are always aggregated in
-dataset order, so parallelism never changes any output byte.  Nothing
-volatile (timestamps, latencies, cache-hit counts) is persisted.
+`run` and `ablate` take one path, in three steps.  Planning, on the calling
+thread, clears each run's directory, writes its spec.json, encodes each
+command once into the tail of its request body (the head is built once per
+prompt config), hashes the key from the head's state, and looks up each
+distinct key once.  Fetching sends the misses of all runs from one pool of
+up to max_in_flight workers, in canonical order: run by run, then dataset
+order.  A key that several positions of a run share is sent once, and its
+answer fills each of them.  A fully warm set of runs starts no pool.
+Finishing parses, scores and writes a run, or writes its partial snapshots
+if a failure left answers missing; it runs on the calling thread as soon as
+the run's requests are done, while the pool goes on with the next runs, so
+that a grid holds few answers at once.  Records and reports are
+always aggregated in dataset order, so parallelism never changes any output
+byte.  Nothing volatile (timestamps, latencies, cache-hit counts) is
+persisted.
 """
 from __future__ import annotations
 
@@ -45,8 +52,9 @@ import json
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
@@ -150,8 +158,8 @@ class RunResult:
     report: EvalReport
     records: list[PredictionRecord]
     output_dir: Path
-    n_cache_hits: int
-    n_backend_attempts: int
+    n_cache_hits: int  # answers read from the cache; a command's second copy is not one
+    n_backend_attempts: int  # requests sent, retries included
 
 
 # =============================================================================
@@ -241,101 +249,204 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
     sent, the completed responses stay cached, and ``records.partial.jsonl``
     and ``responses.partial.jsonl`` snapshot them.  A BackendError is raised as
     AbortedRun, anything else as itself.  Re-running the same spec resumes
-    from the cache.  A backend built here, with its cache, is closed before
-    the run returns or raises.
+    from the cache.  A command that appears more than once is sent once, and
+    its answer fills each of its positions.  A backend built here, with its
+    cache, is closed before the run returns or raises.
     """
     data = load_dataset(spec.dataset_path)
     own_backend = backend is None
     if own_backend:
         backend = build_backend(spec.backend_config, dataset=data)
-    out_dir = clear_run_dir(spec.output_dir)
-    _write_json(out_dir / "spec.json", spec.to_json_dict())
-
-    encoder = RequestEncoder(backend.config, transcript_prefix(spec.prompt_config))
-    tails = [encoder.tail(build_transcript(spec.prompt_config, rec.text)) for rec in data]
-    keys = [encoder.key(tail) for tail in tails]
     try:
-        results = [backend.lookup(key) for key in keys]
-        misses = [i for i, result in enumerate(results) if result is None]
-        if misses:
-            try:
-                _fetch_misses(backend, encoder.head, tails, keys, results, misses)
-            except Exception as exc:
-                done = [i for i, result in enumerate(results) if result is not None]
-                _write_jsonl(
-                    out_dir / "responses.partial.jsonl",
-                    [_response_row(data[i], results[i]) for i in done],
-                )
-                _write_records(
-                    out_dir / "records.partial.jsonl",
-                    [data[i] for i in done],
-                    [_predict(data[i], results[i].raw_text, keys[i]) for i in done],
-                )
-                if isinstance(exc, BackendError):
-                    raise AbortedRun(len(done), len(data), exc) from exc
-                raise
+        (outcome,) = _run_all(backend, data, [spec])
     finally:
         if own_backend:
             backend.close()
-
-    records = [_predict(rec, res.raw_text, key) for rec, res, key in zip(data, results, keys)]
-    report = evaluate(records, data, spec.failure_policy)
-    _write_jsonl(
-        out_dir / "responses.jsonl", [_response_row(rec, res) for rec, res in zip(data, results)]
-    )
-    save_run_artifacts(out_dir, spec.backend_config.model_name, data, records, report)
-    return RunResult(
-        report=report,
-        records=records,
-        output_dir=out_dir,
-        n_cache_hits=sum(1 for r in results if r.cache_hit),
-        n_backend_attempts=sum(r.attempt_count for r in results),
-    )
+    if isinstance(outcome, RunResult):
+        return outcome
+    raise outcome
 
 
-def _fetch_misses(
-    backend: ChatBackend,
-    head: bytes,
-    tails: list[bytes],
-    keys: list[str],
-    results: list[CompletionResult | None],
-    misses: list[int],
-) -> None:
-    """Fill results[i] for each i in misses from up to max_in_flight workers.
+class _Run:
+    """One run from plan to finish: the cache key of each dataset position and the answers found.
 
-    The pool is the one bound on requests in flight.  The first failure, in
-    a worker or on the calling thread, sets `failed`: a queued request that
-    starts after that sends nothing, whatever the thread timing, and a retry
-    that is backing off gives up at once.  Requests in flight finish and
-    keep their results, and the first failure is raised.
+    Planning clears the output directory, writes spec.json, encodes every
+    command and looks up each distinct key once, on the calling thread.  The
+    keys it missed wait in `misses`, with the tails of their request bodies,
+    in dataset order; `done` is set once none of them is still to be sent.
+    `failed` stops the run's queued requests and backoffs, and `error` is
+    the first error that stopped the run.
     """
-    failed = threading.Event()
-    errors: list[BaseException] = []
 
-    def fetch(i: int) -> None:
-        # Give up the interpreter lock before the check.  A worker that goes
-        # from one request to the next without blocking (each cache put
-        # releases and retakes the lock around sqlite3 calls) can otherwise
-        # hold off a sibling whose request just failed for many requests,
-        # and each of them would be sent after the failure.
-        time.sleep(0)
-        if failed.is_set():
-            return
-        try:
-            results[i] = backend.fetch(head + tails[i], keys[i], failed)
-        except BaseException as exc:
-            errors.append(exc)
-            failed.set()
-            raise
+    def __init__(
+        self, spec: ExperimentSpec, data: list[LabeledCommand], backend: ChatBackend
+    ) -> None:
+        self.spec = spec
+        self.out_dir = clear_run_dir(spec.output_dir)
+        _write_json(self.out_dir / "spec.json", spec.to_json_dict())
+        encoder = RequestEncoder(backend.config, transcript_prefix(spec.prompt_config))
+        tails = [encoder.tail(build_transcript(spec.prompt_config, rec.text)) for rec in data]
+        self.keys = [encoder.key(tail) for tail in tails]
+        self.head = encoder.head
+        self.answers: dict[str, CompletionResult] = {}
+        self.misses: dict[str, bytes] = {}
+        for key, tail in zip(self.keys, tails):
+            if key not in self.answers and key not in self.misses:
+                result = backend.lookup(key)
+                if result is None:
+                    self.misses[key] = tail
+                else:
+                    self.answers[key] = result
+        self.pending = len(self.misses)  # misses not yet sent, failed or skipped
+        self.done = threading.Event()
+        if not self.pending:
+            self.done.set()
+        self.failed = threading.Event()
+        self.error: BaseException | None = None
 
-    with ThreadPoolExecutor(max_workers=backend.config.max_in_flight) as pool:
+    def finish(self, data: list[LabeledCommand]) -> RunResult:
+        """Score the run and write its artifacts, then let go of its answers.
+
+        If an answer is missing, the partial snapshots are written instead and
+        AbortedRun is raised.
+        """
+        results = [self.answers.get(key) for key in self.keys]
+        answers = list(self.answers.values())
+        # later runs may still be fetching: hold this one's answers no longer
+        self.answers, self.misses = {}, {}
+        done = [i for i, result in enumerate(results) if result is not None]
+        if len(done) < len(data):
+            _write_jsonl(
+                self.out_dir / "responses.partial.jsonl",
+                [_response_row(data[i], results[i]) for i in done],
+            )
+            _write_records(
+                self.out_dir / "records.partial.jsonl",
+                [data[i] for i in done],
+                [_predict(data[i], results[i].raw_text, self.keys[i]) for i in done],
+            )
+            raise AbortedRun(len(done), len(data), self.error) from self.error
+        records = [
+            _predict(rec, res.raw_text, key) for rec, res, key in zip(data, results, self.keys)
+        ]
+        report = evaluate(records, data, self.spec.failure_policy)
+        _write_jsonl(
+            self.out_dir / "responses.jsonl",
+            [_response_row(rec, res) for rec, res in zip(data, results)],
+        )
+        save_run_artifacts(self.out_dir, self.spec.backend_config.model_name, data, records, report)
+        return RunResult(
+            report=report,
+            records=records,
+            output_dir=self.out_dir,
+            n_cache_hits=sum(1 for r in answers if r.cache_hit),
+            n_backend_attempts=sum(r.attempt_count for r in answers),
+        )
+
+
+def _run_all(
+    backend: ChatBackend, data: list[LabeledCommand], specs: list[ExperimentSpec]
+) -> list[RunResult | DataError | BackendError]:
+    """Plan every run, fetch all their misses in one pool, and finish each run.
+
+    The outcome of each spec is its RunResult, or the DataError or AbortedRun
+    that stopped it.  An error that is neither, such as a full disk under
+    the cache, stops every run; each run is still finished, so that the
+    stopped ones leave partial snapshots, and then that error is raised.
+    """
+    planned: list[_Run | DataError] = []
+    for spec in specs:
         try:
-            wait([pool.submit(fetch, i) for i in misses])
+            planned.append(_Run(spec, data, backend))
+        except DataError as exc:
+            planned.append(exc)
+    runs = [run for run in planned if isinstance(run, _Run)]
+    outcomes: dict[_Run, RunResult | DataError | BackendError] = {}
+
+    def finish(run: _Run) -> None:
+        try:
+            outcomes[run] = run.finish(data)
+        except (DataError, BackendError) as exc:
+            outcomes[run] = exc
+
+    _fetch(backend, runs, finish)
+    for run in runs:
+        if run.error is not None and not isinstance(run.error, BackendError):
+            raise run.error
+    return [outcomes[run] if isinstance(run, _Run) else run for run in planned]
+
+
+def _fetch(backend: ChatBackend, runs: list[_Run], finish: Callable[[_Run], None]) -> None:
+    """Send every run's misses from one pool, and finish each run once its requests are done.
+
+    Up to max_in_flight workers pull requests in canonical order, run by run
+    and in dataset order within a run, from one shared iterator; an answer
+    goes into its run's `answers`.  The pool is the one bound on requests in
+    flight, and runs without a miss start no pool.  The calling thread calls
+    finish(run) for each run in order, as soon as that run's requests are
+    done, while the workers go on with the next runs.
+
+    A failed request sets its run's `failed`: a queued request of that run
+    that starts after that sends nothing, whatever the thread timing, and a
+    retry of it that is backing off gives up at once; the other runs go on.
+    Any other error in a worker stops every run, and so does an error or an
+    interrupt on the calling thread, which is raised.  Requests in flight
+    finish and keep their answers.
+    """
+    n_jobs = sum(run.pending for run in runs)
+    if not n_jobs:
+        for run in runs:
+            finish(run)
+        return
+    jobs = ((run, key, tail) for run in runs for key, tail in run.misses.items())
+    lock = threading.Lock()
+
+    def stop(stopped: list[_Run], exc: BaseException) -> None:
+        with lock:
+            for run in stopped:
+                if run.error is None:
+                    run.error = exc
+                run.failed.set()
+
+    def work() -> None:
+        while True:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            run, key, tail = job
+            try:
+                # Give up the interpreter lock before the check.  A worker that
+                # goes from one request to the next without blocking (each cache
+                # put releases and retakes the lock around sqlite3 calls) can
+                # otherwise hold off a sibling whose request just failed for
+                # many requests, and each of them would be sent after the failure.
+                time.sleep(0)
+                if not run.failed.is_set():
+                    run.answers[key] = backend.fetch(run.head + tail, key, run.failed)
+            except BackendError as exc:
+                stop([run], exc)
+            except BaseException as exc:  # not the endpoint's: _run_all raises it
+                stop(runs, exc)
+            finally:
+                with lock:
+                    run.pending -= 1
+                    if not run.pending:
+                        run.done.set()
+
+    workers = min(backend.config.max_in_flight, n_jobs)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(work) for _ in range(workers)]
+        try:
+            for run in runs:
+                run.done.wait()
+                finish(run)
+            for future in futures:
+                future.result()
         except BaseException:
-            failed.set()
+            for run in runs:
+                run.failed.set()
             raise
-    if errors:
-        raise errors[0]
 
 
 def _response_row(rec: LabeledCommand, result: CompletionResult) -> dict[str, str]:
@@ -468,38 +579,43 @@ class AblationCell:
 def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list[AblationCell]:
     """Run every grid cell; failures are recorded per cell and the grid continues.
 
-    All cells share one backend, and with it one response cache and one set of
-    open connections, so re-running a grid replays completed cells from cache.
-    Without an injected backend, one is built from the base spec and closed
-    when the grid ends; the base dataset is loaded first for it, so a missing
-    or malformed dataset raises before any cell runs.
-    Writes ablation.json and ablation.md under the base output_dir.
+    The dataset is loaded once, so a missing or malformed dataset raises
+    before any cell runs.  Every cell is planned first, then the misses of
+    all cells go to one pool, cell by cell in grid order, and each cell is
+    scored and written once its requests are done.  A failed request stops
+    only its own cell's queued requests; an error that is not a DataError or
+    a BackendError stops every cell and is raised.  All cells share one
+    backend, and with it one response cache and one set of open connections,
+    so re-running a grid replays completed cells from cache.  Without an
+    injected backend, one is built from the base spec and closed when the
+    grid ends.  Writes ablation.json and ablation.md under the base output_dir.
     """
+    data = load_dataset(grid.base.dataset_path)
     own_backend = backend is None
     if own_backend:
-        data = load_dataset(grid.base.dataset_path)
         backend = build_backend(grid.base.backend_config, dataset=data)
     base_out = Path(grid.base.output_dir)
-    cells: list[AblationCell] = []
+    specs = [
+        dataclasses.replace(
+            grid.base,
+            prompt_config=grid.base.prompt_config.config(mode, shot_count),
+            output_dir=str(base_out / f"{mode.value}_{shot_count}shot"),
+        )
+        for mode, shot_count in grid.cells()
+    ]
     try:
-        for mode, shot_count in grid.cells():
-            cell_dir = base_out / f"{mode.value}_{shot_count}shot"
-            spec = dataclasses.replace(
-                grid.base,
-                prompt_config=grid.base.prompt_config.config(mode, shot_count),
-                output_dir=str(cell_dir),
-            )
-            try:
-                result = run_experiment(spec, backend=backend)
-                cells.append(AblationCell(mode, shot_count, result.report, None, cell_dir))
-            except (DataError, BackendError) as exc:
-                log.warning("cell %s/%d failed: %s", mode.value, shot_count, exc)
-                cells.append(
-                    AblationCell(mode, shot_count, None, f"{type(exc).__name__}: {exc}", cell_dir)
-                )
+        outcomes = _run_all(backend, data, specs)
     finally:
         if own_backend:
             backend.close()
+    cells: list[AblationCell] = []
+    for (mode, shot_count), spec, outcome in zip(grid.cells(), specs, outcomes):
+        if isinstance(outcome, RunResult):
+            report, error = outcome.report, None
+        else:
+            log.warning("cell %s/%d failed: %s", mode.value, shot_count, outcome)
+            report, error = None, f"{type(outcome).__name__}: {outcome}"
+        cells.append(AblationCell(mode, shot_count, report, error, Path(spec.output_dir)))
     _write_json(base_out / "ablation.json", [_cell_json(c) for c in cells])
     _write_text(base_out / "ablation.md", ablation_table(cells, "md"))
     return cells

@@ -39,6 +39,20 @@ def test_run_with_gold_mock(toy_path, tmp_path, capsys):
     assert json.loads((out / "report.json").read_text())["label"] == "demo"
 
 
+def test_run_counts_a_duplicate_command_neither_as_sent_nor_as_a_hit(
+    toy_path, tmp_path, capsys
+):
+    data = load_dataset(toy_path)[:3]
+    data.append(LabeledCommand("dup", data[0].text, data[0].gold))
+    save_dataset(data, tmp_path / "dup.tsv")
+    args = ("run", "--dataset", str(tmp_path / "dup.tsv"), "--endpoint", "mock://gold",
+            "--model", "demo", "--out", str(tmp_path / "run"))
+    assert run_cli(*args) == 0
+    assert "cache hits: 0 of 4; requests sent: 3" in capsys.readouterr().out
+    assert run_cli(*args) == 0
+    assert "cache hits: 3 of 4; requests sent: 0" in capsys.readouterr().out
+
+
 def test_run_missing_required_args_is_usage_error(capsys):
     assert run_cli("run", "--dataset", "x.tsv") == 1
     assert "required" in capsys.readouterr().err
@@ -457,3 +471,13 @@ def test_cli_imports_nothing_outside_the_standard_library():
     assert "cmdreason.cli" in added
     allowed = {*sys.stdlib_module_names, "cmdreason"}
     assert [name for name in added if name.partition(".")[0] not in allowed] == []
+
+
+def test_cli_import_leaves_sqlite3_unloaded():
+    # only a command that opens a response cache needs sqlite3
+    code = "import sys, cmdreason.cli; print('sqlite3' in sys.modules, '_sqlite3' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=child_env(), check=True,
+    )
+    assert result.stdout.split() == ["False", "False"]

@@ -49,7 +49,7 @@ from cmdreason.harness import (
     run_experiment,
 )
 from cmdreason.metrics import evaluate
-from cmdreason.prompt import ExplanationMode
+from cmdreason.prompt import ExplanationMode, build_transcript
 
 
 def make_spec(toy_path, template, out_dir, **overrides) -> ExperimentSpec:
@@ -607,6 +607,47 @@ def test_failure_under_contention_keeps_every_completed_result(
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_duplicate_command_is_sent_once_and_replays_identically(
+    max_in_flight, toy_data, template, tmp_path
+):
+    # an endpoint that answers each command differently on every call: a
+    # second send of the duplicate would put two answers in the cold run
+    # where the cache, and so the warm replay, keeps one
+    data = [*toy_data[:4], LabeledCommand("dup", toy_data[1].text, toy_data[1].gold)]
+    path = tmp_path / "dup.tsv"
+    save_dataset(data, path)
+    gold = gold_echo_script(data)
+    lock = threading.Lock()
+    calls = []
+
+    def changing(transcript):
+        with lock:
+            calls.append(transcript[-1].content)
+            n = len(calls)
+        time.sleep(0.01)  # keeps the copies' requests in flight together
+        return gold[transcript[-1].content] if n % 2 else "[0 0 0 0 0 0 0 0]"
+
+    out = tmp_path / "run"
+    spec = make_spec(path, template, out)
+    backend = MockChatBackend(
+        changing, config=mock_config(max_in_flight=max_in_flight),
+        cache=ResponseCache(tmp_path / "cache"),
+    )
+    cold = run_experiment(spec, backend)
+    cold_files = snapshot(out)
+    assert sorted(calls) == sorted({rec.text for rec in data})
+    assert (cold.n_cache_hits, cold.n_backend_attempts) == (0, 4)
+    records = read_jsonl(out / "records.jsonl")
+    assert records[4]["cache_key"] == records[1]["cache_key"]
+    assert records[4]["predicted"] == records[1]["predicted"]
+
+    warm = run_experiment(spec, backend)
+    assert len(calls) == 4
+    assert (warm.n_cache_hits, warm.n_backend_attempts) == (4, 0)
+    assert snapshot(out) == cold_files
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
 def test_cached_responses_replay_byte_for_byte(newline, toy_path, toy_data, template, tmp_path):
     script = {
@@ -739,6 +780,209 @@ def test_grid_continues_past_failing_cell(toy_path, toy_data, template, tmp_path
     assert summary[0]["error"]
     table = ablation_table(cells, "table")
     assert "error" in table
+
+
+def small_grid(path, template, out) -> AblationGrid:
+    return AblationGrid(
+        make_spec(path, template, out, shots=2),
+        (ExplanationMode.NONE, ExplanationMode.STEPWISE), (0, 1, 2),
+    )
+
+
+def grid_files(out: Path) -> dict[Path, bytes]:
+    """Every file of a grid's output but spec.json, which names the output directory."""
+    return {name: data for name, data in snapshot(out).items() if name.name != "spec.json"}
+
+
+def test_grid_fetches_through_one_pool_that_stays_full_across_cells(
+    toy_data, template, tmp_path, monkeypatch
+):
+    # two commands per cell: a pool per cell could never have more than two
+    # requests in flight
+    data = toy_data[:2]
+    save_dataset(data, tmp_path / "two.tsv")
+    gold = gold_echo_script(data)
+
+    def slow(transcript):
+        time.sleep(0.05)
+        return gold[transcript[-1].content]
+
+    pools = []
+
+    class CountedPool(harness.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountedPool)
+    backend = MockChatBackend(
+        slow, config=mock_config(max_in_flight=4), cache=ResponseCache(tmp_path / "cache")
+    )
+    grid = small_grid(tmp_path / "two.tsv", template, tmp_path / "grid")
+    cells = run_ablation(grid, backend)
+    assert all(cell.error is None for cell in cells)
+    assert len(pools) == 1
+    assert backend.send_count == 6 * len(data)
+    assert backend.peak_in_flight == 4
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a fully warm grid started a thread pool")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    warm = run_ablation(grid, backend)
+    assert [cell.report for cell in warm] == [cell.report for cell in cells]
+    assert backend.send_count == 6 * len(data)
+
+
+def test_grid_sends_cell_by_cell_in_dataset_order(toy_path, toy_data, template, tmp_path):
+    gold = gold_echo_script(toy_data)
+    sent = []
+
+    def recording(transcript):
+        sent.append((transcript[0].content, len(transcript), transcript[-1].content))
+        return gold[transcript[-1].content]
+
+    backend = MockChatBackend(recording, config=mock_config(max_in_flight=1))
+    grid = small_grid(toy_path, template, tmp_path / "grid")
+    run_ablation(grid, backend)
+    expected = []
+    for mode, shots in grid.cells():
+        for rec in toy_data:
+            transcript = build_transcript(grid.base.prompt_config.config(mode, shots), rec.text)
+            expected.append((transcript[0].content, len(transcript), rec.text))
+    assert sent == expected
+
+
+def test_grid_writes_each_cell_while_later_cells_are_fetched(
+    toy_path, toy_data, template, tmp_path
+):
+    gold = gold_echo_script(toy_data)
+    out = tmp_path / "grid"
+    first_report = out / "none_0shot" / "report.json"
+    written = []
+
+    def waiting_for_the_first_cell(transcript):
+        if len(transcript) == 6 and "Step 1:" in transcript[0].content:  # the last cell
+            deadline = time.monotonic() + 5
+            while not first_report.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            written.append(first_report.exists())
+        return gold[transcript[-1].content]
+
+    backend = MockChatBackend(waiting_for_the_first_cell, config=mock_config(max_in_flight=2))
+    run_ablation(small_grid(toy_path, template, out), backend)
+    assert written == [True] * len(toy_data)
+
+
+def test_failed_cell_stops_only_its_own_queued_requests(toy_path, toy_data, template, tmp_path):
+    # the first cell fails on its third request while the later cells'
+    # requests wait in the same pool; they are all sent, and the cells come
+    # out as a clean grid's, with the same cache left behind on each repeat
+    gold = gold_echo_script(toy_data)
+    clean = tmp_path / "clean"
+    run_ablation(small_grid(toy_path, template, clean), gold_backend(toy_data, tmp_path / "cc"))
+
+    caches = []
+    for attempt in range(3):
+        lock = threading.Lock()
+        zero_shot = []
+
+        def first_cell_fails(transcript):
+            time.sleep(0.002)
+            if len(transcript) == 2 and "Step 1:" not in transcript[0].content:
+                with lock:
+                    zero_shot.append(transcript[-1].content)
+                    if len(zero_shot) == 3:
+                        raise ProtocolError("scripted failure")
+            return gold[transcript[-1].content]
+
+        out, cache_dir = tmp_path / f"grid{attempt}", tmp_path / f"cache{attempt}"
+        backend = MockChatBackend(
+            first_cell_fails, config=mock_config(max_in_flight=1 if attempt else 3),
+            cache=ResponseCache(cache_dir),
+        )
+        cells = run_ablation(small_grid(toy_path, template, out), backend)
+        assert [cell.error is None for cell in cells] == [False] + [True] * 5
+        assert "run aborted after" in cells[0].error
+        assert backend.send_count <= 3 + 2 + 5 * len(toy_data)
+        assert len(zero_shot) <= 3 + 2  # only requests already in flight went on
+        for cell in cells[1:]:
+            name = cell.output_dir.name
+            assert grid_files(out / name) == grid_files(clean / name)
+        assert (out / "none_0shot" / "records.partial.jsonl").is_file()
+        if attempt:
+            caches.append(cache_entries(cache_dir))
+    assert caches[0] == caches[1]
+    assert len(caches[0]) == 2 + 5 * len(toy_data)
+
+
+def test_grid_under_contention_finishes_every_cell(toy_path, toy_data, template, tmp_path):
+    # more workers than cores and frequent thread switches: a lost update of
+    # a cell's count of requests still to go would leave the grid waiting for
+    # that cell forever, and a lost answer would leave it incomplete
+    gold = gold_echo_script(toy_data)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(3):
+            lock = threading.Lock()
+            calls = []
+
+            def tenth_call_fails(transcript):
+                with lock:
+                    calls.append(transcript)
+                    n = len(calls)
+                if n == 10:
+                    raise ProtocolError("scripted failure")
+                return gold[transcript[-1].content]
+
+            cache_dir = tmp_path / f"cache{attempt}"
+            backend = MockChatBackend(
+                tenth_call_fails, config=mock_config(max_in_flight=8),
+                cache=ResponseCache(cache_dir),
+            )
+            cells = []
+            grid = small_grid(toy_path, template, tmp_path / f"grid{attempt}")
+            runner = threading.Thread(
+                target=lambda: cells.extend(run_ablation(grid, backend)), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+            failed = [cell for cell in cells if cell.error is not None]
+            assert len(cells) == 6 and len(failed) == 1
+            assert len(cache_entries(cache_dir)) == backend.send_count - 1
+            assert all(cell.report.command_level_accuracy == 1 for cell in cells if cell.report)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class FailingCache(ResponseCache):
+    """A cache whose third put finds the disk full."""
+
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.puts = 0
+
+    def put(self, key: str, text: str) -> None:
+        self.puts += 1
+        if self.puts == 3:
+            raise OSError(28, "No space left on device")
+        super().put(key, text)
+
+
+def test_cache_put_error_stops_the_grid_and_propagates(toy_path, toy_data, template, tmp_path):
+    backend = MockChatBackend(
+        gold_echo_script(toy_data), config=mock_config(max_in_flight=1),
+        cache=FailingCache(tmp_path / "cache"),
+    )
+    out = tmp_path / "grid"
+    with pytest.raises(OSError, match="No space left"):
+        run_ablation(small_grid(toy_path, template, out), backend)
+    assert backend.send_count == 3
+    assert len(load_records(out / "none_0shot" / "records.partial.jsonl")) == 2
+    assert not (out / "none_0shot" / "records.jsonl").exists()
+    assert not (out / "ablation.json").exists()
 
 
 PINNED_ABLATION_JSON = """\
