@@ -18,32 +18,33 @@ ProtocolError abort immediately.
 ResponseCache keeps every answer in one sqlite3 file per cache directory,
 which several processes can share.
 
-HttpChatBackend uses only the standard library: http.client on keep-alive
-connections that are reused across requests, a CONNECT tunnel through the
-proxy that the environment names (honouring NO_PROXY), and TLS verified
-against the system trust store.  A reused connection that the server has
+HttpChatBackend speaks HTTP/1.1 itself, over sockets from the standard
+library: keep-alive connections reused across requests, each request sent in
+one write, a CONNECT tunnel through the proxy that the environment names
+(honouring NO_PROXY), and TLS verified against the system trust store.  A
+response is read through one buffered reader per connection; its body is
+delimited by Content-Length, chunked, or runs to close.  A head with a line
+over MAX_LINE_BYTES or more than MAX_HEADERS headers, a malformed head and a
+body cut short are each a Timeout.  A reused connection that the server has
 closed while idle is reopened once, with no backoff and no attempt counted.
 """
 from __future__ import annotations
 
-import base64
 import hashlib
-import http.client
 import json
 import logging
 import os
 import queue
 import random
-import ssl
+import socket
 import threading
 import time
 import urllib.parse
-import urllib.request
 import weakref
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from .chat import ChatMessage, Transcript
 from .errors import BackendError
@@ -400,33 +401,61 @@ class ChatBackend:
 class HttpChatBackend(ChatBackend):
     """POSTs to an OpenAI-style ``<endpoint_url>/chat/completions`` route.
 
-    Idle keep-alive connections wait in a queue: a request takes one or opens
-    one, and puts it back once the whole response body is read, so there are
-    never more connections than requests in flight.
+    The request line and fixed headers are encoded once; each request goes
+    out in one write: them, Content-Length, Authorization (read from
+    $CMDREASON_API_KEY per request) and the body.  Idle keep-alive
+    connections wait in a queue: a request takes one or opens one, and puts
+    it back once the whole response body is read, unless the response ends
+    the connection, so there are never more connections than requests in
+    flight.  A served model other than the one configured is logged once
+    per name.
     """
 
     def __init__(self, config: BackendConfig, cache: ResponseCache | None = None, **kwargs) -> None:
+        import urllib.request  # here, so that commands that send nothing do not load it
+
         super().__init__(config, cache, **kwargs)
         self._url = config.endpoint_url + "/chat/completions"
         url = urllib.parse.urlsplit(self._url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError("not an http(s) URL")
-        self._target = url.path
-        # url.port raises ValueError on a bad port; None stands for the scheme's default
-        self._address = (url.hostname, url.port)
-        self._tls = ssl.create_default_context() if url.scheme == "https" else None
-        self._proxy: tuple[str, int | None] | None = None
-        self._proxy_headers: dict[str, str] = {}
+        target = url.path
+        if not (target.isascii() and target.isprintable()) or " " in target:
+            raise ValueError("the URL path must be printable ASCII without spaces")
+        default_port = 443 if url.scheme == "https" else 80
+        # url.port raises ValueError on a bad port
+        self._address = (url.hostname, url.port or default_port)
+        name = url.hostname.encode("idna").decode("ascii")
+        if ":" in name:  # an IPv6 literal
+            name = f"[{name}]"
+        host = name if url.port in (None, default_port) else f"{name}:{url.port}"
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode("ascii")
+        self._tls = None
+        if url.scheme == "https":
+            import ssl
+
+            self._tls = ssl.create_default_context()
+        self._proxy: tuple[str, int] | None = None
         proxy_url = urllib.request.getproxies().get(url.scheme)
         if proxy_url and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
             proxy = urllib.parse.urlsplit(proxy_url if "://" in proxy_url else f"http://{proxy_url}")
-            self._proxy = (proxy.hostname, proxy.port)
+            self._proxy = (proxy.hostname, proxy.port or 80)
+            tunnel = f"{name}:{self._address[1]}"
+            connect = f"CONNECT {tunnel} HTTP/1.1\r\nHost: {tunnel}\r\n"
             if proxy.username is not None:
+                import base64
+
                 unquote = urllib.parse.unquote
                 credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
                 token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
-                self._proxy_headers["Proxy-Authorization"] = f"Basic {token}"
-        self._idle: queue.SimpleQueue[http.client.HTTPConnection] = queue.SimpleQueue()
+                connect += f"Proxy-Authorization: Basic {token}\r\n"
+            self._connect_request = (connect + "\r\n").encode("ascii")
+        self._idle: queue.SimpleQueue[_Connection] = queue.SimpleQueue()
+        self._models_lock = threading.Lock()
+        self._other_models: set[str] = set()
 
     def close(self) -> None:
         """Close the idle connections and the cache's; a later request opens new ones."""
@@ -437,87 +466,227 @@ class HttpChatBackend(ChatBackend):
         except queue.Empty:
             pass
 
-    def _connect(self) -> http.client.HTTPConnection:
-        host, port = self._proxy or self._address
-        timeout = self.config.timeout_seconds
-        if self._tls is None:
-            conn = http.client.HTTPConnection(host, port, timeout=timeout)
-        else:
-            conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self._tls)
-        if self._proxy:
-            conn.set_tunnel(*self._address, headers=self._proxy_headers)
-        return conn
+    def _connect(self) -> _Connection:
+        """A new connection to the endpoint: through the proxy's tunnel if any, then TLS if https."""
+        sock = socket.create_connection(self._proxy or self._address, self.config.timeout_seconds)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._proxy:
+                sock.sendall(self._connect_request)
+                with sock.makefile("rb") as reader:
+                    status, _, _ = _read_head(reader)
+                if status != 200:
+                    raise OSError(f"tunnel connection failed: HTTP {status}")
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
 
-    def _post(
-        self, body: bytes, headers: dict[str, str]
-    ) -> tuple[http.client.HTTPResponse, bytes]:
-        """The response to one POST and its whole body, on an idle connection if there is one."""
+    def _post(self, request: bytes) -> tuple[int, dict[str, str], bytes]:
+        """The status, headers and whole body answering request, on an idle connection if any."""
         try:
             conn, reused = self._idle.get_nowait(), True
         except queue.Empty:
-            conn, reused = self._connect(), False
+            conn, reused = None, False
         while True:
             try:
-                conn.request("POST", self._target, body, headers)
-                response = conn.getresponse()
-                data = response.read()
-            # RemoteDisconnected is a ConnectionResetError
-            except (ConnectionResetError, BrokenPipeError) as exc:
-                conn.close()
-                if reused:  # the server closed the idle connection: not a failed attempt
-                    conn, reused = self._connect(), False
+                conn = conn or self._connect()
+                status, headers, data, keep_alive = conn.exchange(request)
+            except (OSError, _MalformedResponse) as exc:
+                if conn is not None:
+                    conn.close()
+                # the server closed the idle connection: not a failed attempt
+                if reused and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                    conn, reused = None, False
                     continue
+                if isinstance(exc, TimeoutError):
+                    raise Timeout(f"request to {self._url} timed out") from exc
                 raise Timeout(f"could not reach {self._url}: {exc}") from exc
-            except TimeoutError as exc:
+            if keep_alive:
+                self._idle.put(conn)
+            else:
                 conn.close()
-                raise Timeout(f"request to {self._url} timed out") from exc
-            except (OSError, http.client.HTTPException) as exc:
-                conn.close()
-                raise Timeout(f"could not reach {self._url}: {exc}") from exc
-            self._idle.put(conn)
-            return response, data
+            return status, headers, data
 
     def _send(self, body: bytes) -> str:
-        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        response, data = self._post(body, headers)
-        status = response.status
+        if "\r" in api_key or "\n" in api_key:
+            raise AuthError(f"{API_KEY_ENV} holds a line break")
+        auth = f"Authorization: Bearer {api_key}\r\n" if api_key else ""
+        status, headers, data = self._post(
+            b"%s%d\r\n%s\r\n%s" % (self._head, len(body), auth.encode("latin-1"), body)
+        )
         if status in (401, 403):
             raise AuthError(
                 f"endpoint rejected credentials (HTTP {status}); "
                 f"is {API_KEY_ENV} set correctly?"
             )
         if status == 429:
-            raise RateLimited("endpoint returned HTTP 429", _retry_after(response))
+            raise RateLimited("endpoint returned HTTP 429", _retry_after(headers))
         if not 200 <= status < 300:
             excerpt = data.decode("utf-8", "replace")[:200]
             if status not in _SERVER_ERROR_STATUSES:
                 raise ProtocolError("unexpected status", status, excerpt)
-            retry_after = _retry_after(response) if status == 503 else None
+            retry_after = _retry_after(headers) if status == 503 else None
             raise ServerError("unexpected status", status, excerpt, retry_after)
         try:
-            content = json.loads(data)["choices"][0]["message"]["content"]
+            reply = json.loads(data)
+            content = reply["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(
                 "response is not a chat completion", status, data.decode("utf-8", "replace")[:200]
             ) from exc
         if not isinstance(content, str):
             raise ProtocolError("completion content is not text", status)
+        served = reply.get("model")
+        if isinstance(served, str) and served != self.config.model_name:
+            with self._models_lock:
+                first = served not in self._other_models
+                self._other_models.add(served)
+            if first:
+                log.warning(
+                    "%s answered as model %r, not the %r this run names",
+                    self._url, served, self.config.model_name,
+                )
         return content
 
 
-def _retry_after(response: http.client.HTTPResponse) -> float | None:
+def _retry_after(headers: Mapping[str, str]) -> float | None:
     """The response's Retry-After delay in seconds, at most RETRY_AFTER_MAX_SECONDS.
 
     None without the header, and for its HTTP-date form: only delta-seconds
     (RFC 9110 section 10.2.3) are honoured.
     """
-    value = (response.getheader("Retry-After") or "").strip()
+    value = headers.get("retry-after", "").strip()
     if not (value.isascii() and value.isdigit()):
         return None
     return min(float(value), RETRY_AFTER_MAX_SECONDS)
+
+
+# =============================================================================
+# HTTP/1.1 exchange
+# =============================================================================
+
+MAX_LINE_BYTES = 65536  # the longest status, header or chunk-size line accepted
+MAX_HEADERS = 100  # the most header lines accepted in one response head
+
+
+class _MalformedResponse(Exception):
+    """The bytes on a connection are not the HTTP/1.1 response they should be."""
+
+
+class _Connection:
+    """One keep-alive socket and the buffered reader of its responses."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def exchange(self, request: bytes) -> tuple[int, dict[str, str], bytes, bool]:
+        """Send request in one write; the response's status, headers, body and whether to reuse.
+
+        EOF before the status line is a ConnectionResetError, as from a
+        server that closed the connection while it was idle; EOF later is a
+        _MalformedResponse, since the server did receive the request.
+        """
+        self.sock.sendall(request)
+        reader = self.reader
+        status, version, headers = _read_head(reader)
+        while status < 200:  # 100 Continue and other interim responses
+            status, version, headers = _read_head(reader)
+        connection = {token.strip().lower() for token in headers.get("connection", "").split(",")}
+        keep_alive = "close" not in connection and (
+            version == b"HTTP/1.1" or "keep-alive" in connection
+        )
+        codings = headers.get("transfer-encoding")
+        length = headers.get("content-length")
+        if status in (204, 304):
+            body = b""
+        elif codings is not None and codings.rpartition(",")[2].strip().lower() == "chunked":
+            body = _read_chunked(reader)
+        elif codings is None and length is not None:
+            if not (length.isascii() and length.isdigit()):
+                raise _MalformedResponse(f"bad Content-Length {length!r}")
+            body = _read_exactly(reader, int(length))
+        else:  # the body runs to the end of the connection
+            body, keep_alive = reader.read(), False
+        return status, headers, body, keep_alive
+
+
+def _read_line(reader: BinaryIO) -> bytes:
+    line = reader.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise _MalformedResponse(f"line longer than {MAX_LINE_BYTES} bytes")
+    return line
+
+
+def _read_head(reader: BinaryIO) -> tuple[int, bytes, dict[str, str]]:
+    """A response's status, HTTP version and headers, names lower-cased."""
+    line = _read_line(reader)
+    if not line:
+        raise ConnectionResetError("remote end closed connection without response")
+    parts = line.split(None, 2)
+    if (
+        len(parts) < 2
+        or not parts[0].startswith(b"HTTP/1.")
+        or not (len(parts[1]) == 3 and parts[1].isdigit())
+    ):
+        raise _MalformedResponse(f"bad status line {line[:80]!r}")
+    return int(parts[1]), parts[0], _read_headers(reader)
+
+
+def _read_headers(reader: BinaryIO) -> dict[str, str]:
+    """Header (or trailer) lines up to the blank line, as a dict with lower-cased names."""
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise _MalformedResponse(
+                "response ended in its head" if not line else f"bad header line {line[:80]!r}"
+            )
+        headers[name.strip().lower()] = value.strip()
+    raise _MalformedResponse(f"more than {MAX_HEADERS} headers")
+
+
+def _read_exactly(reader: BinaryIO, n: int) -> bytes:
+    """n bytes; reads start at 64 KiB and double, so a false Content-Length allocates little."""
+    data = reader.read(min(n, 65536))
+    while 0 < len(data) < n:
+        piece = reader.read(min(n - len(data), len(data)))
+        if not piece:
+            break
+        data += piece
+    if len(data) < n:
+        raise _MalformedResponse(f"response body ended after {len(data)} of {n} bytes")
+    return data
+
+
+def _read_chunked(reader: BinaryIO) -> bytes:
+    """A chunked body, its trailers read and dropped."""
+    chunks = []
+    while True:
+        size = _read_line(reader).partition(b";")[0].strip()
+        if not size or size.strip(b"0123456789abcdefABCDEF"):  # hex digits only
+            raise _MalformedResponse(f"bad chunk size {size[:80]!r}")
+        n = int(size, 16)
+        if n == 0:
+            break
+        chunks.append(_read_exactly(reader, n))
+        if _read_line(reader) not in (b"\r\n", b"\n"):
+            raise _MalformedResponse("chunk not followed by CRLF")
+    _read_headers(reader)
+    return b"".join(chunks)
 
 
 # Mapping values: the response text, or an exception instance to raise.

@@ -4,6 +4,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from contextlib import closing
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -147,6 +148,14 @@ class _ChatStubHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+def all_closed(server: ChatStub, within: float = 3.0) -> bool:
+    """Whether the server sees no open connection, waiting for it to notice the closes."""
+    deadline = time.monotonic() + within
+    while server.open_now and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return server.open_now == 0
 
 
 @pytest.fixture()

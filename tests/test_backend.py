@@ -8,6 +8,7 @@ import os
 import re
 import select
 import socket
+import socketserver
 import subprocess
 import sys
 import threading
@@ -15,10 +16,11 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
-from conftest import cache_entries, child_env, serve
+from conftest import all_closed, cache_entries, child_env, serve
 from cmdreason.backend import (
     RETRY_AFTER_MAX_SECONDS,
     AuthError,
@@ -702,3 +704,275 @@ def test_http_proxy_is_tunnelled_unless_no_proxy_names_the_host(
     http_backend().complete(transcript_for("Honk."))
     assert len(connect_relay.tunnels) == 1
     assert len(chat_stub.requests) == 3
+
+
+# =============================================================================
+# HTTP/1.1 exchange: one write per request, response framing, limits, TLS
+# =============================================================================
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        server = self.server
+        with server.lock:
+            server.opened += 1
+            connection = server.opened
+        while True:
+            head = self.rfile.readline()
+            if not head:
+                return
+            while not head.endswith(b"\r\n\r\n"):
+                head += self.rfile.readline()
+            length = re.search(rb"\r\nContent-Length: (\d+)\r\n", head)
+            body = self.rfile.read(int(length[1]))
+            with server.lock:
+                server.requests.append((connection, head, body))
+                reply = server.replies.pop(0) if server.replies else None
+            if reply is None:
+                return
+            data, close = reply
+            self.wfile.write(data)
+            if close:
+                return
+
+
+class RawEndpoint(socketserver.ThreadingTCPServer):
+    """A loopback endpoint that answers each request with scripted bytes.
+
+    `replies` holds (bytes, close) per request, in order across connections:
+    the bytes go out as they are, and the server closes the connection after
+    them only when close is true; past the last reply it closes without one.
+    `requests` records (connection number, head, body) per request and
+    `opened` counts connections.
+    """
+
+    def __init__(self, replies, host="127.0.0.1"):
+        self.address_family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        super().__init__((host, 0), _RawHandler)
+        self.replies = list(replies)
+        self.lock = threading.Lock()
+        self.requests = []
+        self.opened = 0
+        name = f"[{host}]" if ":" in host else host
+        self.url = f"http://{name}:{self.server_address[1]}/v1"
+
+
+@pytest.fixture()
+def raw_endpoint(monkeypatch):
+    """Builds RawEndpoints on a host (127.0.0.1 by default); each is stopped after the test."""
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    stops = []
+
+    def build(replies, host="127.0.0.1"):
+        httpd = RawEndpoint(replies, host)
+        stops.append(serve(httpd))
+        return httpd
+
+    yield build
+    for stop in stops:
+        stop()
+
+
+ANSWER = b'{"choices":[{"message":{"role":"assistant","content":"hello there"}}]}'
+
+
+def reply(status_line=b"HTTP/1.1 200 OK", headers=b"", body=ANSWER, length=True):
+    framing = b"Content-Length: %d\r\n" % len(body) if length else b""
+    return status_line + b"\r\n" + headers + framing + b"\r\n" + body
+
+
+def test_each_request_goes_out_in_one_write(chat_stub, http_backend, monkeypatch):
+    writes = []
+    create_connection = socket.create_connection
+
+    class CountingSocket:
+        def __init__(self, sock):
+            self._sock = sock
+
+        def send(self, data):
+            writes.append(len(data))
+            return self._sock.send(data)
+
+        def sendall(self, data):
+            writes.append(len(data))
+            return self._sock.sendall(data)
+
+        def __getattr__(self, name):
+            return getattr(self._sock, name)
+
+    monkeypatch.setattr(
+        socket, "create_connection", lambda *a, **kw: CountingSocket(create_connection(*a, **kw))
+    )
+    backend = http_backend()
+    command = "Honk twice, then open the window. " * 200  # a body of several kB, like a 3-shot one
+    for i in range(3):
+        assert backend.complete(transcript_for(f"{command}{i}")).attempt_count == 1
+    assert chat_stub.opened == 1
+    assert len(writes) == 3
+    assert writes[0] > len(chat_stub.requests[0][2]) > 6000
+
+
+@pytest.mark.parametrize(
+    "status_line, headers, reused",
+    [
+        (b"HTTP/1.1 200 OK", b"", True),
+        (b"HTTP/1.1 200 OK", b"Connection: close\r\n", False),
+        (b"HTTP/1.0 200 OK", b"", False),
+        (b"HTTP/1.0 200 OK", b"Connection: keep-alive\r\n", True),
+    ],
+)
+def test_a_response_that_ends_its_connection_is_not_reused(
+    raw_endpoint, http_backend, status_line, headers, reused
+):
+    # the server keeps every connection open: only the client decides whether to reuse it
+    endpoint = raw_endpoint([(reply(status_line, headers), False)] * 2)
+    backend = http_backend(http_config(endpoint))
+    counts = [backend.complete(transcript_for(f"Honk {i}.")).attempt_count for i in range(2)]
+    assert counts == [1, 1]
+    assert [conn for conn, _, _ in endpoint.requests] == ([1, 1] if reused else [1, 2])
+
+
+def test_a_body_without_length_runs_to_close(raw_endpoint, http_backend):
+    endpoint = raw_endpoint([(reply(length=False), True)] * 2)
+    backend = http_backend(http_config(endpoint))
+    for i in range(2):
+        result = backend.complete(transcript_for(f"Honk {i}."))
+        assert (result.raw_text, result.attempt_count) == ("hello there", 1)
+    assert endpoint.opened == 2
+
+
+def test_a_long_body_is_read_whole(chat_stub, http_backend):
+    text = "".join(f"step {i}: yes.\n" for i in range(30000))  # about 400 kB
+    chat_stub.responder = lambda body: (200, {"choices": [{"message": {"content": text}}]})
+    backend = http_backend()
+    for command in ("Honk.", "Wave."):
+        assert backend.complete(transcript_for(command)).raw_text == text
+    assert chat_stub.opened == 1
+
+
+def test_an_interim_100_continue_is_skipped(raw_endpoint, http_backend):
+    endpoint = raw_endpoint([(b"HTTP/1.1 100 Continue\r\n\r\n" + reply(), False)] * 2)
+    backend = http_backend(http_config(endpoint))
+    for i in range(2):
+        assert backend.complete(transcript_for(f"Honk {i}.")).raw_text == "hello there"
+    assert endpoint.opened == 1
+
+
+@pytest.mark.parametrize(
+    "extra, accepted",
+    [
+        # a header line of 65536 bytes with its CRLF, and one of 65537
+        ({"X-Long": "a" * (65536 - len("X-Long: \r\n"))}, True),
+        ({"X-Long": "a" * (65537 - len("X-Long: \r\n"))}, False),
+        # the stub sends Content-Type and Content-Length besides these: 100 and 101 headers
+        ({f"X-{i}": "1" for i in range(98)}, True),
+        ({f"X-{i}": "1" for i in range(99)}, False),
+    ],
+)
+def test_response_head_limits(chat_stub, http_backend, extra, accepted):
+    ok = chat_stub.responder
+    chat_stub.responder = lambda body: (*ok(body), extra)
+    backend = http_backend(http_config(chat_stub, max_retries=0))
+    if accepted:
+        assert backend.complete(transcript_for("Honk.")).raw_text == "hello there"
+        assert chat_stub.open_now == 1
+        return
+    with pytest.raises(RetriesExhausted) as err:
+        backend.complete(transcript_for("Honk."))
+    assert isinstance(err.value.last_error, Timeout)
+    assert all_closed(chat_stub)
+    assert len(chat_stub.requests) == 1
+
+
+@pytest.mark.parametrize("declared", [999, 10**18])  # 10**18 bytes could never be allocated
+def test_a_body_cut_short_is_a_failed_attempt_not_a_reconnect(
+    raw_endpoint, http_backend, declared
+):
+    cut = reply().replace(b"Content-Length: %d" % len(ANSWER), b"Content-Length: %d" % declared)
+    endpoint = raw_endpoint([(reply(), False), (cut, True)])
+    backend = http_backend(http_config(endpoint, max_retries=0))
+    assert backend.complete(transcript_for("Honk.")).attempt_count == 1
+    with pytest.raises(RetriesExhausted) as err:
+        backend.complete(transcript_for("Wave."))  # on the reused connection
+    assert err.value.attempts == 1
+    assert isinstance(err.value.last_error, Timeout)
+    assert "ended after" in str(err.value.last_error)
+    assert len(endpoint.requests) == 2
+    assert endpoint.opened == 1
+
+
+def test_an_ipv6_literal_endpoint_names_its_host_in_brackets(raw_endpoint, http_backend):
+    try:
+        endpoint = raw_endpoint([(reply(), False)], host="::1")
+    except OSError:
+        pytest.skip("::1 cannot be bound here")
+    assert http_backend(http_config(endpoint)).complete(transcript_for("Honk.")).attempt_count == 1
+    [(_, head, _)] = endpoint.requests
+    assert f"\r\nHost: [::1]:{endpoint.server_address[1]}\r\n".encode() in head
+
+
+# tests/tls holds a self-signed certificate for localhost and 127.0.0.1, made with
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes -days 36500
+# and a config naming subjectAltName = DNS:localhost, IP:127.0.0.1, CA:FALSE, serverAuth.
+TLS_DIR = Path(__file__).parent / "tls"
+
+
+@pytest.fixture()
+def tls_chat_stub(chat_stub, monkeypatch):
+    """chat_stub served over TLS at https://localhost:<port>/v1; `server_names` records SNI."""
+    import ssl
+
+    for name in ("https_proxy", "HTTPS_PROXY", "SSL_CERT_FILE", "SSL_CERT_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_DIR / "localhost.crt", TLS_DIR / "localhost.key")
+    chat_stub.server_names = []
+    context.sni_callback = lambda sslobj, name, ctx: chat_stub.server_names.append(name)
+    chat_stub.socket = context.wrap_socket(chat_stub.socket, server_side=True)
+    chat_stub.url = f"https://localhost:{chat_stub.server_address[1]}/v1"
+    return chat_stub
+
+
+def test_https_verifies_the_endpoint_against_the_trust_store(
+    tls_chat_stub, http_backend, monkeypatch
+):
+    config = http_config(tls_chat_stub, max_retries=0)
+    with pytest.raises(RetriesExhausted) as err:
+        http_backend(config).complete(transcript_for("Honk."))
+    assert isinstance(err.value.last_error, Timeout)
+    assert "CERTIFICATE_VERIFY_FAILED" in str(err.value.last_error)
+    assert tls_chat_stub.requests == []
+
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DIR / "localhost.crt"))
+    backend = http_backend(config)
+    for command in ("Honk.", "Wave."):
+        assert backend.complete(transcript_for(command)).raw_text == "hello there"
+    assert len(tls_chat_stub.requests) == 2
+    assert tls_chat_stub.server_names[-1] == "localhost"
+
+
+def test_https_through_a_proxy_wraps_tls_for_the_endpoint(
+    tls_chat_stub, http_backend, connect_relay, monkeypatch
+):
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{connect_relay.server_address[1]}")
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DIR / "localhost.crt"))
+    backend = http_backend(http_config(tls_chat_stub))
+    assert backend.complete(transcript_for("Honk.")).raw_text == "hello there"
+    assert connect_relay.tunnels == [(f"localhost:{tls_chat_stub.server_address[1]}", None)]
+    assert tls_chat_stub.server_names == ["localhost"]  # not the proxy's 127.0.0.1
+
+
+def test_another_served_model_is_logged_once_per_name(chat_stub, http_backend, caplog):
+    ok = chat_stub.responder
+    served = iter(["test-model", "test-model-0613", "test-model-0613", "other", None])
+    chat_stub.responder = lambda body: (200, {**ok(body)[1], "model": next(served)})
+    backend = http_backend()
+    with caplog.at_level("WARNING", logger="cmdreason.backend"):
+        for i in range(5):
+            assert backend.complete(transcript_for(f"Honk {i}.")).raw_text == "hello there"
+    warned = [r.getMessage() for r in caplog.records if r.name == "cmdreason.backend"]
+    assert len(warned) == 2
+    assert "'test-model-0613'" in warned[0] and "'other'" in warned[1]

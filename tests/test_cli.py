@@ -3,11 +3,10 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-import time
 
 import pytest
 
-from conftest import child_env
+from conftest import all_closed, child_env
 import cmdreason.cli as cli
 from cmdreason import harness
 from cmdreason.backend import ProtocolError
@@ -397,14 +396,6 @@ def http_backends(monkeypatch):
         backend.close()
 
 
-def all_closed(server, within: float = 3.0) -> bool:
-    """Whether the server sees no open connection, waiting for it to notice the closes."""
-    deadline = time.monotonic() + within
-    while server.open_now and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return server.open_now == 0
-
-
 def test_run_closes_the_connections_of_the_backend_it_builds(
     chat_stub, http_backends, toy_path, tmp_path, capsys
 ):
@@ -481,3 +472,14 @@ def test_cli_import_leaves_sqlite3_unloaded():
         capture_output=True, text=True, env=child_env(), check=True,
     )
     assert result.stdout.split() == ["False", "False"]
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    # score, report, baseline and sample send nothing: no HTTP, email, proxy or TLS modules
+    heavy = ("http.client", "email.parser", "urllib.request", "ssl")
+    code = f"import sys, cmdreason.cli; print(*[m in sys.modules for m in {heavy!r}])"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=child_env(), check=True,
+    )
+    assert result.stdout.split() == ["False"] * len(heavy)

@@ -439,6 +439,33 @@ def test_cache_entries_of_another_endpoint_are_not_reused(
     assert other.report.command_level_accuracy < 1
 
 
+def test_another_served_model_warns_once_and_changes_no_artifact(
+    chat_stub, template, tmp_path, caplog
+):
+    data = [LabeledCommand(f"c{i}", f"Honk {i}.", RequirementVector.from_bits("00010000"))
+            for i in range(3)]
+    ds = tmp_path / "d.tsv"
+    save_dataset(data, ds)
+    config = BackendConfig(endpoint_url=chat_stub.url, model_name="test-model")
+    spec = ExperimentSpec(str(ds), template, config, str(tmp_path / "run"))
+    ok = chat_stub.responder
+    artifacts = []
+    for served in ("test-model", "other-model"):
+        chat_stub.responder = lambda body, m=served: (200, {**ok(body)[1], "model": m})
+        caplog.clear()
+        backend = HttpChatBackend(config, ResponseCache(tmp_path / served))
+        try:
+            with caplog.at_level("WARNING", logger="cmdreason.backend"):
+                assert run_experiment(spec, backend).n_backend_attempts == 3
+        finally:
+            backend.close()
+        warned = [r.getMessage() for r in caplog.records if r.name == "cmdreason.backend"]
+        assert len(warned) == (served != "test-model")
+        artifacts.append({p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()})
+    assert "'other-model'" in warned[0]
+    assert artifacts[0] == artifacts[1]
+
+
 def test_each_record_keys_the_bytes_the_endpoint_received(chat_stub, template, tmp_path):
     data = [
         LabeledCommand("c1", "Öffne das Fenster — bitte 🚗", RequirementVector.from_bits("10000000")),
