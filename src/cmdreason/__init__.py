@@ -45,6 +45,7 @@ from .dataset import (
     MalformedRecord,
     MissingFile,
     RequirementVector,
+    UnwritableOutput,
     distribution,
     load_dataset,
     save_dataset,
@@ -58,7 +59,6 @@ from .harness import (
     ExperimentSpec,
     ResultRow,
     RunResult,
-    UnwritableOutput,
     emit_report,
     gold_echo_script,
     load_records,

@@ -11,9 +11,10 @@ replayed byte for byte from the cache, and the requests it took, 0 when it
 came from the cache.  Retryable failures (RateLimited, ServerError for HTTP
 500/502/503/504, Timeout) back off exponentially with full jitter: attempt i
 waits uniform(0, 1s * 2**i), or, after a 429 or 503 whose Retry-After header
-gives delta-seconds, that many seconds up to RETRY_AFTER_MAX_SECONDS; either
-wait is cut short once the run has failed.  AuthError and any other
-ProtocolError abort immediately.
+gives delta-seconds, that many seconds up to RETRY_AFTER_MAX_SECONDS.  Each
+wait is on the run's `failed` event, which fetch() takes from its caller,
+so that it is cut short once the run has failed; complete() passes an event
+that nothing sets.  AuthError and any other ProtocolError abort immediately.
 
 ResponseCache keeps every answer in one sqlite3 file per cache directory,
 which several processes can share.
@@ -203,26 +204,6 @@ class RequestEncoder:
         return digest.hexdigest()
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Replace path's content with text, all at once.
-
-    The text goes to a temp file beside path, which os.replace then moves
-    over it.  A crash or failed write mid-way leaves the old file whole and
-    no temp file behind, and concurrent writers of one path each leave a
-    whole file.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".tmp-{os.urandom(8).hex()}")
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 class ResponseCache:
     """Answers of completed requests by cache key, in one sqlite3 file.
 
@@ -338,12 +319,10 @@ class ChatBackend:
         config: BackendConfig,
         cache: ResponseCache | None = None,
         *,
-        sleep: Callable[[float], None] = time.sleep,
         backoff_rng: random.Random | None = None,
     ) -> None:
         self.config = config
         self.cache = cache
-        self._sleep = sleep
         self._backoff_rng = backoff_rng or random.Random()
 
     def _send(self, body: bytes) -> str:
@@ -366,15 +345,13 @@ class ChatBackend:
         encoder = RequestEncoder(self.config)
         tail = encoder.tail(transcript)
         key = encoder.key(tail)
-        return self.lookup(key) or self.fetch(encoder.head + tail, key)
+        return self.lookup(key) or self.fetch(encoder.head + tail, key, threading.Event())
 
-    def fetch(
-        self, body: bytes, key: str, failed: threading.Event | None = None
-    ) -> CompletionResult:
+    def fetch(self, body: bytes, key: str, failed: threading.Event) -> CompletionResult:
         """Send body without looking in the cache, then cache the answer under key.
 
-        Given the run's `failed` event, a backoff waits on it instead of
-        sleeping, and once it is set the retries give up as RetriesExhausted.
+        A backoff waits on the run's `failed` event, and once it is set the
+        retries give up as RetriesExhausted.
         """
         attempt = 0
         while True:
@@ -389,9 +366,7 @@ class ChatBackend:
                 if delay is None:
                     delay = self._backoff_rng.uniform(0.0, BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
                 log.warning("attempt %d failed (%s); retrying in %.2fs", attempt, exc, delay)
-                if failed is None:
-                    self._sleep(delay)
-                elif failed.wait(delay):
+                if failed.wait(delay):
                     raise RetriesExhausted(attempt, exc) from exc
         if self.cache is not None:
             self.cache.put(key, text)

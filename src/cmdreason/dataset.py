@@ -14,6 +14,7 @@ as a RequirementVector: a tuple of 8 bools, equal to the plain tuple of them.
 from __future__ import annotations
 
 import logging
+import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,10 @@ CATEGORY_TITLES = (
     "Network Access",
     "Traffic Laws",
 )
+
+
+class UnwritableOutput(DataError):
+    """An output file could not be written."""
 
 
 class MissingFile(DataError):
@@ -194,7 +199,7 @@ def load_dataset(path: str | Path) -> list[LabeledCommand]:
 
 
 def save_dataset(records: Sequence[LabeledCommand], path: str | Path) -> None:
-    """Write records in the same TSV format load_dataset reads."""
+    """Write records, through write_text, in the same TSV format load_dataset reads."""
     path = Path(path)
     lines = []
     for rec in records:
@@ -204,7 +209,35 @@ def save_dataset(records: Sequence[LabeledCommand], path: str | Path) -> None:
         if "\t" in rec.text or "\n" in rec.text:
             raise ValueError(f"text for {rec.command_id!r} contains a tab or newline")
         lines.append(f"{rec.command_id}\t{rec.text}\t{rec.gold.bits()}")
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_text(path, "".join(line + "\n" for line in lines))
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace path's content with text, all at once.
+
+    The text goes to a temp file beside path, which os.replace then moves
+    over it.  A crash or failed write mid-way leaves the old file whole and
+    no temp file behind, and concurrent writers of one path each leave a
+    whole file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: Path, text: str) -> None:
+    """write_atomic, with an OSError raised as UnwritableOutput."""
+    try:
+        write_atomic(path, text)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
 
 
 # =============================================================================

@@ -17,8 +17,12 @@ re-score it offline:
 
 Each file is written once, whole, through a temp file and os.replace, after
 clear_run_dir has deleted every artifact of an earlier run or baseline.
-Runs and baselines write records.jsonl and report.json through
-save_run_artifacts.
+Baselines write records.jsonl and report.json through save_run_artifacts.
+
+A run reads one backend config, its spec's: the one spec.json names, the
+cache keys hash, the pool is sized by and report.json is labelled with.  A
+backend passed in must carry it, or the run is a UsageError before it
+writes or sends anything.
 
 ResultRow.from_eval is the one conversion from an EvalReport to display
 strings: report.json, ablation.json, ablation.md and every comparison table
@@ -66,7 +70,6 @@ from .backend import (
     MockChatBackend,
     RequestEncoder,
     ResponseCache,
-    write_atomic,
 )
 from .dataset import (
     CATEGORY_TITLES,
@@ -74,7 +77,9 @@ from .dataset import (
     MalformedRecord,
     MissingFile,
     RequirementVector,
+    UnwritableOutput,
     load_dataset,
+    write_text,
 )
 from .errors import BackendError, DataError, UsageError
 from .metrics import (
@@ -110,10 +115,6 @@ class AbortedRun(BackendError):
         self.n_completed = n_completed
         self.n_total = n_total
         self.cause = cause
-
-
-class UnwritableOutput(DataError):
-    """An output file could not be written."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,19 +168,12 @@ class RunResult:
 # =============================================================================
 
 
-def _write_text(path: Path, text: str) -> None:
-    try:
-        write_atomic(path, text)
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
-
-
 def _write_json(path: Path, data: Any) -> None:
-    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_jsonl(path: Path, rows: list[dict[str, Any]]) -> None:
-    _write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 RUN_ARTIFACTS = ("spec.json", "responses.jsonl", "records.jsonl", "report.json",
@@ -250,18 +244,10 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
     and ``responses.partial.jsonl`` snapshot them.  A BackendError is raised as
     AbortedRun, anything else as itself.  Re-running the same spec resumes
     from the cache.  A command that appears more than once is sent once, and
-    its answer fills each of its positions.  A backend built here, with its
-    cache, is closed before the run returns or raises.
+    its answer fills each of its positions.  A backend passed in must carry
+    spec.backend_config.
     """
-    data = load_dataset(spec.dataset_path)
-    own_backend = backend is None
-    if own_backend:
-        backend = build_backend(spec.backend_config, dataset=data)
-    try:
-        (outcome,) = _run_all(backend, data, [spec])
-    finally:
-        if own_backend:
-            backend.close()
+    (outcome,) = _run_all([spec], backend)
     if isinstance(outcome, RunResult):
         return outcome
     raise outcome
@@ -284,7 +270,7 @@ class _Run:
         self.spec = spec
         self.out_dir = clear_run_dir(spec.output_dir)
         _write_json(self.out_dir / "spec.json", spec.to_json_dict())
-        encoder = RequestEncoder(backend.config, transcript_prefix(spec.prompt_config))
+        encoder = RequestEncoder(spec.backend_config, transcript_prefix(spec.prompt_config))
         tails = [encoder.tail(build_transcript(spec.prompt_config, rec.text)) for rec in data]
         self.keys = [encoder.key(tail) for tail in tails]
         self.head = encoder.head
@@ -305,36 +291,30 @@ class _Run:
         self.error: BaseException | None = None
 
     def finish(self, data: list[LabeledCommand]) -> RunResult:
-        """Score the run and write its artifacts, then let go of its answers.
+        """Write the responses and records of the answers found, then score the run.
 
-        If an answer is missing, the partial snapshots are written instead and
-        AbortedRun is raised.
+        Without an answer for every command, the two files are the partial
+        snapshots, and AbortedRun is raised instead of writing report.json.
+        The run lets go of its answers first: later runs may still be fetching.
         """
         results = [self.answers.get(key) for key in self.keys]
         answers = list(self.answers.values())
-        # later runs may still be fetching: hold this one's answers no longer
         self.answers, self.misses = {}, {}
         done = [i for i, result in enumerate(results) if result is not None]
-        if len(done) < len(data):
-            _write_jsonl(
-                self.out_dir / "responses.partial.jsonl",
-                [_response_row(data[i], results[i]) for i in done],
-            )
-            _write_records(
-                self.out_dir / "records.partial.jsonl",
-                [data[i] for i in done],
-                [_predict(data[i], results[i].raw_text, self.keys[i]) for i in done],
-            )
-            raise AbortedRun(len(done), len(data), self.error) from self.error
-        records = [
-            _predict(rec, res.raw_text, key) for rec, res, key in zip(data, results, self.keys)
-        ]
-        report = evaluate(records, data, self.spec.failure_policy)
+        suffix = "" if len(done) == len(data) else ".partial"
+        records = [_predict(data[i], results[i].raw_text, self.keys[i]) for i in done]
         _write_jsonl(
-            self.out_dir / "responses.jsonl",
-            [_response_row(rec, res) for rec, res in zip(data, results)],
+            self.out_dir / f"responses{suffix}.jsonl",
+            [{"id": data[i].command_id, "text": results[i].raw_text} for i in done],
         )
-        save_run_artifacts(self.out_dir, self.spec.backend_config.model_name, data, records, report)
+        _write_records(self.out_dir / f"records{suffix}.jsonl", [data[i] for i in done], records)
+        if suffix:
+            raise AbortedRun(len(done), len(data), self.error) from self.error
+        report = evaluate(records, data, self.spec.failure_policy)
+        _write_json(
+            self.out_dir / "report.json",
+            report_json_dict(self.spec.backend_config.model_name, report),
+        )
         return RunResult(
             report=report,
             records=records,
@@ -345,38 +325,56 @@ class _Run:
 
 
 def _run_all(
-    backend: ChatBackend, data: list[LabeledCommand], specs: list[ExperimentSpec]
+    specs: list[ExperimentSpec], backend: ChatBackend | None
 ) -> list[RunResult | DataError | BackendError]:
     """Plan every run, fetch all their misses in one pool, and finish each run.
+
+    The specs share one dataset, loaded here once, and one backend config.
+    A backend passed in must carry that config, or this raises UsageError
+    before it writes or sends anything; without one, a backend is built
+    from the config here and closed, with its cache, before this returns.
 
     The outcome of each spec is its RunResult, or the DataError or AbortedRun
     that stopped it.  An error that is neither, such as a full disk under
     the cache, stops every run; each run is still finished, so that the
     stopped ones leave partial snapshots, and then that error is raised.
     """
-    planned: list[_Run | DataError] = []
-    for spec in specs:
-        try:
-            planned.append(_Run(spec, data, backend))
-        except DataError as exc:
-            planned.append(exc)
-    runs = [run for run in planned if isinstance(run, _Run)]
-    outcomes: dict[_Run, RunResult | DataError | BackendError] = {}
+    config = specs[0].backend_config
+    if backend is not None and backend.config != config:
+        raise UsageError(f"the backend's {backend.config} is not the spec's {config}")
+    data = load_dataset(specs[0].dataset_path)
+    own_backend = backend is None
+    if own_backend:
+        backend = build_backend(config, dataset=data)
+    try:
+        planned: list[_Run | DataError] = []
+        for spec in specs:
+            try:
+                planned.append(_Run(spec, data, backend))
+            except DataError as exc:
+                planned.append(exc)
+        runs = [run for run in planned if isinstance(run, _Run)]
+        outcomes: dict[_Run, RunResult | DataError | BackendError] = {}
 
-    def finish(run: _Run) -> None:
-        try:
-            outcomes[run] = run.finish(data)
-        except (DataError, BackendError) as exc:
-            outcomes[run] = exc
+        def finish(run: _Run) -> None:
+            try:
+                outcomes[run] = run.finish(data)
+            except (DataError, BackendError) as exc:
+                outcomes[run] = exc
 
-    _fetch(backend, runs, finish)
+        _fetch(backend, runs, finish, config.max_in_flight)
+    finally:
+        if own_backend:
+            backend.close()
     for run in runs:
         if run.error is not None and not isinstance(run.error, BackendError):
             raise run.error
     return [outcomes[run] if isinstance(run, _Run) else run for run in planned]
 
 
-def _fetch(backend: ChatBackend, runs: list[_Run], finish: Callable[[_Run], None]) -> None:
+def _fetch(
+    backend: ChatBackend, runs: list[_Run], finish: Callable[[_Run], None], max_in_flight: int
+) -> None:
     """Send every run's misses from one pool, and finish each run once its requests are done.
 
     Up to max_in_flight workers pull requests in canonical order, run by run
@@ -434,7 +432,7 @@ def _fetch(backend: ChatBackend, runs: list[_Run], finish: Callable[[_Run], None
                     if not run.pending:
                         run.done.set()
 
-    workers = min(backend.config.max_in_flight, n_jobs)
+    workers = min(max_in_flight, n_jobs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(work) for _ in range(workers)]
         try:
@@ -447,10 +445,6 @@ def _fetch(backend: ChatBackend, runs: list[_Run], finish: Callable[[_Run], None
             for run in runs:
                 run.failed.set()
             raise
-
-
-def _response_row(rec: LabeledCommand, result: CompletionResult) -> dict[str, str]:
-    return {"id": rec.command_id, "text": result.raw_text}
 
 
 def _predict(rec: LabeledCommand, raw_text: str, key: str) -> PredictionRecord:
@@ -528,7 +522,7 @@ def save_run_artifacts(
     records: list[PredictionRecord],
     report: EvalReport,
 ) -> Path:
-    """Persist records.jsonl and report.json, for runs and baselines alike."""
+    """Persist a baseline's records.jsonl and report.json."""
     out = Path(out_dir)
     _write_records(out / "records.jsonl", data, records)
     _write_json(out / "report.json", report_json_dict(label, report))
@@ -586,14 +580,11 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
     only its own cell's queued requests; an error that is not a DataError or
     a BackendError stops every cell and is raised.  All cells share one
     backend, and with it one response cache and one set of open connections,
-    so re-running a grid replays completed cells from cache.  Without an
-    injected backend, one is built from the base spec and closed when the
-    grid ends.  Writes ablation.json and ablation.md under the base output_dir.
+    so re-running a grid replays completed cells from cache.  An injected
+    backend must carry the base spec's backend config; without one, one is
+    built from it and closed when the grid ends.  Writes ablation.json and
+    ablation.md under the base output_dir.
     """
-    data = load_dataset(grid.base.dataset_path)
-    own_backend = backend is None
-    if own_backend:
-        backend = build_backend(grid.base.backend_config, dataset=data)
     base_out = Path(grid.base.output_dir)
     specs = [
         dataclasses.replace(
@@ -603,11 +594,7 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
         )
         for mode, shot_count in grid.cells()
     ]
-    try:
-        outcomes = _run_all(backend, data, specs)
-    finally:
-        if own_backend:
-            backend.close()
+    outcomes = _run_all(specs, backend)
     cells: list[AblationCell] = []
     for (mode, shot_count), spec, outcome in zip(grid.cells(), specs, outcomes):
         if isinstance(outcome, RunResult):
@@ -617,7 +604,7 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
             report, error = None, f"{type(outcome).__name__}: {outcome}"
         cells.append(AblationCell(mode, shot_count, report, error, Path(spec.output_dir)))
     _write_json(base_out / "ablation.json", [_cell_json(c) for c in cells])
-    _write_text(base_out / "ablation.md", ablation_table(cells, "md"))
+    write_text(base_out / "ablation.md", ablation_table(cells, "md"))
     return cells
 
 
@@ -757,5 +744,5 @@ def emit_report(rows: list[ResultRow], fmt: str, out_path: str | Path) -> Path:
     if not rows:
         raise ValueError("emit_report needs at least one row")
     out_path = Path(out_path)
-    _write_text(out_path, comparison_table(rows, fmt))
+    write_text(out_path, comparison_table(rows, fmt))
     return out_path

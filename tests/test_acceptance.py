@@ -16,7 +16,7 @@ from fractions import Fraction
 from conftest import make_shot
 from test_metrics import naive_eval, random_instance
 
-from cmdreason.backend import MockChatBackend, ProtocolError, ResponseCache, mock_config
+from cmdreason.backend import MockChatBackend, ProtocolError, ResponseCache
 from cmdreason.baselines import random_classify
 from cmdreason.dataset import (
     LabeledCommand,
@@ -95,7 +95,10 @@ def test_criterion_2_end_to_end_gold_oracle(toy_path, toy_data, template, tmp_pa
         output_dir=str(tmp_path / "run"),
     )
     result = run_experiment(
-        spec, MockChatBackend(gold_echo_script(toy_data), cache=ResponseCache(tmp_path / "c"))
+        spec,
+        MockChatBackend(
+            gold_echo_script(toy_data), spec.backend_config, ResponseCache(tmp_path / "c")
+        ),
     )
     elapsed = time.monotonic() - started
     exact = (
@@ -356,8 +359,9 @@ class DyingScript:
 def test_criterion_7_grid_determinism_and_resume(toy_path, toy_data, template, tmp_path):
     out = tmp_path / "grid"
     grid = full_grid(toy_path, template, out)
+    config = grid.base.backend_config
     backend = MockChatBackend(
-        gold_echo_script(toy_data), cache=ResponseCache(tmp_path / "cache1")
+        gold_echo_script(toy_data), config, ResponseCache(tmp_path / "cache1")
     )
     cells_first = run_ablation(grid, backend)
     first = snapshot(out)
@@ -368,16 +372,16 @@ def test_criterion_7_grid_determinism_and_resume(toy_path, toy_data, template, t
     # interrupted run: backend dies after 40 responses, then a healthy backend
     # resumes against the same cache and the same output directory
     cache2 = ResponseCache(tmp_path / "cache2")
-    dying = MockChatBackend(DyingScript(gold_echo_script(toy_data), budget=40), cache=cache2)
+    dying = MockChatBackend(DyingScript(gold_echo_script(toy_data), budget=40), config, cache2)
     interrupted_cells = run_ablation(grid, dying)
     interrupted_failures = sum(1 for c in interrupted_cells if c.error is not None)
-    healthy = MockChatBackend(gold_echo_script(toy_data), cache=cache2)
+    healthy = MockChatBackend(gold_echo_script(toy_data), config, cache2)
     run_ablation(grid, healthy)
     resumed = snapshot(out)
 
     shutil.rmtree(out)
     clean_backend = MockChatBackend(
-        gold_echo_script(toy_data), cache=ResponseCache(tmp_path / "cache3")
+        gold_echo_script(toy_data), config, ResponseCache(tmp_path / "cache3")
     )
     run_ablation(grid, clean_backend)
     clean = snapshot(out)

@@ -36,9 +36,9 @@ from cmdreason.backend import (
     Timeout,
     UnscriptedInput,
     mock_config,
-    write_atomic,
 )
 from cmdreason.chat import assistant, system, user
+from cmdreason.dataset import write_atomic
 from cmdreason.prompt import MODE_ORDER, build_transcript, default_template, transcript_prefix
 
 
@@ -353,6 +353,24 @@ def test_complete_rejects_bad_transcripts():
 # =============================================================================
 
 
+class RecordedWaits(threading.Event):
+    """A run's failure event that records each backoff wait and returns at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.waits = []
+
+    def wait(self, timeout=None):
+        self.waits.append(timeout)
+        return self.is_set()
+
+
+def fetch(backend, failed, command: str = "Honk."):
+    """backend.fetch of one command's request, as a run sends it."""
+    key = cache_key(backend.config, transcript_for(command))
+    return backend.fetch(body_for(backend.config, command), key, failed)
+
+
 def make_flaky(failures: list[Exception], answer: str = "done"):
     """Callable script that raises the queued failures, then answers."""
     remaining = list(failures)
@@ -366,60 +384,63 @@ def make_flaky(failures: list[Exception], answer: str = "done"):
 
 
 def test_two_failures_then_success_gives_attempt_count_three():
-    sleeps = []
+    failed = RecordedWaits()
     rng = FakeRandom()
     backend = MockChatBackend(
         make_flaky([RateLimited("slow down"), Timeout("no answer")]),
         config=mock_config(max_retries=3),
-        sleep=sleeps.append,
         backoff_rng=rng,
     )
-    result = backend.complete(transcript_for("Honk."))
+    result = fetch(backend, failed)
     assert result.raw_text == "done"
     assert result.attempt_count == 3
     assert backend.send_count == 3
     # full jitter: attempt i draws from [0, 2**(i-1)]
     assert rng.ranges == [(0.0, 1.0), (0.0, 2.0)]
-    assert sleeps == [0.5, 1.0]
+    assert failed.waits == [0.5, 1.0]
 
 
 def test_retries_exhausted_after_max_retries():
     backend = MockChatBackend(
         make_flaky([RateLimited("x")] * 10),
         config=mock_config(max_retries=2),
-        sleep=lambda s: None,
         backoff_rng=FakeRandom(),
     )
     with pytest.raises(RetriesExhausted) as err:
-        backend.complete(transcript_for("Honk."))
+        fetch(backend, RecordedWaits())
     assert err.value.attempts == 3  # 1 try + 2 retries
     assert isinstance(err.value.last_error, RateLimited)
     assert backend.send_count == 3
 
 
 def test_zero_retries_fails_on_first_retryable_error():
-    backend = MockChatBackend(
-        make_flaky([Timeout("x")]),
-        config=mock_config(max_retries=0),
-        sleep=lambda s: None,
-    )
+    failed = RecordedWaits()
+    backend = MockChatBackend(make_flaky([Timeout("x")]), config=mock_config(max_retries=0))
     with pytest.raises(RetriesExhausted) as err:
-        backend.complete(transcript_for("Honk."))
+        fetch(backend, failed)
     assert err.value.attempts == 1
+    assert failed.waits == []
 
 
 def test_auth_and_protocol_errors_are_not_retried():
     for exc in (AuthError("bad key"), ProtocolError("weird body", 500)):
-        slept = []
-        backend = MockChatBackend(
-            make_flaky([exc]),
-            config=mock_config(max_retries=5),
-            sleep=slept.append,
-        )
+        failed = RecordedWaits()
+        backend = MockChatBackend(make_flaky([exc]), config=mock_config(max_retries=5))
         with pytest.raises(type(exc)):
-            backend.complete(transcript_for("Honk."))
+            fetch(backend, failed)
         assert backend.send_count == 1
-        assert slept == []
+        assert failed.waits == []
+
+
+def test_complete_backs_off_on_an_event_that_nothing_sets(monkeypatch):
+    waits = []
+    monkeypatch.setattr(threading.Event, "wait", lambda self, timeout=None: waits.append(timeout))
+    backend = MockChatBackend(
+        make_flaky([Timeout("no answer")]), config=mock_config(max_retries=1),
+        backoff_rng=FakeRandom(),
+    )
+    assert backend.complete(transcript_for("Honk.")).attempt_count == 2
+    assert waits == [0.5]
 
 
 # =============================================================================
@@ -543,13 +564,11 @@ def test_http_503_is_retried_and_the_answer_cached(chat_stub, http_backend, tmp_
     replies = [(503, {"error": "overloaded"})]
     ok = chat_stub.responder
     chat_stub.responder = lambda body: replies.pop(0) if replies else ok(body)
-    slept = []
-    backend = http_backend(
-        cache=ResponseCache(tmp_path / "c"), sleep=slept.append, backoff_rng=FakeRandom()
-    )
-    result = backend.complete(transcript_for("Honk."))
+    failed = RecordedWaits()
+    backend = http_backend(cache=ResponseCache(tmp_path / "c"), backoff_rng=FakeRandom())
+    result = fetch(backend, failed)
     assert (result.raw_text, result.attempt_count) == ("hello there", 2)
-    assert slept == [0.5]
+    assert failed.waits == [0.5]
     assert backend.complete(transcript_for("Honk.")).cache_hit
     assert len(chat_stub.requests) == 2
 
@@ -568,10 +587,10 @@ def test_retry_after_sets_the_wait(chat_stub, http_backend, status, retry_after,
     replies = [(status, {"error": "busy"}, {"Retry-After": retry_after})]
     ok = chat_stub.responder
     chat_stub.responder = lambda body: replies.pop(0) if replies else ok(body)
-    slept = []
-    backend = http_backend(sleep=slept.append, backoff_rng=FakeRandom())
-    assert backend.complete(transcript_for("Honk.")).attempt_count == 2
-    assert slept == [waited]
+    failed = RecordedWaits()
+    backend = http_backend(backoff_rng=FakeRandom())
+    assert fetch(backend, failed).attempt_count == 2
+    assert failed.waits == [waited]
 
 
 class NoBackoff:
@@ -642,7 +661,7 @@ def test_sequential_completions_reuse_one_connection(chat_stub, http_backend):
 
 
 def test_concurrent_requests_never_share_a_connection(chat_stub, http_backend):
-    backend = http_backend(sleep=lambda s: None)
+    backend = http_backend()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -667,11 +686,11 @@ def test_close_drops_the_idle_connections(chat_stub, http_backend):
 
 def test_dropped_idle_connection_reconnects_without_a_retry(chat_stub, http_backend):
     chat_stub.drop_idle = True
-    slept = []
-    backend = http_backend(sleep=slept.append)
-    counts = [backend.complete(transcript_for(f"Honk {i}.")).attempt_count for i in range(5)]
+    failed = RecordedWaits()
+    backend = http_backend()
+    counts = [fetch(backend, failed, f"Honk {i}.").attempt_count for i in range(5)]
     assert counts == [1] * 5
-    assert slept == []
+    assert failed.waits == []
     assert len(chat_stub.requests) == 5
     assert chat_stub.opened == 5
 

@@ -224,6 +224,21 @@ def test_sample_writes_loadable_subset(toy_path, tmp_path, capsys):
     assert all(rec.command_id in full_ids for rec in subset)
 
 
+def test_sample_writes_into_a_new_directory_and_an_unwritable_path_is_a_data_error(
+    toy_path, tmp_path, capsys
+):
+    nested = tmp_path / "nodir" / "sub.tsv"
+    assert run_cli("sample", "--dataset", toy_path, "--n", "12", "--out", str(nested)) == 0
+    assert len(load_dataset(nested)) == 12
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("in the way")
+    capsys.readouterr()
+    code = run_cli("sample", "--dataset", toy_path, "--n", "12", "--out", str(blocker / "s.tsv"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"data error: cannot write {blocker / 's.tsv'}")
+    assert [p.name for p in tmp_path.iterdir() if p.name != "nodir"] == ["file.txt"]
+
+
 def test_sample_n_out_of_range_is_usage_error(toy_path, tmp_path, capsys):
     code = run_cli("sample", "--dataset", toy_path, "--n", "99", "--out", str(tmp_path / "s.tsv"))
     assert code == 1

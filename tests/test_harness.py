@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -23,7 +24,6 @@ from cmdreason.backend import (
     RateLimited,
     RequestEncoder,
     ResponseCache,
-    mock_config,
 )
 from cmdreason.dataset import (
     LabeledCommand,
@@ -52,12 +52,15 @@ from cmdreason.metrics import evaluate
 from cmdreason.prompt import ExplanationMode, build_transcript
 
 
+def gold_config(**overrides) -> BackendConfig:
+    """The backend config of make_spec's specs, which a backend run with them must carry."""
+    return BackendConfig(endpoint_url="mock://gold", model_name="mock-gold", **overrides)
+
+
 def make_spec(toy_path, template, out_dir, **overrides) -> ExperimentSpec:
     shots = overrides.pop("shots", 2)
     mode = overrides.pop("mode", ExplanationMode.STEPWISE)
-    overrides.setdefault(
-        "backend_config", BackendConfig(endpoint_url="mock://gold", model_name="mock-gold")
-    )
+    overrides.setdefault("backend_config", gold_config())
     return ExperimentSpec(
         dataset_path=str(toy_path),
         prompt_config=template.config(mode, shots),
@@ -69,7 +72,7 @@ def make_spec(toy_path, template, out_dir, **overrides) -> ExperimentSpec:
 def gold_backend(toy_data, cache_dir, max_in_flight=4) -> MockChatBackend:
     return MockChatBackend(
         gold_echo_script(toy_data),
-        config=mock_config(max_in_flight=max_in_flight),
+        config=gold_config(max_in_flight=max_in_flight),
         cache=ResponseCache(cache_dir),
     )
 
@@ -178,7 +181,7 @@ def test_load_records_rejects_malformed_lines(tmp_path, line):
 def test_one_unparseable_response_hand_count(toy_path, toy_data, template, tmp_path):
     script = gold_echo_script(toy_data)
     script[toy_data[7].text] = "I will comply."  # c08 becomes unparseable
-    backend = MockChatBackend(script, cache=ResponseCache(tmp_path / "cache"))
+    backend = MockChatBackend(script, config=gold_config(), cache=ResponseCache(tmp_path / "cache"))
 
     strict = run_experiment(
         make_spec(toy_path, template, tmp_path / "strict"), backend
@@ -237,13 +240,18 @@ def test_parallel_dispatch_does_not_change_outputs(toy_path, toy_data, template,
         time.sleep((hash(text) % 7) / 1000)
         return base[text]
 
-    backend_parallel = MockChatBackend(staggered, config=mock_config(max_in_flight=8))
+    backend_parallel = MockChatBackend(staggered, config=gold_config(max_in_flight=8))
     out_a = tmp_path / "parallel"
-    run_experiment(make_spec(toy_path, template, out_a), backend_parallel)
+    run_experiment(
+        make_spec(toy_path, template, out_a, backend_config=backend_parallel.config),
+        backend_parallel,
+    )
 
-    backend_serial = MockChatBackend(base, config=mock_config(max_in_flight=1))
+    backend_serial = MockChatBackend(base, config=gold_config(max_in_flight=1))
     out_b = tmp_path / "serial"
-    run_experiment(make_spec(toy_path, template, out_b), backend_serial)
+    run_experiment(
+        make_spec(toy_path, template, out_b, backend_config=backend_serial.config), backend_serial
+    )
 
     assert (out_a / "records.jsonl").read_bytes() == (out_b / "records.jsonl").read_bytes()
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
@@ -254,9 +262,9 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
     script = gold_echo_script(toy_data)
     script[toy_data[12].text] = ProtocolError("endpoint exploded")  # c13 dies
     out = tmp_path / "run"
-    spec = make_spec(toy_path, template, out)
+    spec = make_spec(toy_path, template, out, backend_config=gold_config(max_in_flight=1))
 
-    broken = MockChatBackend(script, config=mock_config(max_in_flight=1), cache=cache)
+    broken = MockChatBackend(script, config=spec.backend_config, cache=cache)
     with pytest.raises(AbortedRun) as err:
         run_experiment(spec, broken)
     assert err.value.n_completed == 12
@@ -267,9 +275,7 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
     assert [row["id"] for row in responses] == [rec.command_id for rec in toy_data[:12]]
     assert not (out / "records.jsonl").exists()
 
-    healthy = MockChatBackend(
-        gold_echo_script(toy_data), config=mock_config(max_in_flight=1), cache=cache
-    )
+    healthy = MockChatBackend(gold_echo_script(toy_data), config=spec.backend_config, cache=cache)
     resumed = run_experiment(spec, healthy)
     # everything the first pass managed to complete replays from cache; only
     # the remainder (at least the command that died) goes out again
@@ -278,7 +284,7 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
 
     clean_out = tmp_path / "clean"
     clean = run_experiment(
-        make_spec(toy_path, template, clean_out),
+        make_spec(toy_path, template, clean_out, backend_config=spec.backend_config),
         gold_backend(toy_data, tmp_path / "cache2", max_in_flight=1),
     )
     assert clean.report == resumed.report
@@ -288,7 +294,7 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
 
 _KILLED_RUN = """
 import itertools, os, sys
-from cmdreason.backend import BackendConfig, MockChatBackend, ResponseCache, mock_config
+from cmdreason.backend import BackendConfig, MockChatBackend, ResponseCache
 from cmdreason.dataset import load_dataset
 from cmdreason.harness import ExperimentSpec, gold_echo_script, run_experiment
 from cmdreason.prompt import ExplanationMode, default_template
@@ -318,7 +324,7 @@ spec = ExperimentSpec(
     BackendConfig(endpoint_url="mock://gold", model_name="mock-gold"),
     out,
 )
-run_experiment(spec, MockChatBackend(answer, mock_config(max_in_flight=4), LoggedCache(cache_dir)))
+run_experiment(spec, MockChatBackend(answer, spec.backend_config, LoggedCache(cache_dir)))
 """
 
 
@@ -360,7 +366,7 @@ def test_response_ids_round_trip_verbatim(template, tmp_path):
     ds = tmp_path / "d.tsv"
     save_dataset(data, ds)
     spec = make_spec(ds, template, tmp_path / "run")
-    result = run_experiment(spec, MockChatBackend(gold_echo_script(data)))
+    result = run_experiment(spec, MockChatBackend(gold_echo_script(data), spec.backend_config))
     assert result.records[0].command_id == "weird/id: 1"
     assert read_jsonl(tmp_path / "run" / "responses.jsonl") == [
         {"id": "weird/id: 1", "text": gold_echo_script(data)["Honk the horn."]}
@@ -375,7 +381,8 @@ def test_responses_are_byte_identical_across_reruns_and_concurrency(
         backend = gold_backend(toy_data, tmp_path / f"cache{max_in_flight}", max_in_flight)
         for attempt in ("cold", "warm"):
             out = tmp_path / f"run{max_in_flight}{attempt}"
-            run_experiment(make_spec(toy_path, template, out), backend)
+            spec = make_spec(toy_path, template, out, backend_config=backend.config)
+            run_experiment(spec, backend)
             outputs.append((out / "responses.jsonl").read_bytes())
     assert len(set(outputs)) == 1
 
@@ -510,10 +517,8 @@ def test_worker_failure_stops_run_and_leaves_partial_snapshot(
         return script[transcript[-1].content]
 
     out = tmp_path / "run"
-    spec = make_spec(toy_path, template, out)
-    backend = MockChatBackend(
-        slow, config=mock_config(max_in_flight=2), cache=FullCache(tmp_path / "cache")
-    )
+    spec = make_spec(toy_path, template, out, backend_config=gold_config(max_in_flight=2))
+    backend = MockChatBackend(slow, config=spec.backend_config, cache=FullCache(tmp_path / "cache"))
     with pytest.raises(OSError, match="No space left"):
         run_experiment(spec, backend)
     assert backend.send_count < len(toy_data)  # queued requests were cancelled
@@ -521,7 +526,7 @@ def test_worker_failure_stops_run_and_leaves_partial_snapshot(
     assert (out / "responses.partial.jsonl").is_file()
     assert not (out / "records.jsonl").exists()
 
-    run_experiment(spec, gold_backend(toy_data, tmp_path / "cache"))
+    run_experiment(spec, gold_backend(toy_data, tmp_path / "cache", max_in_flight=2))
     assert not (out / "records.partial.jsonl").exists()
     assert not (out / "responses.partial.jsonl").exists()
 
@@ -533,8 +538,10 @@ def test_pool_bounds_requests_in_flight(toy_path, toy_data, template, tmp_path):
         time.sleep(0.02)
         return script[transcript[-1].content]
 
-    backend = MockChatBackend(slow, config=mock_config(max_in_flight=3))
-    result = run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
+    backend = MockChatBackend(slow, config=gold_config(max_in_flight=3))
+    result = run_experiment(
+        make_spec(toy_path, template, tmp_path / "run", backend_config=backend.config), backend
+    )
     assert result.report.command_level_accuracy == 1
     assert backend.send_count == len(toy_data)
     assert backend.peak_in_flight == 3
@@ -552,10 +559,12 @@ def test_no_request_is_sent_after_a_failure(toy_path, toy_data, template, tmp_pa
 
     cache_dir = tmp_path / "cache"
     backend = MockChatBackend(
-        third_call_fails, config=mock_config(max_in_flight=1), cache=ResponseCache(cache_dir)
+        third_call_fails, config=gold_config(max_in_flight=1), cache=ResponseCache(cache_dir)
     )
     with pytest.raises(AbortedRun):
-        run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
+        run_experiment(
+            make_spec(toy_path, template, tmp_path / "run", backend_config=backend.config), backend
+        )
     assert backend.send_count == 3
     assert len(cache_entries(cache_dir)) == 2
 
@@ -585,11 +594,13 @@ def test_failure_ends_a_siblings_backoff(toy_path, toy_data, template, tmp_path)
         return script[text]
 
     backend = MockChatBackend(
-        answer, config=mock_config(max_in_flight=2, max_retries=3), backoff_rng=LongBackoff()
+        answer, config=gold_config(max_in_flight=2, max_retries=3), backoff_rng=LongBackoff()
     )
     start = time.monotonic()
     with pytest.raises(AbortedRun) as err:
-        run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
+        run_experiment(
+            make_spec(toy_path, template, tmp_path / "run", backend_config=backend.config), backend
+        )
     assert time.monotonic() - start < 10  # the sibling's backoff alone is 30 s
     assert sorted(sent) == sorted([first, second])  # the sibling sent nothing more
     assert isinstance(err.value.cause, ProtocolError)  # the failure, not the cut backoff
@@ -621,11 +632,13 @@ def test_failure_under_contention_keeps_every_completed_result(
             cache_dir = tmp_path / f"cache{attempt}"
             out = tmp_path / f"run{attempt}"
             backend = MockChatBackend(
-                fifth_call_fails, config=mock_config(max_in_flight=8),
+                fifth_call_fails, config=gold_config(max_in_flight=8),
                 cache=ResponseCache(cache_dir),
             )
             with pytest.raises(AbortedRun) as err:
-                run_experiment(make_spec(toy_path, template, out), backend)
+                run_experiment(
+                    make_spec(toy_path, template, out, backend_config=backend.config), backend
+                )
             cached = len(cache_entries(cache_dir))
             assert backend.send_count <= 5 + 7
             assert cached == backend.send_count - 1 == err.value.n_completed
@@ -656,10 +669,9 @@ def test_duplicate_command_is_sent_once_and_replays_identically(
         return gold[transcript[-1].content] if n % 2 else "[0 0 0 0 0 0 0 0]"
 
     out = tmp_path / "run"
-    spec = make_spec(path, template, out)
+    spec = make_spec(path, template, out, backend_config=gold_config(max_in_flight=max_in_flight))
     backend = MockChatBackend(
-        changing, config=mock_config(max_in_flight=max_in_flight),
-        cache=ResponseCache(tmp_path / "cache"),
+        changing, config=spec.backend_config, cache=ResponseCache(tmp_path / "cache")
     )
     cold = run_experiment(spec, backend)
     cold_files = snapshot(out)
@@ -681,7 +693,7 @@ def test_cached_responses_replay_byte_for_byte(newline, toy_path, toy_data, temp
         text: f"Step 1: Yes.{newline}{answer}{newline}"
         for text, answer in gold_echo_script(toy_data).items()
     }
-    backend = MockChatBackend(script, cache=ResponseCache(tmp_path / "cache"))
+    backend = MockChatBackend(script, config=gold_config(), cache=ResponseCache(tmp_path / "cache"))
     outputs = []
     for attempt in ("cold", "warm"):
         out = tmp_path / attempt
@@ -692,10 +704,32 @@ def test_cached_responses_replay_byte_for_byte(newline, toy_path, toy_data, temp
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "other",
+    [{"endpoint_url": "https://api.example.com/v1"}, {"model_name": "gpt-4"}, {"max_in_flight": 2}],
+    ids=["endpoint", "model", "max_in_flight"],
+)
+def test_backend_of_another_config_is_a_usage_error_before_any_write_or_send(
+    other, toy_path, toy_data, template, tmp_path
+):
+    backend = MockChatBackend(
+        gold_echo_script(toy_data),
+        config=dataclasses.replace(gold_config(), **other),
+        cache=ResponseCache(tmp_path / "cache"),
+    )
+    with pytest.raises(UsageError, match="is not the spec's"):
+        run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
+    with pytest.raises(UsageError, match="is not the spec's"):
+        run_ablation(small_grid(toy_path, template, tmp_path / "grid"), backend)
+    assert backend.send_count == 0
+    assert list(tmp_path.iterdir()) == []  # no spec.json, no output directory, no cache file
+
+
 def test_spec_json_round_trip(toy_path, template, tmp_path):
     spec = make_spec(toy_path, template, tmp_path / "run", failure_policy="exclude")
     assert ExperimentSpec.from_json_dict(spec.to_json_dict()) == spec
-    run_experiment(spec, MockChatBackend(gold_echo_script(load_dataset(toy_path))))
+    backend = MockChatBackend(gold_echo_script(load_dataset(toy_path)), spec.backend_config)
+    run_experiment(spec, backend)
     on_disk = json.loads((tmp_path / "run" / "spec.json").read_text())
     assert ExperimentSpec.from_json_dict(on_disk) == spec
 
@@ -791,7 +825,7 @@ def test_grid_continues_past_failing_cell(toy_path, toy_data, template, tmp_path
             raise ProtocolError("no shots, no service")
         return gold_script[transcript[-1].content]
 
-    backend = MockChatBackend(script, cache=ResponseCache(tmp_path / "cache"))
+    backend = MockChatBackend(script, config=gold_config(), cache=ResponseCache(tmp_path / "cache"))
     out = tmp_path / "grid"
     grid = AblationGrid(
         make_spec(toy_path, template, out), (ExplanationMode.STEPWISE,), (0, 1, 2)
@@ -809,9 +843,9 @@ def test_grid_continues_past_failing_cell(toy_path, toy_data, template, tmp_path
     assert "error" in table
 
 
-def small_grid(path, template, out) -> AblationGrid:
+def small_grid(path, template, out, backend_config=None) -> AblationGrid:
     return AblationGrid(
-        make_spec(path, template, out, shots=2),
+        make_spec(path, template, out, shots=2, backend_config=backend_config or gold_config()),
         (ExplanationMode.NONE, ExplanationMode.STEPWISE), (0, 1, 2),
     )
 
@@ -843,9 +877,9 @@ def test_grid_fetches_through_one_pool_that_stays_full_across_cells(
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", CountedPool)
     backend = MockChatBackend(
-        slow, config=mock_config(max_in_flight=4), cache=ResponseCache(tmp_path / "cache")
+        slow, config=gold_config(max_in_flight=4), cache=ResponseCache(tmp_path / "cache")
     )
-    grid = small_grid(tmp_path / "two.tsv", template, tmp_path / "grid")
+    grid = small_grid(tmp_path / "two.tsv", template, tmp_path / "grid", backend.config)
     cells = run_ablation(grid, backend)
     assert all(cell.error is None for cell in cells)
     assert len(pools) == 1
@@ -869,8 +903,8 @@ def test_grid_sends_cell_by_cell_in_dataset_order(toy_path, toy_data, template, 
         sent.append((transcript[0].content, len(transcript), transcript[-1].content))
         return gold[transcript[-1].content]
 
-    backend = MockChatBackend(recording, config=mock_config(max_in_flight=1))
-    grid = small_grid(toy_path, template, tmp_path / "grid")
+    backend = MockChatBackend(recording, config=gold_config(max_in_flight=1))
+    grid = small_grid(toy_path, template, tmp_path / "grid", backend.config)
     run_ablation(grid, backend)
     expected = []
     for mode, shots in grid.cells():
@@ -896,8 +930,8 @@ def test_grid_writes_each_cell_while_later_cells_are_fetched(
             written.append(first_report.exists())
         return gold[transcript[-1].content]
 
-    backend = MockChatBackend(waiting_for_the_first_cell, config=mock_config(max_in_flight=2))
-    run_ablation(small_grid(toy_path, template, out), backend)
+    backend = MockChatBackend(waiting_for_the_first_cell, config=gold_config(max_in_flight=2))
+    run_ablation(small_grid(toy_path, template, out, backend.config), backend)
     assert written == [True] * len(toy_data)
 
 
@@ -925,10 +959,10 @@ def test_failed_cell_stops_only_its_own_queued_requests(toy_path, toy_data, temp
 
         out, cache_dir = tmp_path / f"grid{attempt}", tmp_path / f"cache{attempt}"
         backend = MockChatBackend(
-            first_cell_fails, config=mock_config(max_in_flight=1 if attempt else 3),
+            first_cell_fails, config=gold_config(max_in_flight=1 if attempt else 3),
             cache=ResponseCache(cache_dir),
         )
-        cells = run_ablation(small_grid(toy_path, template, out), backend)
+        cells = run_ablation(small_grid(toy_path, template, out, backend.config), backend)
         assert [cell.error is None for cell in cells] == [False] + [True] * 5
         assert "run aborted after" in cells[0].error
         assert backend.send_count <= 3 + 2 + 5 * len(toy_data)
@@ -965,11 +999,11 @@ def test_grid_under_contention_finishes_every_cell(toy_path, toy_data, template,
 
             cache_dir = tmp_path / f"cache{attempt}"
             backend = MockChatBackend(
-                tenth_call_fails, config=mock_config(max_in_flight=8),
+                tenth_call_fails, config=gold_config(max_in_flight=8),
                 cache=ResponseCache(cache_dir),
             )
             cells = []
-            grid = small_grid(toy_path, template, tmp_path / f"grid{attempt}")
+            grid = small_grid(toy_path, template, tmp_path / f"grid{attempt}", backend.config)
             runner = threading.Thread(
                 target=lambda: cells.extend(run_ablation(grid, backend)), daemon=True
             )
@@ -1000,12 +1034,12 @@ class FailingCache(ResponseCache):
 
 def test_cache_put_error_stops_the_grid_and_propagates(toy_path, toy_data, template, tmp_path):
     backend = MockChatBackend(
-        gold_echo_script(toy_data), config=mock_config(max_in_flight=1),
+        gold_echo_script(toy_data), config=gold_config(max_in_flight=1),
         cache=FailingCache(tmp_path / "cache"),
     )
     out = tmp_path / "grid"
     with pytest.raises(OSError, match="No space left"):
-        run_ablation(small_grid(toy_path, template, out), backend)
+        run_ablation(small_grid(toy_path, template, out, backend.config), backend)
     assert backend.send_count == 3
     assert len(load_records(out / "none_0shot" / "records.partial.jsonl")) == 2
     assert not (out / "none_0shot" / "records.jsonl").exists()
@@ -1098,11 +1132,11 @@ def test_small_grid_output_bytes_are_pinned(toy_path, toy_data, template, tmp_pa
         return "Answer: " + RequirementVector(tuple(flags)).bracket()
 
     backend = MockChatBackend(
-        script, config=mock_config(max_in_flight=1), cache=ResponseCache(tmp_path / "cache")
+        script, config=gold_config(max_in_flight=1), cache=ResponseCache(tmp_path / "cache")
     )
     out = tmp_path / "grid"
     grid = AblationGrid(
-        make_spec(toy_path, template, out, shots=4),
+        make_spec(toy_path, template, out, shots=4, backend_config=backend.config),
         (ExplanationMode.NONE, ExplanationMode.STEPWISE),
         (0, 2),
     )
@@ -1123,7 +1157,7 @@ def rows_from_runs(*reports) -> list[ResultRow]:
 
 def sample_rows(toy_path, toy_data, template, tmp_path) -> list[ResultRow]:
     spec = make_spec(toy_path, template, tmp_path / "rowsrun")
-    result = run_experiment(spec, MockChatBackend(gold_echo_script(toy_data)))
+    result = run_experiment(spec, MockChatBackend(gold_echo_script(toy_data), spec.backend_config))
     return rows_from_runs(("mock-gold", result.report))
 
 
@@ -1184,7 +1218,7 @@ def test_emit_unwritable_path(tmp_path):
 def test_load_result_row_round_trip(toy_path, toy_data, template, tmp_path):
     out = tmp_path / "run"
     spec = make_spec(toy_path, template, out)
-    result = run_experiment(spec, MockChatBackend(gold_echo_script(toy_data)))
+    result = run_experiment(spec, MockChatBackend(gold_echo_script(toy_data), spec.backend_config))
     row = load_result_row(out)
     assert row == ResultRow.from_eval("mock-gold", result.report)
 
@@ -1198,7 +1232,7 @@ def test_score_round_trip_matches_original_report(toy_path, toy_data, template, 
     script = gold_echo_script(toy_data)
     script[toy_data[3].text] = "no answer here"
     spec = make_spec(toy_path, template, tmp_path / "run")
-    result = run_experiment(spec, MockChatBackend(script))
+    result = run_experiment(spec, MockChatBackend(script, spec.backend_config))
     records = load_records(tmp_path / "run" / "records.jsonl")
     rescored = evaluate(records, toy_data, "strict")
     assert rescored == result.report
