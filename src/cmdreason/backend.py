@@ -4,13 +4,14 @@ A RequestEncoder gives each request its one encoding: the JSON body sent, and
 the cache key, sha256 over the endpoint URL and that body.  complete()
 answers one transcript: lookup() reads the response cache, and on a miss
 fetch() drives the retry loop around the transport-specific _send(body).
-The harness encodes, looks up and fetches itself, so that it resolves every
-hit before it starts any worker; its pool of max_in_flight workers bounds
-the requests in flight.  Each answer is a CompletionResult: the raw text,
-replayed byte for byte from the cache, and the requests it took, 0 when it
-came from the cache.  Retryable failures (RateLimited, ServerError for HTTP
-500/502/503/504, Timeout) back off exponentially with full jitter: attempt i
-waits uniform(0, 1s * 2**i), or, after a 429 or 503 whose Retry-After header
+The harness encodes, looks up (a run's keys at once, through lookup_many())
+and fetches itself, so that it resolves every hit before it starts any
+worker; its pool of max_in_flight workers bounds the requests in flight.
+Each answer is a CompletionResult: the raw text, replayed byte for byte from
+the cache, and the requests it took, 0 when it came from the cache.
+Retryable failures (RateLimited, ServerError for HTTP 500/502/503/504,
+Timeout) back off exponentially with full jitter: attempt i waits
+uniform(0, 1s * 2**i), or, after a 429 or 503 whose Retry-After header
 gives delta-seconds, that many seconds up to RETRY_AFTER_MAX_SECONDS.  Each
 wait is on the run's `failed` event, which fetch() takes from its caller,
 so that it is cut short once the run has failed; complete() passes an event
@@ -208,10 +209,13 @@ class ResponseCache:
     """Answers of completed requests by cache key, in one sqlite3 file.
 
     The file is ``<directory>/responses.sqlite``, a table
-    ``responses(key, text)``, opened on first use.  Each put commits on its
-    own, and the first answer stored for a key is the one kept.  In WAL mode
-    a reader never waits for a writer, and several processes can share one
-    cache: a writer waits up to BUSY_TIMEOUT_SECONDS for another's write.  A
+    ``responses(key, text)``, opened on first use.  get_many() reads a
+    run's keys, in one query per chunk of them; get() reads one key through
+    it.  Each put
+    commits on its own, and the first answer stored for a key is the one
+    kept.  In WAL mode a reader never waits for a writer, and several
+    processes can share one cache: a writer waits up to BUSY_TIMEOUT_SECONDS
+    for another's write.  A
     process that dies mid-run leaves every committed answer readable and no
     torn one.  With synchronous=NORMAL, a power loss can drop the last
     commits but not corrupt the file.  The WAL is checkpointed every
@@ -226,6 +230,7 @@ class ResponseCache:
     FILE_NAME = "responses.sqlite"
     BUSY_TIMEOUT_SECONDS = 30.0
     WAL_CHECKPOINT_PAGES = 64
+    GET_MANY_CHUNK = 500  # keys per get_many query
 
     def __init__(self, directory: str | Path | None = None) -> None:
         if directory is None:
@@ -286,11 +291,21 @@ class ResponseCache:
             time.sleep(0.01)
 
     def get(self, key: str) -> str | None:
-        with self._lock:
-            row = self._connection().execute(
-                "SELECT text FROM responses WHERE key = ?", (key,)
-            ).fetchone()
-        return None if row is None else row[0]
+        return self.get_many([key]).get(key)
+
+    def get_many(self, keys: list[str]) -> dict[str, str]:
+        """The answers stored for keys, by key; a key without one is left out.
+
+        One query per GET_MANY_CHUNK keys: the chunk stays under the 999
+        parameters that older SQLite builds allow in one statement.
+        """
+        found: dict[str, str] = {}
+        for start in range(0, len(keys), self.GET_MANY_CHUNK):
+            chunk = keys[start:start + self.GET_MANY_CHUNK]
+            query = f"SELECT key, text FROM responses WHERE key IN ({','.join('?' * len(chunk))})"
+            with self._lock:
+                found.update(self._connection().execute(query, chunk))
+        return found
 
     def put(self, key: str, text: str) -> None:
         with self._lock:
@@ -335,10 +350,16 @@ class ChatBackend:
 
     def lookup(self, key: str) -> CompletionResult | None:
         """The cached completion for key, or None on a miss or without a cache."""
+        return self.lookup_many([key]).get(key)
+
+    def lookup_many(self, keys: list[str]) -> dict[str, CompletionResult]:
+        """The cached completions of keys, by key; a miss is left out.  Without a cache, none."""
         if self.cache is None:
-            return None
-        cached = self.cache.get(key)
-        return None if cached is None else CompletionResult(cached, attempt_count=0)
+            return {}
+        return {
+            key: CompletionResult(text, attempt_count=0)
+            for key, text in self.cache.get_many(keys).items()
+        }
 
     def complete(self, transcript: Transcript) -> CompletionResult:
         """Return the assistant text for a transcript, consulting the cache first."""

@@ -18,6 +18,8 @@ re-score it offline:
 Each file is written once, whole, through a temp file and os.replace, after
 clear_run_dir has deleted every artifact of an earlier run or baseline.
 Baselines write records.jsonl and report.json through save_run_artifacts.
+A JSONL line holds the bytes that json.dumps(row, sort_keys=True) gives,
+rendered straight from the row's fixed key order.
 
 A run reads one backend config, its spec's: the one spec.json names, the
 cache keys hash, the pool is sized by and report.json is labelled with.  A
@@ -37,8 +39,9 @@ records.jsonl format.
 thread, clears each run's directory, writes its spec.json, encodes each
 command once into the tail of its request body (the head is built once per
 prompt config), hashes the key from the head's state, and looks up each
-distinct key once.  Fetching sends the misses of all runs from one pool of
-up to max_in_flight workers, in canonical order: run by run, then dataset
+distinct key once: a run's keys go to one lookup_many, which reads them in
+chunked queries.  Fetching sends the misses of all runs from one pool of up
+to max_in_flight workers, in canonical order: run by run, then dataset
 order.  A key that several positions of a run share is sent once, and its
 answer fills each of them.  A fully warm set of runs starts no pool.
 Finishing parses, scores and writes a run, or writes its partial snapshots
@@ -172,8 +175,19 @@ def _write_json(path: Path, data: Any) -> None:
     write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_jsonl(path: Path, rows: list[dict[str, Any]]) -> None:
-    write_text(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+# A JSON string as json.dumps writes it by default (ensure_ascii): what the JSONL lines hold.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _str_or_null(value: str | None) -> str:
+    return "null" if value is None else _json_str(value)
+
+
+def _write_responses(path: Path, rows: list[tuple[str, str]]) -> None:
+    """One line per (command id, response text): json.dumps({"id", "text"}, sort_keys=True)."""
+    write_text(
+        path, "".join(f'{{"id": {_json_str(i)}, "text": {_json_str(text)}}}\n' for i, text in rows)
+    )
 
 
 RUN_ARTIFACTS = ("spec.json", "responses.jsonl", "records.jsonl", "report.json",
@@ -257,9 +271,10 @@ class _Run:
     """One run from plan to finish: the cache key of each dataset position and the answers found.
 
     Planning clears the output directory, writes spec.json, encodes every
-    command and looks up each distinct key once, on the calling thread.  The
-    keys it missed wait in `misses`, with the tails of their request bodies,
-    in dataset order; `done` is set once none of them is still to be sent.
+    command and looks up its distinct keys in one lookup_many, on the
+    calling thread.  The keys it missed wait in `misses`, with the tails of
+    their request bodies, in dataset order; `done` is set once none of them
+    is still to be sent.
     `failed` stops the run's queued requests and backoffs, and `error` is
     the first error that stopped the run.
     """
@@ -274,15 +289,9 @@ class _Run:
         tails = [encoder.tail(build_transcript(spec.prompt_config, rec.text)) for rec in data]
         self.keys = [encoder.key(tail) for tail in tails]
         self.head = encoder.head
-        self.answers: dict[str, CompletionResult] = {}
-        self.misses: dict[str, bytes] = {}
-        for key, tail in zip(self.keys, tails):
-            if key not in self.answers and key not in self.misses:
-                result = backend.lookup(key)
-                if result is None:
-                    self.misses[key] = tail
-                else:
-                    self.answers[key] = result
+        bodies = dict(zip(self.keys, tails))  # each distinct key once, in dataset order
+        self.answers: dict[str, CompletionResult] = backend.lookup_many(list(bodies))
+        self.misses = {key: tail for key, tail in bodies.items() if key not in self.answers}
         self.pending = len(self.misses)  # misses not yet sent, failed or skipped
         self.done = threading.Event()
         if not self.pending:
@@ -303,9 +312,9 @@ class _Run:
         done = [i for i, result in enumerate(results) if result is not None]
         suffix = "" if len(done) == len(data) else ".partial"
         records = [_predict(data[i], results[i].raw_text, self.keys[i]) for i in done]
-        _write_jsonl(
+        _write_responses(
             self.out_dir / f"responses{suffix}.jsonl",
-            [{"id": data[i].command_id, "text": results[i].raw_text} for i in done],
+            [(data[i].command_id, results[i].raw_text) for i in done],
         )
         _write_records(self.out_dir / f"records{suffix}.jsonl", [data[i] for i in done], records)
         if suffix:
@@ -462,21 +471,17 @@ def _predict(rec: LabeledCommand, raw_text: str, key: str) -> PredictionRecord:
 def _write_records(
     path: Path, data: list[LabeledCommand], records: list[PredictionRecord]
 ) -> None:
-    """One line per record; data[i] is the command records[i] predicts."""
-    _write_jsonl(
-        path,
-        [
-            {
-                "id": record.command_id,
-                "cache_key": record.cache_key,
-                "method": record.method,
-                "failure_reason": record.failure_reason,
-                "predicted": record.vector.bits() if record.vector is not None else None,
-                "gold": rec.gold.bits(),
-            }
-            for rec, record in zip(data, records, strict=True)
-        ],
-    )
+    """One line per record, its keys in sorted order; data[i] is the command records[i] predicts."""
+    lines = []
+    for rec, record in zip(data, records, strict=True):
+        predicted = None if record.vector is None else record.vector.bits()
+        lines.append(
+            f'{{"cache_key": {_json_str(record.cache_key)}, '
+            f'"failure_reason": {_str_or_null(record.failure_reason)}, '
+            f'"gold": {_json_str(rec.gold.bits())}, "id": {_json_str(record.command_id)}, '
+            f'"method": {_str_or_null(record.method)}, "predicted": {_str_or_null(predicted)}}}\n'
+        )
+    write_text(path, "".join(lines))
 
 
 def load_records(path: str | Path) -> list[PredictionRecord]:

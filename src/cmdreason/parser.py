@@ -2,9 +2,10 @@
 
 Stage 1 (``bracket``): scan the whole response for bracket groups.  A group
 qualifies if, after splitting its interior on whitespace/commas, it holds
-exactly 8 tokens that are all ``0`` or ``1``.  The LAST qualifying group wins,
-because models that restate the format instruction or think out loud tend to
-put the real answer at the end.
+exactly 8 tokens that are all ``0`` or ``1``; one regex matches exactly the
+qualifying groups.  The LAST qualifying group wins, because models that
+restate the format instruction or think out loud tend to put the real answer
+at the end.
 
 Stage 2 (``step_fallback``): if no bracket group qualifies, look for lines of
 the form ``Step k: ...`` (case-insensitive, tolerating leading quote/list
@@ -25,12 +26,16 @@ from .dataset import N_QUESTIONS, RequirementVector
 METHOD_BRACKET = "bracket"
 METHOD_STEP_FALLBACK = "step_fallback"
 
-_GROUP_RE = re.compile(r"\[([^\[\]]*)\]")
-_TOKEN_SEP_RE = re.compile(r"[\s,]+")
-# Leading markup tolerated before "Step": whitespace, quotes, list markers.
-_STEP_LINE_RE = re.compile(r"""^[\s"'*\-]*step\s*(\d+)\s*:(.*)$""", re.IGNORECASE)
-# Yes/No may be wrapped in light punctuation but must be the first word.
-_ANSWER_RE = re.compile(r"""^[\s"'*\-:.,()\[\]]*(yes|no)\b""", re.IGNORECASE)
+# "[", then 8 tokens of 0 or 1 with whitespace/commas between and around them, then "]"
+_BRACKET_RE = re.compile(
+    r"\[[\s,]*([01])" + r"[\s,]+([01])" * (N_QUESTIONS - 1) + r"[\s,]*\]"
+)
+# A step line: leading markup (whitespace, quotes, list markers), "Step k:",
+# then the Yes/No, which may be wrapped in light punctuation but must be the
+# first word; group 2 is None when it is not there.
+_STEP_LINE_RE = re.compile(
+    r"""[\s"'*\-]*step\s*(\d+)\s*:[\s"'*\-:.,()\[\]]*(?:(yes|no)\b)?""", re.IGNORECASE
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,18 +54,10 @@ class ParseOutcome:
         if parsed and self.method not in (METHOD_BRACKET, METHOD_STEP_FALLBACK):
             raise ValueError(f"unknown parse method {self.method!r}")
 
-    @property
-    def ok(self) -> bool:
-        return self.vector is not None
-
 
 def _find_bracket_vector(text: str) -> RequirementVector | None:
-    last: RequirementVector | None = None
-    for match in _GROUP_RE.finditer(text):
-        tokens = [t for t in _TOKEN_SEP_RE.split(match.group(1).strip()) if t]
-        if len(tokens) == N_QUESTIONS and all(t in ("0", "1") for t in tokens):
-            last = RequirementVector(t == "1" for t in tokens)
-    return last
+    groups = _BRACKET_RE.findall(text)
+    return RequirementVector(t == "1" for t in groups[-1]) if groups else None
 
 
 def _step_fallback(text: str) -> ParseOutcome:
@@ -73,10 +70,8 @@ def _step_fallback(text: str) -> ParseOutcome:
         k = int(match.group(1))
         if not 1 <= k <= N_QUESTIONS:
             continue
-        word = _ANSWER_RE.match(match.group(2))
-        answers.setdefault(k, []).append(
-            word.group(1).lower() == "yes" if word else None
-        )
+        word = match.group(2)
+        answers.setdefault(k, []).append(word.lower() == "yes" if word else None)
     if not answers:
         return ParseOutcome(None, None, "no_bracket_no_steps")
     flags: list[bool] = []

@@ -198,10 +198,10 @@ def test_criterion_3_parser_corpus():
     for text, expected in PARSER_CORPUS:
         outcome = parse_response(text)
         if isinstance(expected, str):
-            if not outcome.ok or outcome.vector.bits() != expected:
+            if outcome.vector is None or outcome.vector.bits() != expected:
                 wrong.append((text[:40], expected, outcome))
         else:
-            if outcome.ok or outcome.failure_reason != expected[1]:
+            if outcome.vector is not None or outcome.failure_reason != expected[1]:
                 wrong.append((text[:40], expected, outcome))
     ok = len(PARSER_CORPUS) >= 30 and not wrong
     verdict(

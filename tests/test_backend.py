@@ -9,6 +9,7 @@ import re
 import select
 import socket
 import socketserver
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -166,6 +167,28 @@ def test_cache_round_trip(tmp_path):
 def test_cache_persists_across_instances(tmp_path):
     ResponseCache(tmp_path / "c").put("a" * 64, "hello")
     assert ResponseCache(tmp_path / "c").get("a" * 64) == "hello"
+
+
+@pytest.mark.parametrize("n", [0, 499, 500, 501])
+def test_get_many_reads_hits_and_misses_in_chunks_of_at_most_500_keys(tmp_path, n):
+    cache = ResponseCache(tmp_path / "c")
+    keys = [f"{i:064x}" for i in range(n)]
+    stored = {key: f"text {i}" for i, key in enumerate(keys) if i % 3}  # a third are misses
+    for key, text in stored.items():
+        cache.put(key, text)
+    db = cache._connection()
+    if hasattr(db, "setlimit"):  # Python 3.11+: a statement over 500 parameters fails
+        db.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 500)
+    queries = []
+    db.set_trace_callback(queries.append)
+    assert cache.get_many(keys) == stored
+    assert len(queries) == -(-n // 500)
+    db.set_trace_callback(None)
+    found = MockChatBackend({}, cache=cache).lookup_many(keys)
+    assert {key: result.raw_text for key, result in found.items()} == stored
+    assert all(result.cache_hit for result in found.values())
+    assert MockChatBackend({}).lookup_many(keys) == {}  # no cache, no hits
+    cache.close()
 
 
 def test_cache_leaves_no_temp_files(tmp_path):

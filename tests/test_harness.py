@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -48,7 +49,7 @@ from cmdreason.harness import (
     run_ablation,
     run_experiment,
 )
-from cmdreason.metrics import evaluate
+from cmdreason.metrics import PredictionRecord, evaluate
 from cmdreason.prompt import ExplanationMode, build_transcript
 
 
@@ -390,19 +391,19 @@ def test_responses_are_byte_identical_across_reruns_and_concurrency(
 def test_each_command_is_keyed_and_looked_up_once_and_warm_runs_send_nothing(
     toy_path, toy_data, template, tmp_path, monkeypatch
 ):
-    key_calls, get_calls = [], []
-    original_key, original_get = RequestEncoder.key, ResponseCache.get
+    key_calls, get_calls = [], []  # get_calls: every key passed to ResponseCache.get_many
+    original_key, original_get_many = RequestEncoder.key, ResponseCache.get_many
 
     def counting_key(self, tail):
         key_calls.append(json.loads(self.head + tail)["messages"][-1]["content"])
         return original_key(self, tail)
 
-    def counting_get(self, key):
-        get_calls.append(key)
-        return original_get(self, key)
+    def counting_get_many(self, keys):
+        get_calls.extend(keys)
+        return original_get_many(self, keys)
 
     monkeypatch.setattr(RequestEncoder, "key", counting_key)
-    monkeypatch.setattr(ResponseCache, "get", counting_get)
+    monkeypatch.setattr(ResponseCache, "get_many", counting_get_many)
     spec = make_spec(toy_path, template, tmp_path / "run")
     cold = run_experiment(spec, gold_backend(toy_data, tmp_path / "cache"))
     assert key_calls == [rec.text for rec in toy_data]
@@ -420,6 +421,74 @@ def test_each_command_is_keyed_and_looked_up_once_and_warm_runs_send_nothing(
     assert result.n_cache_hits == len(toy_data)
     assert key_calls == [rec.text for rec in toy_data]
     assert len(get_calls) == len(toy_data)
+
+
+def test_a_repeated_command_is_looked_up_once_in_one_call_per_run(
+    toy_data, template, tmp_path, monkeypatch
+):
+    data = [*toy_data[:3], LabeledCommand("dup", toy_data[1].text, toy_data[1].gold), toy_data[3]]
+    path = tmp_path / "dup.tsv"
+    save_dataset(data, path)
+    lookups = []
+    original_get_many = ResponseCache.get_many
+
+    def counting_get_many(self, keys):
+        lookups.append(list(keys))
+        return original_get_many(self, keys)
+
+    monkeypatch.setattr(ResponseCache, "get_many", counting_get_many)
+    spec = make_spec(path, template, tmp_path / "run")
+    backend = MockChatBackend(
+        gold_echo_script(data), config=gold_config(), cache=ResponseCache(tmp_path / "cache")
+    )
+    cold = run_experiment(spec, backend)
+    warm = run_experiment(spec, backend)
+    keys = [record.cache_key for record in warm.records]
+    assert keys == [record.cache_key for record in cold.records] and keys[3] == keys[1]
+    assert lookups == [keys[:3] + keys[4:]] * 2  # each distinct key once, in dataset order
+    assert (warm.n_cache_hits, backend.send_count) == (4, 4)
+
+
+# Strings that JSON escapes: quotes, backslashes, control characters, NUL,
+# non-ASCII, non-BMP characters (two \u escapes) and lone surrogates.
+_AWKWARD_STRINGS = ['say "hi"', "back\\slash", "tab\tnew\nline\r", "NUL \0", "\x1f\x7f",
+                    "\U0001F697 non-BMP", "lone \ud800 surrogate", "\udfff", "\xe9\u2028", "</"]
+_AWKWARD_CHARS = "ab \"\\\0\x01\n\r\t\x1f\x7f\x80\xe9\u2028\ud800\U00010000\uffff\U0001F697/"
+
+
+def _awkward_strings(n: int) -> list[str]:
+    rng = random.Random(1138)
+    return _AWKWARD_STRINGS + [
+        "".join(rng.choice(_AWKWARD_CHARS) for _ in range(rng.randint(1, 12))) for _ in range(n)
+    ]
+
+
+def test_jsonl_lines_are_the_bytes_json_dumps_writes(tmp_path):
+    strings = _awkward_strings(300)
+    rows = list(zip(strings, reversed(strings)))
+    harness._write_responses(tmp_path / "responses.jsonl", rows)
+    assert (tmp_path / "responses.jsonl").read_bytes() == "".join(
+        json.dumps({"id": i, "text": text}, sort_keys=True) + "\n" for i, text in rows
+    ).encode("ascii")
+
+    data, records, expected = [], [], []
+    rng = random.Random(2718)
+    for n, s in enumerate(strings):
+        gold = RequirementVector.from_bits(f"{n % 256:08b}")
+        vector = None if n % 3 == 0 else RequirementVector.from_bits(f"{(n * 7) % 256:08b}")
+        method = None if vector is None else rng.choice(("bracket", "step_fallback", s))
+        failure_reason = rng.choice(("no_bracket_no_steps", s)) if vector is None else None
+        data.append(LabeledCommand(f"c{n}", "Honk.", gold))
+        records.append(PredictionRecord(s, vector, method, failure_reason, strings[-n - 1]))
+        expected.append({
+            "id": s, "cache_key": strings[-n - 1], "method": method,
+            "failure_reason": failure_reason,
+            "predicted": None if vector is None else vector.bits(), "gold": gold.bits(),
+        })
+    harness._write_records(tmp_path / "records.jsonl", data, records)
+    assert (tmp_path / "records.jsonl").read_bytes() == "".join(
+        json.dumps(row, sort_keys=True) + "\n" for row in expected
+    ).encode("ascii")
 
 
 def test_cache_entries_of_another_endpoint_are_not_reused(

@@ -1,22 +1,26 @@
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_shot
-from cmdreason.dataset import RequirementVector
+from cmdreason.dataset import N_QUESTIONS, RequirementVector
 from cmdreason.parser import (
     METHOD_BRACKET,
     METHOD_STEP_FALLBACK,
     ParseOutcome,
+    _find_bracket_vector,
     parse_response,
 )
 from cmdreason.prompt import MODE_ORDER, render_shot
 
 
 def bits_of(outcome: ParseOutcome) -> str:
-    assert outcome.ok, outcome.failure_reason
+    assert outcome.vector is not None, outcome.failure_reason
     return outcome.vector.bits()
 
 
@@ -51,15 +55,15 @@ def test_non_qualifying_groups_are_ignored():
 
 def test_seven_token_group_does_not_qualify():
     text = "[0 1 0 0 1 1 1]\nStep lines absent."
-    assert not parse_response(text).ok
+    assert parse_response(text).vector is None
 
 
 def test_nine_token_group_does_not_qualify():
-    assert not parse_response("[0 1 0 0 1 1 1 0 0]").ok
+    assert parse_response("[0 1 0 0 1 1 1 0 0]").vector is None
 
 
 def test_bracket_with_other_digits_does_not_qualify():
-    assert not parse_response("[0 1 2 0 1 1 1 0]").ok
+    assert parse_response("[0 1 2 0 1 1 1 0]").vector is None
 
 
 def test_bracket_beats_step_lines_when_both_present():
@@ -173,7 +177,7 @@ def test_outcome_requires_exactly_one_side():
 @given(st.text(max_size=400))
 def test_parse_never_raises(text):
     outcome = parse_response(text)
-    assert outcome.ok or outcome.failure_reason
+    assert outcome.vector is not None or outcome.failure_reason
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,5 +187,160 @@ def test_rendered_shots_always_parse_back_to_gold(flags, mode):
     bits = "".join("1" if f else "0" for f in flags)
     _, assistant_text = render_shot(make_shot("Do the thing.", bits), mode)
     outcome = parse_response(assistant_text)
-    assert outcome.ok
+    assert outcome.vector is not None
     assert outcome.vector.bits() == bits
+
+
+# =============================================================================
+# Differential checks against the token-splitting parser
+# =============================================================================
+
+# The parser as first written: every bracket group split into tokens, and
+# each step line matched, then its remainder searched for a Yes/No.
+_ORACLE_GROUP_RE = re.compile(r"\[([^\[\]]*)\]")
+_ORACLE_TOKEN_SEP_RE = re.compile(r"[\s,]+")
+_ORACLE_STEP_LINE_RE = re.compile(r"""^[\s"'*\-]*step\s*(\d+)\s*:(.*)$""", re.IGNORECASE)
+_ORACLE_ANSWER_RE = re.compile(r"""^[\s"'*\-:.,()\[\]]*(yes|no)\b""", re.IGNORECASE)
+
+
+def oracle_bracket_vector(text: str) -> RequirementVector | None:
+    last = None
+    for match in _ORACLE_GROUP_RE.finditer(text):
+        tokens = [t for t in _ORACLE_TOKEN_SEP_RE.split(match.group(1).strip()) if t]
+        if len(tokens) == N_QUESTIONS and all(t in ("0", "1") for t in tokens):
+            last = RequirementVector(t == "1" for t in tokens)
+    return last
+
+
+def oracle_steps(text: str) -> tuple[str | None, str | None]:
+    """(bits, None) or (None, failure reason) of the step fallback."""
+    answers: dict[int, list[bool | None]] = {}
+    for line in text.splitlines():
+        match = _ORACLE_STEP_LINE_RE.match(line)
+        if not match or not 1 <= int(match.group(1)) <= N_QUESTIONS:
+            continue
+        word = _ORACLE_ANSWER_RE.match(match.group(2))
+        answers.setdefault(int(match.group(1)), []).append(
+            word.group(1).lower() == "yes" if word else None
+        )
+    if not answers:
+        return None, "no_bracket_no_steps"
+    flags = []
+    for k in range(1, N_QUESTIONS + 1):
+        found = answers.get(k)
+        if found is None:
+            return None, f"missing_step({k})"
+        if len(found) > 1:
+            return None, "duplicate_step"
+        if found[0] is None:
+            return None, f"ambiguous_step({k})"
+        flags.append(found[0])
+    return "".join("1" if f else "0" for f in flags), None
+
+
+# separators: ASCII, tab, NBSP, the line and paragraph separators, and the
+# line boundaries of str.splitlines that a regex's multiline mode ignores
+_SEPARATORS = (" ", ",", ", ", "\t", "\xa0", "\u2028", "\u2029", "\n", "\r", "\r\n",
+               "\x0b", "\x0c", "\x1c", "\x85", "\u3000", " ,\t")
+_TOKENS = ("0", "1", "0", "1", "01", "2", "10", "A1", "\u0661", "")
+
+
+def _bracket_text(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        n = rng.choice((7, 8, 8, 8, 9))
+        tokens = [rng.choice(_TOKENS) if rng.random() < 0.15 else rng.choice("01")
+                  for _ in range(n)]
+        inner = rng.choice(_SEPARATORS) * rng.randint(0, 1)
+        for token in tokens:
+            inner += token + rng.choice(_SEPARATORS)
+        if rng.random() < 0.5:
+            inner = inner[: -1 or None]
+        group = f"[{inner}]"
+        shape = rng.randrange(6)
+        if shape == 1:
+            group = f"[{group}]"  # nested
+        elif shape == 2:
+            group = group + group  # adjacent
+        elif shape == 3:
+            group = f"[ 1 {group} 0 ]"
+        elif shape == 4:
+            group = group[: rng.randrange(len(group))]  # cut short
+        parts.append(group)
+        parts.append(rng.choice(("", " ", "\n", "Output: ", "] [", "[", "]", "x")))
+    return "".join(parts)
+
+
+def _step_text(rng: random.Random) -> str:
+    lines = []
+    # mostly steps 1 to 8 once each, some dropped, repeated or out of range
+    steps = [k for k in range(1, 9) if rng.random() < 0.97]
+    steps += rng.choices((1, 5, 8, 0, 9, 12), k=rng.choice((0, 0, 0, 1, 2)))
+    rng.shuffle(steps)
+    for k in steps:
+        prefix = rng.choice(("", "- ", "  * ", '"', "'", "\t", "\xa0"))
+        step = rng.choice(("Step", "step", "STEP", "ſtep", "Step "))
+        number = rng.choice((str(k), f" {k}", f"{k} ", "\u0663" if k == 3 else str(k)))
+        answer = rng.choice(("Yes", "No", "yes.", "NO,", "(Yes)", "[no]", "- yes", "No", "Yes",
+                             "Maybe", "yesterday", "", " : No", "yeſ", "Yes\u2028No"))
+        if rng.random() < 0.8:
+            answer = rng.choice(("Yes", "No"))
+        colon = rng.choice((":", ":", ":", ":", " :", ""))
+        lines.append(f"{prefix}{step}{number}{colon} {answer} because.")
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("Explanation:", "", "  ", "Output is fine.")))
+    line_break = rng.choice(("\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+                             "\u2028", "\u2029"))
+    return line_break.join(lines)
+
+
+def test_parser_agrees_with_the_token_splitting_oracle_on_a_seeded_corpus():
+    rng = random.Random(20231114)
+    seen = set()
+    for _ in range(4000):
+        kind = rng.randrange(3)
+        text = (_bracket_text(rng), _step_text(rng), _step_text(rng) + _bracket_text(rng))[kind]
+        expected_vector = oracle_bracket_vector(text)
+        assert _find_bracket_vector(text) == expected_vector, repr(text)
+        outcome = parse_response(text)
+        if expected_vector is not None:
+            assert (outcome.method, outcome.vector) == (METHOD_BRACKET, expected_vector)
+            seen.add(METHOD_BRACKET)
+            continue
+        bits, reason = oracle_steps(text)
+        got = (outcome.vector.bits() if outcome.vector is not None else None,
+               outcome.failure_reason)
+        assert got == (bits, reason), repr(text)
+        seen.add(reason.partition("(")[0] if reason else METHOD_STEP_FALLBACK)
+    # the corpus reached every parse method and every failure reason
+    assert seen == {METHOD_BRACKET, METHOD_STEP_FALLBACK, "no_bracket_no_steps",
+                    "missing_step", "duplicate_step", "ambiguous_step"}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[0\xa01\xa00\xa00\xa01\xa01\xa01\xa00]",
+        "[0\u20281\u20280\u20280\u20281\u20281\u20281\u20280]",
+        "[[0 1 0 0 1 1 1 0]]",
+        "[0 1 0 0 1 1 1 0][1 1 1 1 1 1 1 1]",
+        "[0 1 0 0 1 1 1 0 [1 1 1 1 1 1 1 1]",
+        "[01 1 0 0 1 1 1 0]",
+        "[0 1 0 0 1 1 1 2]",
+        "[,,0,1,0,0,1,1,1,0,,]",
+        "[0 1 0 0 1 1 1]",
+        "[0 1 0 0 1 1 1 0 1]",
+        "Step 1: Yes\x85Step 2: Yes\rStep 3: Yes\x0bStep 4: Yes\u2028Step 5: Yes"
+        "\x1cStep 6: Yes\x0cStep 7: Yes\u2029Step 8: No",
+        "Step\n1: Yes",
+        "Step 1:\nYes",
+    ],
+)
+def test_parser_agrees_with_the_oracle_on_edge_cases(text):
+    outcome = parse_response(text)
+    expected_vector = oracle_bracket_vector(text)
+    assert _find_bracket_vector(text) == expected_vector
+    if expected_vector is None:
+        bits, reason = oracle_steps(text)
+        got = outcome.vector.bits() if outcome.vector is not None else None
+        assert (got, outcome.failure_reason) == (bits, reason)
