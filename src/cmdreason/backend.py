@@ -165,38 +165,36 @@ class CompletionResult:
 _JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 
 
-def _messages_json(messages: Transcript) -> str:
-    """The messages' JSON objects, comma-separated; a role is a name from chat.ROLES."""
-    return ",".join(f'{{"role":"{m.role}","content":{_JSON(m.content)}}}' for m in messages)
+def _message_json(role: str, content: str) -> str:
+    """One message's JSON object; a role is a name from chat.ROLES."""
+    return f'{{"role":"{role}","content":{_JSON(content)}}}'
 
 
 class RequestEncoder:
-    """Request bodies and cache keys of transcripts that open with a shared prefix.
+    """Request bodies and cache keys of the commands that follow one shared prefix.
 
-    A body is compact JSON: model, temperature, max_tokens, then the messages.
-    Its head, through the prefix's messages, is encoded once here; tail()
-    encodes the rest of one transcript, and head + tail is the body sent.  A
-    cache key is sha256 over the endpoint URL, a NUL byte (which JSON
-    escapes) and that body; key() hashes the tail on a copy of the head's state.
+    A body is compact JSON: model, temperature, max_tokens, then the
+    messages: the prefix's, which opens with a system message, and one user
+    message holding the command.  The head, through the prefix's messages, is
+    encoded once here; tail(command) encodes the command's message and the
+    closing ']}', and head + tail is the body sent.  A cache key is sha256
+    over the endpoint URL, a NUL byte (which JSON escapes) and that body;
+    key() hashes the tail on a copy of the head's state.
     """
 
-    def __init__(self, config: BackendConfig, prefix: Transcript = ()) -> None:
+    def __init__(self, config: BackendConfig, prefix: Transcript) -> None:
+        if not prefix or prefix[0].role != "system":
+            raise ValueError("the prefix must open with a system message")
         self.head = (
             f'{{"model":{_JSON(config.model_name)},"temperature":{_JSON(config.temperature)},'
-            f'"max_tokens":{_JSON(config.max_output_tokens)},"messages":[{_messages_json(prefix)}'
+            f'"max_tokens":{_JSON(config.max_output_tokens)},"messages":['
+            + ",".join(_message_json(m.role, m.content) for m in prefix)
         ).encode("utf-8")
-        self._prefix = prefix
         self._state = hashlib.sha256(config.endpoint_url.encode("utf-8") + b"\0" + self.head)
 
-    def tail(self, transcript: Transcript) -> bytes:
-        """The body's bytes after the head: the messages past the prefix, then ']}'."""
-        if not transcript or transcript[0].role != "system":
-            raise ValueError("transcript must start with a system message")
-        n = len(self._prefix)
-        if transcript[:n] != self._prefix:
-            raise ValueError("transcript does not open with the encoder's prefix")
-        rest = _messages_json(transcript[n:])
-        return f'{"," if n and rest else ""}{rest}]}}'.encode("utf-8")
+    def tail(self, command: str) -> bytes:
+        """The body's bytes after the head: the command as the final user message, then ']}'."""
+        return f',{_message_json("user", command)}]}}'.encode("utf-8")
 
     def key(self, tail: bytes) -> str:
         """The cache key of the body head + tail."""
@@ -363,8 +361,10 @@ class ChatBackend:
 
     def complete(self, transcript: Transcript) -> CompletionResult:
         """Return the assistant text for a transcript, consulting the cache first."""
-        encoder = RequestEncoder(self.config)
-        tail = encoder.tail(transcript)
+        if not transcript or transcript[-1].role != "user":
+            raise ValueError("transcript must end with a user message")
+        encoder = RequestEncoder(self.config, transcript[:-1])
+        tail = encoder.tail(transcript[-1].content)
         key = encoder.key(tail)
         return self.lookup(key) or self.fetch(encoder.head + tail, key, threading.Event())
 
@@ -372,7 +372,9 @@ class ChatBackend:
         """Send body without looking in the cache, then cache the answer under key.
 
         A backoff waits on the run's `failed` event, and once it is set the
-        retries give up as RetriesExhausted.
+        retries give up as RetriesExhausted.  A request that fails for good
+        sets `failed` itself before it raises, so that the run's queued
+        requests stop without waiting for the error to reach the caller.
         """
         attempt = 0
         while True:
@@ -382,6 +384,7 @@ class ChatBackend:
                 break
             except _RETRYABLE as exc:
                 if attempt > self.config.max_retries:
+                    failed.set()
                     raise RetriesExhausted(attempt, exc) from exc
                 delay = exc.retry_after
                 if delay is None:
@@ -389,6 +392,9 @@ class ChatBackend:
                 log.warning("attempt %d failed (%s); retrying in %.2fs", attempt, exc, delay)
                 if failed.wait(delay):
                     raise RetriesExhausted(attempt, exc) from exc
+            except BaseException:
+                failed.set()
+                raise
         if self.cache is not None:
             self.cache.put(key, text)
         return CompletionResult(text, attempt_count=attempt)

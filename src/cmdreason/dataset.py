@@ -92,7 +92,13 @@ class InfeasibleSample(DataError):
 
 
 class RequirementVector(tuple):
-    """Answers to the 8 binary requirement questions, in category order: a tuple of 8 bools."""
+    """Answers to the 8 binary requirement questions, in category order: a tuple of 8 bools.
+
+    There are only 256 of them, built once at import into VECTORS_BY_BITS:
+    from_bits() returns the table's vector and bits() reads its string back,
+    so reading an answer builds nothing.  RequirementVector(flags) still
+    checks its flags and builds a new, equal vector.
+    """
 
     __slots__ = ()
 
@@ -107,17 +113,26 @@ class RequirementVector(tuple):
 
     @classmethod
     def from_bits(cls, bits: str) -> "RequirementVector":
-        """Build from an 8-character 0/1 string such as ``01001110``."""
-        if not isinstance(bits, str) or len(bits) != N_QUESTIONS or bits.strip("01"):
-            raise ValueError(f"labels must be {N_QUESTIONS} chars of 0/1, got {bits!r}")
-        return cls(c == "1" for c in bits)
+        """The vector of an 8-character 0/1 string such as ``01001110``, from the table."""
+        try:
+            return VECTORS_BY_BITS[bits]
+        except (KeyError, TypeError):  # TypeError: an unhashable input
+            raise ValueError(f"labels must be {N_QUESTIONS} chars of 0/1, got {bits!r}") from None
 
     def bits(self) -> str:
-        return "".join("1" if f else "0" for f in self)
+        return _BITS_OF_VECTOR[self]
 
     def bracket(self) -> str:
         """Render as the answer-line form, e.g. ``[0 1 0 0 1 1 1 0]``."""
-        return "[" + " ".join("1" if f else "0" for f in self) + "]"
+        return "[" + " ".join(self.bits()) + "]"
+
+
+# Every vector by its bit string, and back.
+VECTORS_BY_BITS: dict[str, RequirementVector] = {
+    bits: RequirementVector(c == "1" for c in bits)
+    for bits in (f"{n:0{N_QUESTIONS}b}" for n in range(2**N_QUESTIONS))
+}
+_BITS_OF_VECTOR: dict[RequirementVector, str] = {v: b for b, v in VECTORS_BY_BITS.items()}
 
 
 @dataclass(frozen=True, slots=True)

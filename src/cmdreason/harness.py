@@ -37,19 +37,20 @@ records.jsonl format.
 
 `run` and `ablate` take one path, in three steps.  Planning, on the calling
 thread, clears each run's directory, writes its spec.json, encodes each
-command once into the tail of its request body (the head is built once per
-prompt config), hashes the key from the head's state, and looks up each
-distinct key once: a run's keys go to one lookup_many, which reads them in
-chunked queries.  Fetching sends the misses of all runs from one pool of up
-to max_in_flight workers, in canonical order: run by run, then dataset
-order.  A key that several positions of a run share is sent once, and its
-answer fills each of them.  A fully warm set of runs starts no pool.
-Finishing parses, scores and writes a run, or writes its partial snapshots
-if a failure left answers missing; it runs on the calling thread as soon as
-the run's requests are done, while the pool goes on with the next runs, so
-that a grid holds few answers at once.  Records and reports are
-always aggregated in dataset order, so parallelism never changes any output
-byte.  Nothing volatile (timestamps, latencies, cache-hit counts) is
+command's text straight into the tail of its request body (the head, with
+the prompt config's transcript prefix, is built once per run, and no
+transcript is built per command), hashes the key from the head's state,
+and looks up each distinct key once: a run's keys go to one lookup_many,
+which reads them in chunked queries.  Fetching sends the misses of all
+runs from one pool of up to max_in_flight workers, in canonical order: run
+by run, then dataset order.  A key that several positions of a run share
+is sent once, and its answer fills each of them.  A fully warm set of runs
+starts no pool.  Finishing parses, scores and writes a run, or writes its
+partial snapshots if a failure left answers missing; it runs on the calling
+thread as soon as the run's requests are done, while the pool goes on with
+the next runs, so that a grid holds few answers at once.  Records and
+reports are always aggregated in dataset order, so parallelism never
+changes any output byte.  Nothing volatile (timestamps, latencies, cache-hit counts) is
 persisted.
 """
 from __future__ import annotations
@@ -98,7 +99,6 @@ from .prompt import (
     MODE_ORDER,
     ExplanationMode,
     PromptConfig,
-    build_transcript,
     transcript_prefix,
 )
 
@@ -286,7 +286,7 @@ class _Run:
         self.out_dir = clear_run_dir(spec.output_dir)
         _write_json(self.out_dir / "spec.json", spec.to_json_dict())
         encoder = RequestEncoder(spec.backend_config, transcript_prefix(spec.prompt_config))
-        tails = [encoder.tail(build_transcript(spec.prompt_config, rec.text)) for rec in data]
+        tails = [encoder.tail(rec.text) for rec in data]
         self.keys = [encoder.key(tail) for tail in tails]
         self.head = encoder.head
         bodies = dict(zip(self.keys, tails))  # each distinct key once, in dataset order

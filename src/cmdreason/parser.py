@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .dataset import N_QUESTIONS, RequirementVector
+from .dataset import N_QUESTIONS, VECTORS_BY_BITS, RequirementVector
 
 METHOD_BRACKET = "bracket"
 METHOD_STEP_FALLBACK = "step_fallback"
@@ -57,12 +57,14 @@ class ParseOutcome:
 
 def _find_bracket_vector(text: str) -> RequirementVector | None:
     groups = _BRACKET_RE.findall(text)
-    return RequirementVector(t == "1" for t in groups[-1]) if groups else None
+    return VECTORS_BY_BITS["".join(groups[-1])] if groups else None
 
 
 def _step_fallback(text: str) -> ParseOutcome:
-    # answers[k] collects every Step-k line; None marks a line with no Yes/No
-    answers: dict[int, list[bool | None]] = {}
+    # answers[k] collects every Step-k line's answer: "1" for Yes, "0" for
+    # No, None for a line with neither.  The regex admits only spellings of
+    # yes and no, so the first letter tells them apart.
+    answers: dict[int, list[str | None]] = {}
     for line in text.splitlines():
         match = _STEP_LINE_RE.match(line)
         if not match:
@@ -71,10 +73,10 @@ def _step_fallback(text: str) -> ParseOutcome:
         if not 1 <= k <= N_QUESTIONS:
             continue
         word = match.group(2)
-        answers.setdefault(k, []).append(word.lower() == "yes" if word else None)
+        answers.setdefault(k, []).append(("1" if word[0] in "yY" else "0") if word else None)
     if not answers:
         return ParseOutcome(None, None, "no_bracket_no_steps")
-    flags: list[bool] = []
+    bits: list[str] = []
     for k in range(1, N_QUESTIONS + 1):
         found = answers.get(k)
         if found is None:
@@ -83,8 +85,8 @@ def _step_fallback(text: str) -> ParseOutcome:
             return ParseOutcome(None, None, "duplicate_step")
         if found[0] is None:
             return ParseOutcome(None, None, f"ambiguous_step({k})")
-        flags.append(found[0])
-    return ParseOutcome(RequirementVector(flags), METHOD_STEP_FALLBACK, None)
+        bits.append(found[0])
+    return ParseOutcome(VECTORS_BY_BITS["".join(bits)], METHOD_STEP_FALLBACK, None)
 
 
 def parse_response(text: str) -> ParseOutcome:

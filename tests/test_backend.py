@@ -64,13 +64,13 @@ class FakeRandom:
 
 
 def cache_key(config: BackendConfig, transcript) -> str:
-    encoder = RequestEncoder(config)
-    return encoder.key(encoder.tail(transcript))
+    encoder = RequestEncoder(config, transcript[:-1])
+    return encoder.key(encoder.tail(transcript[-1].content))
 
 
 def body_for(config: BackendConfig, command: str = "Honk.") -> bytes:
-    encoder = RequestEncoder(config)
-    return encoder.head + encoder.tail(transcript_for(command))
+    encoder = RequestEncoder(config, transcript_for(command)[:-1])
+    return encoder.head + encoder.tail(command)
 
 
 def test_cache_key_is_hex_sha256():
@@ -134,7 +134,7 @@ def test_encoded_bodies_decode_to_the_request_and_key_their_bytes():
                 encoder = RequestEncoder(config, transcript_prefix(prompt))
                 for command in commands:
                     transcript = build_transcript(prompt, command)
-                    tail = encoder.tail(transcript)
+                    tail = encoder.tail(command)
                     body = encoder.head + tail
                     payload = json.loads(body)
                     assert payload == reference_payload(config, transcript)
@@ -144,12 +144,20 @@ def test_encoded_bodies_decode_to_the_request_and_key_their_bytes():
                     assert cache_key(config, transcript) == want
 
 
-def test_encoder_rejects_transcript_with_other_prefix():
-    encoder = RequestEncoder(mock_config(), transcript_for("Honk."))
-    tail = encoder.tail(transcript_for("Honk."))
-    assert encoder.key(tail) == cache_key(mock_config(), transcript_for("Honk."))
-    with pytest.raises(ValueError):
-        encoder.tail(transcript_for("Wave."))
+def test_encoder_rejects_prefix_without_system_message():
+    for prefix in [(), (user("Honk."),), (assistant("ok"), system("Answer the questions."))]:
+        with pytest.raises(ValueError, match="system message"):
+            RequestEncoder(mock_config(), prefix)
+
+
+def test_complete_rejects_transcript_not_ending_in_user_message():
+    backend = MockChatBackend({"Honk.": "[0 0 0 0 0 0 0 0]"})
+    ends_in_assistant = transcript_for("Honk.") + (assistant("ok"),)
+    for transcript in [(), (system("Answer the questions."),), ends_in_assistant]:
+        with pytest.raises(ValueError, match="user message"):
+            backend.complete(transcript)
+    assert backend.send_count == 0
+    assert backend.complete(transcript_for("Honk.")).raw_text == "[0 0 0 0 0 0 0 0]"
 
 
 # =============================================================================

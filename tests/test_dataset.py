@@ -80,6 +80,33 @@ def test_from_bits_rejects_bad_strings():
             RequirementVector.from_bits(bad)
 
 
+def test_all_256_vectors_round_trip_through_bits_and_bracket():
+    for n in range(256):
+        bits = f"{n:08b}"
+        vec = RequirementVector.from_bits(bits)
+        assert vec == tuple(c == "1" for c in bits)
+        assert vec.bits() == bits
+        assert vec.bracket() == "[" + " ".join(bits) + "]"
+        # one vector per string: from_bits hands out the table's, every time
+        assert RequirementVector.from_bits(vec.bits()) is vec
+        # a vector built from its flags is equal to the table's and reads the same
+        built = RequirementVector(tuple(vec))
+        assert built == vec and built.bits() == bits and built.bracket() == vec.bracket()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["0100111", "010011101", "01201110", "\uff10\uff11\uff10\uff10\uff11\uff11\uff11\uff10",
+     b"01001110", 1, None, ["0"] * 8],
+)
+def test_from_bits_error_message_names_the_input(bad):
+    # a list is unhashable: it must still be a ValueError, not a TypeError
+    with pytest.raises(ValueError) as err:
+        RequirementVector.from_bits(bad)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"labels must be 8 chars of 0/1, got {bad!r}"
+
+
 def test_bracket_rendering():
     assert RequirementVector.from_bits("01001110").bracket() == "[0 1 0 0 1 1 1 0]"
 

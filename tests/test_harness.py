@@ -26,6 +26,7 @@ from cmdreason.backend import (
     RequestEncoder,
     ResponseCache,
 )
+from cmdreason.chat import ChatMessage, user
 from cmdreason.dataset import (
     LabeledCommand,
     MalformedRecord,
@@ -137,6 +138,36 @@ def test_warm_run_builds_each_vector_once_from_the_dataset(
     warm = run_experiment(spec, gold_backend(toy_data, tmp_path / "cache"))
     assert warm.n_cache_hits == len(toy_data)
     assert callers == ["cmdreason.dataset"] * len(toy_data)
+
+
+def test_warm_gold_run_builds_no_message_and_no_vector(
+    toy_path, toy_data, template, tmp_path, monkeypatch
+):
+    # a warm replay of mock://gold reuses the prefix built for the cold run,
+    # encodes each command's text without a message, and takes every vector
+    # from the table: it builds no ChatMessage and no RequirementVector at all
+    spec = make_spec(toy_path, template, tmp_path / "run")
+    run_experiment(spec)
+    built = []
+    post_init, new = ChatMessage.__post_init__, RequirementVector.__new__
+
+    def counting_post_init(self):
+        built.append("ChatMessage")
+        post_init(self)
+
+    def counting_new(cls, flags):
+        built.append("RequirementVector")
+        return new(cls, flags)
+
+    monkeypatch.setattr(ChatMessage, "__post_init__", counting_post_init)
+    monkeypatch.setattr(RequirementVector, "__new__", staticmethod(counting_new))
+    warm = run_experiment(spec)
+    assert warm.n_cache_hits == len(toy_data)
+    assert built == []
+    # the counters count
+    user("Honk.")
+    RequirementVector((True,) * 8)
+    assert built == ["ChatMessage", "RequirementVector"]
 
 
 GOOD_RECORD = {

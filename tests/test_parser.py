@@ -102,6 +102,15 @@ def test_step_fallback_is_case_insensitive():
     assert bits_of(parse_response(text)) == "11111111"
 
 
+def test_step_fallback_reads_a_long_s_yes_as_yes():
+    # the case-insensitive match lets "ſ" (U+017F, long s) stand for "s", so
+    # "YEſ" is a spelling of yes and must read as Yes, like the other seven
+    text = _step_lines(["Yes."] * 2 + ["YEſ."] + ["Yes."] * 5)
+    outcome = parse_response(text)
+    assert outcome.method == METHOD_STEP_FALLBACK
+    assert bits_of(outcome) == "11111111"
+
+
 def test_step_fallback_tolerates_list_markup():
     text = "\n".join(f"- Step {k}: \"No\" for this one." for k in range(1, 9))
     assert bits_of(parse_response(text)) == "00000000"
@@ -196,7 +205,9 @@ def test_rendered_shots_always_parse_back_to_gold(flags, mode):
 # =============================================================================
 
 # The parser as first written: every bracket group split into tokens, and
-# each step line matched, then its remainder searched for a Yes/No.
+# each step line matched, then its remainder searched for a Yes/No.  The
+# answer is compared case-folded, as the IGNORECASE match reads it, so that
+# "yeſ" (a long s) is a Yes.
 _ORACLE_GROUP_RE = re.compile(r"\[([^\[\]]*)\]")
 _ORACLE_TOKEN_SEP_RE = re.compile(r"[\s,]+")
 _ORACLE_STEP_LINE_RE = re.compile(r"""^[\s"'*\-]*step\s*(\d+)\s*:(.*)$""", re.IGNORECASE)
@@ -221,7 +232,7 @@ def oracle_steps(text: str) -> tuple[str | None, str | None]:
             continue
         word = _ORACLE_ANSWER_RE.match(match.group(2))
         answers.setdefault(int(match.group(1)), []).append(
-            word.group(1).lower() == "yes" if word else None
+            word.group(1).casefold() == "yes" if word else None
         )
     if not answers:
         return None, "no_bracket_no_steps"
