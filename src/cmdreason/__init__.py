@@ -40,7 +40,6 @@ from .dataset import (
     N_QUESTIONS,
     EmptyDataset,
     InfeasibleSample,
-    LabelDistribution,
     LabeledCommand,
     MalformedRecord,
     MissingFile,
@@ -78,12 +77,9 @@ from .prompt import (
     PromptConfig,
     ShotExample,
     TemplateError,
-    build_system_prompt,
     build_transcript,
     default_template,
     load_template,
-    render_shot,
 )
-from .rng import SplitMix64
 
 __version__ = "0.1.0"

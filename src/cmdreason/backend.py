@@ -1,12 +1,12 @@
 """Chat-completion backends: request encoding, HTTP client, scripted mock, cache, retries.
 
 A RequestEncoder gives each request its one encoding: the JSON body sent, and
-the cache key, sha256 over the endpoint URL and that body.  complete()
-answers one transcript: lookup() reads the response cache, and on a miss
+the cache key, sha256 over the endpoint URL and that body.  lookup_many()
+reads a run's keys from the response cache at once, and for each miss
 fetch() drives the retry loop around the transport-specific _send(body).
-The harness encodes, looks up (a run's keys at once, through lookup_many())
-and fetches itself, so that it resolves every hit before it starts any
-worker; its pool of max_in_flight workers bounds the requests in flight.
+The harness makes these calls in that order: it resolves every hit before
+it starts any worker, and its pool of max_in_flight workers bounds the
+requests in flight.
 Each answer is a CompletionResult: the raw text, replayed byte for byte from
 the cache, and the requests it took, 0 when it came from the cache.
 Retryable failures (RateLimited, ServerError for HTTP 500/502/503/504,
@@ -14,8 +14,8 @@ Timeout) back off exponentially with full jitter: attempt i waits
 uniform(0, 1s * 2**i), or, after a 429 or 503 whose Retry-After header
 gives delta-seconds, that many seconds up to RETRY_AFTER_MAX_SECONDS.  Each
 wait is on the run's `failed` event, which fetch() takes from its caller,
-so that it is cut short once the run has failed; complete() passes an event
-that nothing sets.  AuthError and any other ProtocolError abort immediately.
+so that it is cut short once the run has failed.  AuthError and any other
+ProtocolError abort immediately.
 
 ResponseCache keeps every answer in one sqlite3 file per cache directory,
 which several processes can share.
@@ -208,12 +208,10 @@ class ResponseCache:
 
     The file is ``<directory>/responses.sqlite``, a table
     ``responses(key, text)``, opened on first use.  get_many() reads a
-    run's keys, in one query per chunk of them; get() reads one key through
-    it.  Each put
-    commits on its own, and the first answer stored for a key is the one
-    kept.  In WAL mode a reader never waits for a writer, and several
-    processes can share one cache: a writer waits up to BUSY_TIMEOUT_SECONDS
-    for another's write.  A
+    run's keys, in one query per chunk of them.  Each put commits on its
+    own, and the first answer stored for a key is the one kept.  In WAL mode
+    a reader never waits for a writer, and several processes can share one
+    cache: a writer waits up to BUSY_TIMEOUT_SECONDS for another's write.  A
     process that dies mid-run leaves every committed answer readable and no
     torn one.  With synchronous=NORMAL, a power loss can drop the last
     commits but not corrupt the file.  The WAL is checkpointed every
@@ -288,9 +286,6 @@ class ResponseCache:
                     raise
             time.sleep(0.01)
 
-    def get(self, key: str) -> str | None:
-        return self.get_many([key]).get(key)
-
     def get_many(self, keys: list[str]) -> dict[str, str]:
         """The answers stored for keys, by key; a key without one is left out.
 
@@ -312,7 +307,7 @@ class ResponseCache:
             )
 
     def close(self) -> None:
-        """Close the connection, if open; a later get or put opens it again."""
+        """Close the connection, if open; a later get_many or put opens it again."""
         with self._lock:
             if self._close_db is not None:
                 self._close_db()
@@ -346,10 +341,6 @@ class ChatBackend:
         if self.cache is not None:
             self.cache.close()
 
-    def lookup(self, key: str) -> CompletionResult | None:
-        """The cached completion for key, or None on a miss or without a cache."""
-        return self.lookup_many([key]).get(key)
-
     def lookup_many(self, keys: list[str]) -> dict[str, CompletionResult]:
         """The cached completions of keys, by key; a miss is left out.  Without a cache, none."""
         if self.cache is None:
@@ -358,15 +349,6 @@ class ChatBackend:
             key: CompletionResult(text, attempt_count=0)
             for key, text in self.cache.get_many(keys).items()
         }
-
-    def complete(self, transcript: Transcript) -> CompletionResult:
-        """Return the assistant text for a transcript, consulting the cache first."""
-        if not transcript or transcript[-1].role != "user":
-            raise ValueError("transcript must end with a user message")
-        encoder = RequestEncoder(self.config, transcript[:-1])
-        tail = encoder.tail(transcript[-1].content)
-        key = encoder.key(tail)
-        return self.lookup(key) or self.fetch(encoder.head + tail, key, threading.Event())
 
     def fetch(self, body: bytes, key: str, failed: threading.Event) -> CompletionResult:
         """Send body without looking in the cache, then cache the answer under key.

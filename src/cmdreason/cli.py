@@ -139,9 +139,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     data = load_dataset(args.dataset)
-    if not 1 <= args.n <= len(data):
-        raise UsageError(f"--n must be in 1..{len(data)} for this dataset, got {args.n}")
-    subset = stratified_sample(data, args.n, args.seed, args.tolerance)
+    try:
+        subset = stratified_sample(data, args.n, args.seed, args.tolerance)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     save_dataset(subset, args.out)
     full = distribution(data)
     sub = distribution(subset)

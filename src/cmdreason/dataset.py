@@ -14,6 +14,7 @@ as a RequirementVector: a tuple of 8 bools, equal to the plain tuple of them.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -290,10 +291,13 @@ def stratified_sample(
     the maximum per-question rate deviation.  Deterministic for a given
     (records, n, seed, tolerance).  Returns the chosen records
     in their original dataset order.  Raises InfeasibleSample, with the best
-    deviation achieved, if the tolerance is never reached.
+    deviation achieved, if the tolerance is never reached, and ValueError
+    unless the tolerance is finite and >= 0.
     """
     if not 1 <= n <= len(records):
         raise ValueError(f"n must be in 1..{len(records)}, got {n}")
+    if not 0 <= tolerance < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     full = distribution(records)
     tol = Fraction(tolerance)
     rng = SplitMix64(seed)

@@ -244,6 +244,19 @@ def test_sample_n_out_of_range_is_usage_error(toy_path, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "1e400", "-0.1"])
+def test_sample_tolerance_not_finite_and_non_negative_is_usage_error(
+    toy_path, tmp_path, capsys, tolerance
+):
+    out = tmp_path / "s.tsv"
+    code = run_cli(
+        "sample", "--dataset", toy_path, "--n", "5", f"--tolerance={tolerance}", "--out", str(out)
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: tolerance must be finite and >= 0")
+    assert not out.exists()
+
+
 def test_sample_infeasible_is_data_error(tmp_path, capsys):
     data = [
         LabeledCommand("a", "a", RequirementVector.from_bits("10000000")),

@@ -268,6 +268,12 @@ def test_sample_rejects_bad_n(toy_data):
             stratified_sample(toy_data, n, seed=0)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -0.1])
+def test_sample_rejects_a_tolerance_not_finite_and_non_negative(toy_data, tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        stratified_sample(toy_data, 5, seed=0, tolerance=tolerance)
+
+
 def test_sample_infeasible_reports_best_deviation():
     # all-positive first column: any 1-of-4 sample is off by at least 1/4 - ...
     # gold rates: col 0 is 2/4; a single record can only hit 0 or 1.
