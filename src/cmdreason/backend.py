@@ -18,7 +18,9 @@ so that it is cut short once the run has failed.  AuthError and any other
 ProtocolError abort immediately.
 
 ResponseCache keeps every answer in one sqlite3 file per cache directory,
-which several processes can share.
+which several processes can share.  Every backend has one, the default
+directory's unless given another.  close() lets go of its connection and of
+HttpChatBackend's idle sockets; the next call reopens them.
 
 HttpChatBackend speaks HTTP/1.1 itself, over sockets from the standard
 library: keep-alive connections reused across requests, each request sent in
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import queue
 import random
@@ -141,8 +144,10 @@ class BackendConfig:
             raise ValueError("endpoint_url must be non-empty")
         if not self.model_name:
             raise ValueError("model_name must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
+        if not 0 < self.timeout_seconds < math.inf:
+            raise ValueError("timeout_seconds must be finite and > 0")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
         if self.max_retries < 0:
@@ -320,7 +325,7 @@ class ResponseCache:
 
 
 class ChatBackend:
-    """Base class: caching and retries around _send()."""
+    """Base class: caching and retries around _send(), over cache or the default one."""
 
     def __init__(
         self,
@@ -330,7 +335,7 @@ class ChatBackend:
         backoff_rng: random.Random | None = None,
     ) -> None:
         self.config = config
-        self.cache = cache
+        self.cache = cache or ResponseCache()
         self._backoff_rng = backoff_rng or random.Random()
 
     def _send(self, body: bytes) -> str:
@@ -338,13 +343,10 @@ class ChatBackend:
 
     def close(self) -> None:
         """Release what the backend keeps open between requests: its cache's connection."""
-        if self.cache is not None:
-            self.cache.close()
+        self.cache.close()
 
     def lookup_many(self, keys: list[str]) -> dict[str, CompletionResult]:
-        """The cached completions of keys, by key; a miss is left out.  Without a cache, none."""
-        if self.cache is None:
-            return {}
+        """The cached completions of keys, by key; a miss is left out."""
         return {
             key: CompletionResult(text, attempt_count=0)
             for key, text in self.cache.get_many(keys).items()
@@ -377,8 +379,7 @@ class ChatBackend:
             except BaseException:
                 failed.set()
                 raise
-        if self.cache is not None:
-            self.cache.put(key, text)
+        self.cache.put(key, text)
         return CompletionResult(text, attempt_count=attempt)
 
 
@@ -524,6 +525,10 @@ class HttpChatBackend(ChatBackend):
             ) from exc
         if not isinstance(content, str):
             raise ProtocolError("completion content is not text", status)
+        try:
+            content.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which JSON allows as an escape
+            raise ProtocolError("completion content is not valid Unicode", status) from None
         served = reply.get("model")
         if isinstance(served, str) and served != self.config.model_name:
             with self._models_lock:

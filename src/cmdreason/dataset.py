@@ -219,11 +219,11 @@ def save_dataset(records: Sequence[LabeledCommand], path: str | Path) -> None:
     path = Path(path)
     lines = []
     for rec in records:
-        # tabs/newlines inside fields would corrupt the line format
-        if "\t" in rec.command_id or "\n" in rec.command_id:
-            raise ValueError(f"id {rec.command_id!r} contains a tab or newline")
-        if "\t" in rec.text or "\n" in rec.text:
-            raise ValueError(f"text for {rec.command_id!r} contains a tab or newline")
+        # a tab or a line break ("\r" too, for load_dataset) inside a field would split its line
+        if any(c in rec.command_id for c in "\t\n\r"):
+            raise ValueError(f"id {rec.command_id!r} contains a tab or line break")
+        if any(c in rec.text for c in "\t\n\r"):
+            raise ValueError(f"text for {rec.command_id!r} contains a tab or line break")
         lines.append(f"{rec.command_id}\t{rec.text}\t{rec.gold.bits()}")
     write_text(path, "".join(line + "\n" for line in lines))
 

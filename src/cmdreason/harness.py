@@ -24,7 +24,8 @@ rendered straight from the row's fixed key order.
 A run reads one backend config, its spec's: the one spec.json names, the
 cache keys hash, the pool is sized by and report.json is labelled with.  A
 backend passed in must carry it, or the run is a UsageError before it
-writes or sends anything.
+writes or sends anything.  A run closes its backend, whoever built it, and
+the backend reopens its cache and connections on its next use.
 
 ResultRow.from_eval is the one conversion from an EvalReport to display
 strings: report.json, ablation.json, ablation.md and every comparison table
@@ -59,10 +60,8 @@ import dataclasses
 import json
 import logging
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
@@ -222,14 +221,12 @@ def build_backend(
     dataset: list[LabeledCommand] | None = None,
     cache: ResponseCache | None = None,
 ) -> ChatBackend:
-    """Construct the backend an endpoint URL names.
+    """Construct the backend an endpoint URL names, over cache or the default one.
 
     ``mock://gold`` answers from the dataset's own gold labels (an offline
     oracle for demos and smoke tests); any http(s) URL gets the real client.
     Any other endpoint is a UsageError.
     """
-    if cache is None:
-        cache = ResponseCache()
     if config.endpoint_url == MOCK_GOLD_ENDPOINT:
         if dataset is None:
             raise UsageError(f"{MOCK_GOLD_ENDPOINT} needs a dataset to echo from")
@@ -259,7 +256,7 @@ def run_experiment(spec: ExperimentSpec, backend: ChatBackend | None = None) -> 
     AbortedRun, anything else as itself.  Re-running the same spec resumes
     from the cache.  A command that appears more than once is sent once, and
     its answer fills each of its positions.  A backend passed in must carry
-    spec.backend_config.
+    spec.backend_config; the run closes it, and it reopens on its next use.
     """
     (outcome,) = _run_all([spec], backend)
     if isinstance(outcome, RunResult):
@@ -275,8 +272,9 @@ class _Run:
     calling thread.  The keys it missed wait in `misses`, with the tails of
     their request bodies, in dataset order; `done` is set once none of them
     is still to be sent.
-    `failed` stops the run's queued requests and backoffs, and `error` is
-    the first error that stopped the run.
+    `failed` stops the run's queued requests and backoffs, `error` is the
+    first error that stopped the run, and `outcome` is what finish() gave:
+    a RunResult, or the DataError or AbortedRun that stopped the run.
     """
 
     def __init__(
@@ -298,12 +296,14 @@ class _Run:
             self.done.set()
         self.failed = threading.Event()
         self.error: BaseException | None = None
+        self.outcome: RunResult | DataError | BackendError | None = None
 
-    def finish(self, data: list[LabeledCommand]) -> RunResult:
+    def finish(self, data: list[LabeledCommand]) -> None:
         """Write the responses and records of the answers found, then score the run.
 
         Without an answer for every command, the two files are the partial
-        snapshots, and AbortedRun is raised instead of writing report.json.
+        snapshots and no report.json is written.  `outcome` is the RunResult,
+        or that AbortedRun or a write's DataError.
         The run lets go of its answers first: later runs may still be fetching.
         """
         results = [self.answers.get(key) for key in self.keys]
@@ -312,25 +312,28 @@ class _Run:
         done = [i for i, result in enumerate(results) if result is not None]
         suffix = "" if len(done) == len(data) else ".partial"
         records = [_predict(data[i], results[i].raw_text, self.keys[i]) for i in done]
-        _write_responses(
-            self.out_dir / f"responses{suffix}.jsonl",
-            [(data[i].command_id, results[i].raw_text) for i in done],
-        )
-        _write_records(self.out_dir / f"records{suffix}.jsonl", [data[i] for i in done], records)
-        if suffix:
-            raise AbortedRun(len(done), len(data), self.error) from self.error
-        report = evaluate(records, data, self.spec.failure_policy)
-        _write_json(
-            self.out_dir / "report.json",
-            report_json_dict(self.spec.backend_config.model_name, report),
-        )
-        return RunResult(
-            report=report,
-            records=records,
-            output_dir=self.out_dir,
-            n_cache_hits=sum(1 for r in answers if r.cache_hit),
-            n_backend_attempts=sum(r.attempt_count for r in answers),
-        )
+        try:
+            _write_responses(
+                self.out_dir / f"responses{suffix}.jsonl",
+                [(data[i].command_id, results[i].raw_text) for i in done],
+            )
+            _write_records(self.out_dir / f"records{suffix}.jsonl", [data[i] for i in done], records)
+            if suffix:
+                raise AbortedRun(len(done), len(data), self.error) from self.error
+            report = evaluate(records, data, self.spec.failure_policy)
+            _write_json(
+                self.out_dir / "report.json",
+                report_json_dict(self.spec.backend_config.model_name, report),
+            )
+            self.outcome = RunResult(
+                report=report,
+                records=records,
+                output_dir=self.out_dir,
+                n_cache_hits=sum(1 for r in answers if r.cache_hit),
+                n_backend_attempts=sum(r.attempt_count for r in answers),
+            )
+        except (DataError, BackendError) as exc:
+            self.outcome = exc
 
 
 def _run_all(
@@ -341,7 +344,8 @@ def _run_all(
     The specs share one dataset, loaded here once, and one backend config.
     A backend passed in must carry that config, or this raises UsageError
     before it writes or sends anything; without one, a backend is built
-    from the config here and closed, with its cache, before this returns.
+    from the config here.  Either way the backend is closed, with its cache,
+    before this returns, and opens again on its next use.
 
     The outcome of each spec is its RunResult, or the DataError or AbortedRun
     that stopped it.  An error that is neither, such as a full disk under
@@ -352,8 +356,7 @@ def _run_all(
     if backend is not None and backend.config != config:
         raise UsageError(f"the backend's {backend.config} is not the spec's {config}")
     data = load_dataset(specs[0].dataset_path)
-    own_backend = backend is None
-    if own_backend:
+    if backend is None:
         backend = build_backend(config, dataset=data)
     try:
         planned: list[_Run | DataError] = []
@@ -363,35 +366,26 @@ def _run_all(
             except DataError as exc:
                 planned.append(exc)
         runs = [run for run in planned if isinstance(run, _Run)]
-        outcomes: dict[_Run, RunResult | DataError | BackendError] = {}
-
-        def finish(run: _Run) -> None:
-            try:
-                outcomes[run] = run.finish(data)
-            except (DataError, BackendError) as exc:
-                outcomes[run] = exc
-
-        _fetch(backend, runs, finish, config.max_in_flight)
+        _fetch(backend, runs, data, config.max_in_flight)
     finally:
-        if own_backend:
-            backend.close()
+        backend.close()
     for run in runs:
         if run.error is not None and not isinstance(run.error, BackendError):
             raise run.error
-    return [outcomes[run] if isinstance(run, _Run) else run for run in planned]
+    return [run.outcome if isinstance(run, _Run) else run for run in planned]
 
 
 def _fetch(
-    backend: ChatBackend, runs: list[_Run], finish: Callable[[_Run], None], max_in_flight: int
+    backend: ChatBackend, runs: list[_Run], data: list[LabeledCommand], max_in_flight: int
 ) -> None:
     """Send every run's misses from one pool, and finish each run once its requests are done.
 
     Up to max_in_flight workers pull requests in canonical order, run by run
     and in dataset order within a run, from one shared iterator; an answer
     goes into its run's `answers`.  The pool is the one bound on requests in
-    flight, and runs without a miss start no pool.  The calling thread calls
-    finish(run) for each run in order, as soon as that run's requests are
-    done, while the workers go on with the next runs.
+    flight, and runs without a miss start no pool.  The calling thread
+    finishes each run in order, as soon as its requests are done, while the
+    workers go on with the next runs.
 
     A failed request sets its run's `failed`: a queued request of that run
     that starts after that sends nothing, whatever the thread timing, and a
@@ -403,7 +397,7 @@ def _fetch(
     n_jobs = sum(run.pending for run in runs)
     if not n_jobs:
         for run in runs:
-            finish(run)
+            run.finish(data)
         return
     jobs = ((run, key, tail) for run in runs for key, tail in run.misses.items())
     lock = threading.Lock()
@@ -423,12 +417,6 @@ def _fetch(
                 return
             run, key, tail = job
             try:
-                # Give up the interpreter lock before the check.  A worker that
-                # goes from one request to the next without blocking (each cache
-                # put releases and retakes the lock around sqlite3 calls) can
-                # otherwise hold off a sibling whose request just failed for
-                # many requests, and each of them would be sent after the failure.
-                time.sleep(0)
                 if not run.failed.is_set():
                     run.answers[key] = backend.fetch(run.head + tail, key, run.failed)
             except BackendError as exc:
@@ -443,13 +431,12 @@ def _fetch(
 
     workers = min(max_in_flight, n_jobs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work) for _ in range(workers)]
+        for _ in range(workers):
+            pool.submit(work)  # work() keeps every error on its runs: no future holds one
         try:
             for run in runs:
                 run.done.wait()
-                finish(run)
-            for future in futures:
-                future.result()
+                run.finish(data)
         except BaseException:
             for run in runs:
                 run.failed.set()
@@ -587,8 +574,8 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
     backend, and with it one response cache and one set of open connections,
     so re-running a grid replays completed cells from cache.  An injected
     backend must carry the base spec's backend config; without one, one is
-    built from it and closed when the grid ends.  Writes ablation.json and
-    ablation.md under the base output_dir.
+    built from it.  Either way it is closed when the grid ends.  Writes
+    ablation.json and ablation.md under the base output_dir.
     """
     base_out = Path(grid.base.output_dir)
     specs = [
@@ -599,9 +586,8 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
         )
         for mode, shot_count in grid.cells()
     ]
-    outcomes = _run_all(specs, backend)
     cells: list[AblationCell] = []
-    for (mode, shot_count), spec, outcome in zip(grid.cells(), specs, outcomes):
+    for (mode, shot_count), spec, outcome in zip(grid.cells(), specs, _run_all(specs, backend)):
         if isinstance(outcome, RunResult):
             report, error = outcome.report, None
         else:

@@ -115,6 +115,20 @@ def test_cache_key_ignores_retry_and_concurrency_settings():
     assert cache_key(mock_config(max_retries=9, max_in_flight=2), transcript_for("Honk.")) == base
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("temperature", -0.1), ("temperature", float("nan")), ("temperature", float("inf")),
+     ("timeout_seconds", -1.0), ("timeout_seconds", 0.0), ("timeout_seconds", float("nan")),
+     ("timeout_seconds", float("inf"))],
+)
+def test_config_rejects_a_temperature_or_timeout_that_breaks_requests(field, value):
+    # NaN or Infinity would be posted as a body that is not JSON, and a timeout
+    # that is not finite and > 0 fails or spends every retry on each request
+    with pytest.raises(ValueError, match=f"{field} must be finite and"):
+        mock_config(**{field: value})
+    assert getattr(mock_config(**{field: 0.5}), field) == 0.5
+
+
 def reference_payload(config: BackendConfig, transcript) -> dict:
     """The request a chat endpoint should read, built without the encoder."""
     return {
@@ -193,7 +207,7 @@ def test_get_many_reads_hits_and_misses_in_chunks_of_at_most_500_keys(tmp_path, 
     found = MockChatBackend({}, cache=cache).lookup_many(keys)
     assert {key: result.raw_text for key, result in found.items()} == stored
     assert all(result.cache_hit for result in found.values())
-    assert MockChatBackend({}).lookup_many(keys) == {}  # no cache, no hits
+    assert MockChatBackend({}).lookup_many(keys) == {}  # the default cache, empty here
     cache.close()
 
 
@@ -338,6 +352,17 @@ def test_backend_close_closes_its_cache(tmp_path):
     assert [p.name for p in (tmp_path / "c").iterdir()] == ["responses.sqlite"]
     assert ask(backend, "Honk.").cache_hit  # a later call reopens it
     backend.close()
+
+
+def test_a_backend_without_a_cache_passed_in_caches_in_the_default_directory(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("CMDREASON_CACHE_DIR", str(tmp_path / "envcache"))
+    backend = MockChatBackend({"Honk.": "beep"})
+    assert not ask(backend, "Honk.").cache_hit
+    backend.close()
+    assert list(cache_entries(tmp_path / "envcache").values()) == ["beep"]
+    assert ask(MockChatBackend({}), "Honk.").raw_text == "beep"
 
 
 # =============================================================================
@@ -552,6 +577,23 @@ def test_http_malformed_bodies_are_protocol_errors(chat_stub, http_backend):
             http_backend()._send(body_for(http_config(chat_stub)))
 
 
+def test_a_lone_surrogate_in_the_content_is_a_protocol_error_and_is_not_cached(
+    chat_stub, http_backend, tmp_path
+):
+    # valid JSON, but no UTF-8 text: the cache could not store it
+    content = {"Honk.": "beep \\ud83d", "Wave.": "a car \\ud83d\\ude97"}
+    chat_stub.responder = lambda body: (200, (
+        '{"choices":[{"message":{"role":"assistant","content":"%s"}}]}'
+        % content[json.loads(body)["messages"][-1]["content"]]
+    ).encode())
+    backend = http_backend(cache=ResponseCache(tmp_path / "c"))
+    with pytest.raises(ProtocolError, match="not valid Unicode"):
+        ask(backend, "Honk.")
+    assert ask(backend, "Wave.").raw_text == "a car \U0001f697"  # a surrogate pair is one character
+    backend.close()
+    assert list(cache_entries(tmp_path / "c").values()) == ["a car \U0001f697"]
+
+
 def test_http_connection_refused_maps_to_timeout():
     config = BackendConfig(
         endpoint_url="http://127.0.0.1:9", model_name="m", timeout_seconds=2.0
@@ -727,7 +769,7 @@ def test_http_proxy_is_tunnelled_unless_no_proxy_names_the_host(
     assert chat_stub.opened == 1  # the relay's one upstream connection
 
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    ask(http_backend(), "Honk.")
+    ask(http_backend(), "Stop.")  # not yet sent: "Honk." is now a cache hit
     assert len(connect_relay.tunnels) == 1
     assert len(chat_stub.requests) == 3
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import all_closed, child_env
+from conftest import all_closed, cache_entries, child_env
 import cmdreason.cli as cli
 from cmdreason import harness
 from cmdreason.backend import ProtocolError
@@ -392,6 +392,52 @@ def test_failed_ablation_cell_keeps_no_earlier_report(chat_stub, toy_path, tmp_p
     assert json.loads((out / "ablation.json").read_text())[0]["error"] is not None
     assert not (out / "none_0shot" / "report.json").exists()
     assert not (out / "none_0shot" / "records.jsonl").exists()
+
+
+def answer_with_a_lone_surrogate(stub, bad_command, n_messages):
+    """Answer bad_command, asked in n_messages messages, with JSON text UTF-8 cannot encode."""
+
+    def respond(body):
+        messages = json.loads(body)["messages"]
+        bad = len(messages) == n_messages and messages[-1]["content"] == bad_command
+        content = "Output is [0 0 0 1 0 0 0 0]." + ("\\ud83d" if bad else "")
+        reply = '{"choices":[{"message":{"role":"assistant","content":"%s"}}]}' % content
+        return 200, reply.encode()
+
+    stub.responder = respond
+
+
+def test_a_lone_surrogate_in_an_answer_aborts_the_run_with_its_partial_snapshots(
+    chat_stub, toy_path, tmp_path, capsys
+):
+    bad = load_dataset(toy_path)[5].text
+    answer_with_a_lone_surrogate(chat_stub, bad, 8)  # the system message and 3 shot pairs
+    out = tmp_path / "run"
+    code = run_cli("run", "--dataset", toy_path, "--endpoint", chat_stub.url, "--model", "m",
+                   "--out", str(out))
+    assert code == 3
+    assert "not valid Unicode" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "records.partial.jsonl", "responses.partial.jsonl", "spec.json"
+    ]
+    # every answer sent but the bad one is cached, and nothing under the bad one's key
+    assert len(cache_entries(tmp_path / "autocache")) == len(chat_stub.requests) - 1
+    assert bad not in (out / "responses.partial.jsonl").read_text()
+
+
+def test_a_lone_surrogate_in_an_answer_fails_only_its_own_ablation_cell(
+    chat_stub, toy_path, tmp_path
+):
+    answer_with_a_lone_surrogate(chat_stub, load_dataset(toy_path)[5].text, 2)  # the 0-shot cell
+    out = tmp_path / "grid"
+    code = run_cli("ablate", "--dataset", toy_path, "--endpoint", chat_stub.url, "--model", "m",
+                   "--modes", "none", "--shots", "0,1", "--out", str(out))
+    assert code == 3
+    zero, one = json.loads((out / "ablation.json").read_text())
+    assert zero["error"].startswith("AbortedRun") and "not valid Unicode" in zero["error"]
+    assert one["error"] is None and one["command_level"] is not None
+    assert (out / "none_1shot" / "report.json").is_file()
+    assert len(cache_entries(tmp_path / "autocache")) == len(chat_stub.requests) - 1
 
 
 def test_baseline_over_a_run_leaves_only_its_own_files(toy_path, tmp_path):

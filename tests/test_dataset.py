@@ -187,6 +187,28 @@ def test_save_rejects_tabs_in_text(tmp_path):
         save_dataset([rec], tmp_path / "d.tsv")
 
 
+@pytest.mark.parametrize("breaker", ["\t", "\n", "\r", "\r\n"])
+@pytest.mark.parametrize("field", ["id", "text"])
+def test_save_rejects_a_field_that_load_would_split(tmp_path, field, breaker):
+    # load_dataset opens files with universal newlines, so a lone "\r" ends a line too
+    command_id, text = ("x" + breaker + "1", "Open.") if field == "id" else ("x1", f"Open{breaker}it.")
+    records = [LabeledCommand(command_id, text, RequirementVector.from_bits("10000000"))]
+    with pytest.raises(ValueError):
+        save_dataset(records, tmp_path / "d.tsv")
+    assert not (tmp_path / "d.tsv").exists()
+
+
+def test_line_separators_that_load_does_not_split_on_round_trip(tmp_path):
+    # str.splitlines() would split on each of these, but reading a file by lines does not
+    texts = [f"Open{c}it." for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+    records = [
+        LabeledCommand(f"x{i}", text, RequirementVector.from_bits("10000000"))
+        for i, text in enumerate(texts)
+    ]
+    save_dataset(records, tmp_path / "d.tsv")
+    assert load_dataset(tmp_path / "d.tsv") == records
+
+
 # =============================================================================
 # Distribution
 # =============================================================================

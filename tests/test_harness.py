@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cache_entries, child_env
+from conftest import all_closed, cache_entries, child_env
 from cmdreason import harness
 from cmdreason.backend import (
     BackendConfig,
@@ -838,6 +838,39 @@ def test_backend_of_another_config_is_a_usage_error_before_any_write_or_send(
         run_ablation(small_grid(toy_path, template, tmp_path / "grid"), backend)
     assert backend.send_count == 0
     assert list(tmp_path.iterdir()) == []  # no spec.json, no output directory, no cache file
+
+
+def test_a_run_and_a_grid_close_the_backend_passed_in(toy_path, toy_data, template, tmp_path):
+    backend = gold_backend(toy_data, tmp_path / "cache")
+    run_experiment(make_spec(toy_path, template, tmp_path / "run"), backend)
+    # the cache's last connection is closed, so its WAL and WAL index are gone
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.sqlite"]
+    cells = run_ablation(small_grid(toy_path, template, tmp_path / "grid"), backend)
+    assert all(cell.error is None for cell in cells)
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.sqlite"]
+
+
+def test_an_http_backend_passed_in_keeps_no_idle_connection_and_runs_again(
+    chat_stub, toy_path, toy_data, template, tmp_path
+):
+    config = BackendConfig(endpoint_url=chat_stub.url, model_name="m")
+    backend = HttpChatBackend(config, ResponseCache(tmp_path / "cache"))
+    try:
+        first = run_experiment(
+            make_spec(toy_path, template, tmp_path / "a", backend_config=config), backend
+        )
+        assert first.n_backend_attempts == len(toy_data)
+        assert backend._idle.empty()
+        assert all_closed(chat_stub)
+        second = run_experiment(
+            make_spec(toy_path, template, tmp_path / "b", shots=1, backend_config=config), backend
+        )
+        assert second.n_backend_attempts == len(toy_data)
+        assert len(chat_stub.requests) == 2 * len(toy_data)
+        assert backend._idle.empty()
+        assert all_closed(chat_stub)
+    finally:
+        backend.close()
 
 
 def test_spec_json_round_trip(toy_path, template, tmp_path):
