@@ -93,6 +93,8 @@ class ChatStub(ThreadingHTTPServer):
     `drop_idle` the stub closes each connection after its response, as a
     server does that drops an idle connection; with `chunked` the body goes
     out in chunked transfer encoding.  Each response is sent in one write.
+    A CONNECT is answered 200 and its connection then carries the requests,
+    so that the stub also serves as the proxy of an endpoint by another name.
     """
 
     def __init__(self) -> None:
@@ -123,6 +125,10 @@ class _ChatStubHandler(BaseHTTPRequestHandler):
         finally:
             with self.server.lock:
                 self.server.open_now -= 1
+
+    def do_CONNECT(self):
+        self.send_response(200, "Connection established")
+        self.end_headers()
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
