@@ -1,6 +1,6 @@
 """Classify vehicle commands into 8 binary system requirements with LLMs.
 
-The library turns a natural-language in-cabin command into a transcript for a
+The library turns a natural-language in-cabin command into a request for a
 chat-completion endpoint, parses the fixed-format answer vector out of the
 response, and scores predictions against gold labels.  Ships random and
 keyword-rule baselines, a stratified sampler, an ablation grid runner, and a
@@ -77,7 +77,6 @@ from .prompt import (
     PromptConfig,
     ShotExample,
     TemplateError,
-    build_transcript,
     default_template,
     load_template,
 )

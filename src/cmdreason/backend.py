@@ -1,14 +1,13 @@
 """Chat-completion backends: request encoding, HTTP client, scripted mock, cache, retries.
 
 A RequestEncoder gives each request its one encoding: the JSON body sent, and
-the cache key, sha256 over the endpoint URL and that body.  lookup_many()
-reads a run's keys from the response cache at once, and for each miss
-fetch() drives the retry loop around the transport-specific _send(body).
-The harness makes these calls in that order: it resolves every hit before
-it starts any worker, and its pool of max_in_flight workers bounds the
-requests in flight.
-Each answer is a CompletionResult: the raw text, replayed byte for byte from
-the cache, and the requests it took, 0 when it came from the cache.
+the cache key, sha256 over the endpoint URL and that body.  The harness reads
+a run's keys from the backend's cache in one ResponseCache.get_many(), which
+replays each answer byte for byte, and for each miss fetch() drives the
+retry loop around the transport-specific _send(body).  It makes these calls
+in that order: it resolves every hit before it starts any worker, and its
+pool of max_in_flight workers bounds the requests in flight.  fetch()
+answers with a CompletionResult: the raw text and the requests it took.
 Retryable failures (RateLimited, ServerError for HTTP 500/502/503/504,
 Timeout) back off exponentially with full jitter: attempt i waits
 uniform(0, 1s * 2**i), or, after a 429 or 503 whose Retry-After header
@@ -159,15 +158,11 @@ class BackendConfig:
 @dataclass(frozen=True, slots=True)
 class CompletionResult:
     raw_text: str
-    attempt_count: int  # requests sent for this answer; 0 when it came from the cache
-
-    @property
-    def cache_hit(self) -> bool:
-        return self.attempt_count == 0
+    attempt_count: int  # requests sent for this answer, retries included
 
 
-# The request body: compact JSON, UTF-8 as is.
-_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+# A request body's string or number as JSON, UTF-8 as is; the body's separators are literals.
+_JSON = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _message_json(role: str, content: str) -> str:
@@ -344,13 +339,6 @@ class ChatBackend:
     def close(self) -> None:
         """Release what the backend keeps open between requests: its cache's connection."""
         self.cache.close()
-
-    def lookup_many(self, keys: list[str]) -> dict[str, CompletionResult]:
-        """The cached completions of keys, by key; a miss is left out."""
-        return {
-            key: CompletionResult(text, attempt_count=0)
-            for key, text in self.cache.get_many(keys).items()
-        }
 
     def fetch(self, body: bytes, key: str, failed: threading.Event) -> CompletionResult:
         """Send body without looking in the cache, then cache the answer under key.

@@ -217,15 +217,18 @@ def load_dataset(path: str | Path) -> list[LabeledCommand]:
 def save_dataset(records: Sequence[LabeledCommand], path: str | Path) -> None:
     """Write records, through write_text, in the same TSV format load_dataset reads."""
     path = Path(path)
-    lines = []
+    lines: dict[str, str] = {}  # by id
     for rec in records:
         # a tab or a line break ("\r" too, for load_dataset) inside a field would split its line
         if any(c in rec.command_id for c in "\t\n\r"):
             raise ValueError(f"id {rec.command_id!r} contains a tab or line break")
         if any(c in rec.text for c in "\t\n\r"):
             raise ValueError(f"text for {rec.command_id!r} contains a tab or line break")
-        lines.append(f"{rec.command_id}\t{rec.text}\t{rec.gold.bits()}")
-    write_text(path, "".join(line + "\n" for line in lines))
+        # load_dataset skips a line that starts with "#", and refuses an id it has read before
+        if rec.command_id.startswith("#") or rec.command_id in lines:
+            raise ValueError(f"id {rec.command_id!r} starts with '#' or is not unique")
+        lines[rec.command_id] = f"{rec.command_id}\t{rec.text}\t{rec.gold.bits()}"
+    write_text(path, "".join(line + "\n" for line in lines.values()))
 
 
 def write_atomic(path: Path, text: str) -> None:

@@ -1,4 +1,4 @@
-"""End-to-end orchestration: dataset -> transcripts -> backend -> parse -> score.
+"""End-to-end orchestration: dataset -> requests -> backend -> parse -> score.
 
 A run owns an output directory and persists everything needed to audit or
 re-score it offline:
@@ -41,11 +41,11 @@ thread, clears each run's directory, writes its spec.json, encodes each
 command's text straight into the tail of its request body (the head, with
 the prompt config's transcript prefix, is built once per run, and no
 transcript is built per command), hashes the key from the head's state,
-and looks up each distinct key once: a run's keys go to one lookup_many,
-which reads them in chunked queries.  Fetching sends the misses of all
-runs from one pool of up to max_in_flight workers, in canonical order: run
-by run, then dataset order.  A key that several positions of a run share
-is sent once, and its answer fills each of them.  A fully warm set of runs
+and looks up each distinct key once: a run's keys go to one get_many on
+the backend's cache, which reads them in chunked queries.  Fetching sends
+the misses of all runs from one pool of up to max_in_flight workers, in
+canonical order: run by run, then dataset order.  A key that several
+positions of a run share is sent once, and its answer fills each of them.  A fully warm set of runs
 starts no pool.  Finishing parses, scores and writes a run, or writes its
 partial snapshots if a failure left answers missing; it runs on the calling
 thread as soon as the run's requests are done, while the pool goes on with
@@ -68,7 +68,6 @@ from typing import Any
 from .backend import (
     BackendConfig,
     ChatBackend,
-    CompletionResult,
     HttpChatBackend,
     MockChatBackend,
     RequestEncoder,
@@ -268,10 +267,10 @@ class _Run:
     """One run from plan to finish: the cache key of each dataset position and the answers found.
 
     Planning clears the output directory, writes spec.json, encodes every
-    command and looks up its distinct keys in one lookup_many, on the
-    calling thread.  The keys it missed wait in `misses`, with the tails of
-    their request bodies, in dataset order; `done` is set once none of them
-    is still to be sent.
+    command and reads the texts of its distinct keys into `answers` with one
+    cache.get_many, on the calling thread.  The keys it missed wait in
+    `misses`, with the tails of their request bodies, in dataset order;
+    `done` is set once none of them is still to be sent.
     `failed` stops the run's queued requests and backoffs, `error` is the
     first error that stopped the run, and `outcome` is what finish() gave:
     a RunResult, or the DataError or AbortedRun that stopped the run.
@@ -288,7 +287,9 @@ class _Run:
         self.keys = [encoder.key(tail) for tail in tails]
         self.head = encoder.head
         bodies = dict(zip(self.keys, tails))  # each distinct key once, in dataset order
-        self.answers: dict[str, CompletionResult] = backend.lookup_many(list(bodies))
+        self.answers = backend.cache.get_many(list(bodies))
+        self.n_cache_hits = len(self.answers)
+        self.n_backend_attempts = 0
         self.misses = {key: tail for key, tail in bodies.items() if key not in self.answers}
         self.pending = len(self.misses)  # misses not yet sent, failed or skipped
         self.done = threading.Event()
@@ -306,16 +307,15 @@ class _Run:
         or that AbortedRun or a write's DataError.
         The run lets go of its answers first: later runs may still be fetching.
         """
-        results = [self.answers.get(key) for key in self.keys]
-        answers = list(self.answers.values())
+        texts = [self.answers.get(key) for key in self.keys]
         self.answers, self.misses = {}, {}
-        done = [i for i, result in enumerate(results) if result is not None]
+        done = [i for i, text in enumerate(texts) if text is not None]
         suffix = "" if len(done) == len(data) else ".partial"
-        records = [_predict(data[i], results[i].raw_text, self.keys[i]) for i in done]
+        records = [_predict(data[i], texts[i], self.keys[i]) for i in done]
         try:
             _write_responses(
                 self.out_dir / f"responses{suffix}.jsonl",
-                [(data[i].command_id, results[i].raw_text) for i in done],
+                [(data[i].command_id, texts[i]) for i in done],
             )
             _write_records(self.out_dir / f"records{suffix}.jsonl", [data[i] for i in done], records)
             if suffix:
@@ -329,8 +329,8 @@ class _Run:
                 report=report,
                 records=records,
                 output_dir=self.out_dir,
-                n_cache_hits=sum(1 for r in answers if r.cache_hit),
-                n_backend_attempts=sum(r.attempt_count for r in answers),
+                n_cache_hits=self.n_cache_hits,
+                n_backend_attempts=self.n_backend_attempts,
             )
         except (DataError, BackendError) as exc:
             self.outcome = exc
@@ -382,10 +382,11 @@ def _fetch(
 
     Up to max_in_flight workers pull requests in canonical order, run by run
     and in dataset order within a run, from one shared iterator; an answer
-    goes into its run's `answers`.  The pool is the one bound on requests in
-    flight, and runs without a miss start no pool.  The calling thread
-    finishes each run in order, as soon as its requests are done, while the
-    workers go on with the next runs.
+    goes into its run's `answers`, and the requests it took into the run's
+    `n_backend_attempts`.  The pool is the one bound on requests in flight,
+    and runs without a miss start no pool.  The calling thread finishes
+    each run in order, as soon as its requests are done, while the workers
+    go on with the next runs.
 
     A failed request sets its run's `failed`: a queued request of that run
     that starts after that sends nothing, whatever the thread timing, and a
@@ -416,15 +417,18 @@ def _fetch(
             if job is None:
                 return
             run, key, tail = job
+            attempts = 0
             try:
                 if not run.failed.is_set():
-                    run.answers[key] = backend.fetch(run.head + tail, key, run.failed)
+                    result = backend.fetch(run.head + tail, key, run.failed)
+                    run.answers[key], attempts = result.raw_text, result.attempt_count
             except BackendError as exc:
                 stop([run], exc)
             except BaseException as exc:  # not the endpoint's: _run_all raises it
                 stop(runs, exc)
             finally:
                 with lock:
+                    run.n_backend_attempts += attempts
                     run.pending -= 1
                     if not run.pending:
                         run.done.set()

@@ -1,4 +1,4 @@
-"""Prompt construction: conditioning text, worked examples, transcripts.
+"""Prompt construction: conditioning text, worked examples, the transcript prefix.
 
 The system message always opens with a preamble and closes with the output
 format instruction.  What sits between depends on the explanation mode:
@@ -14,7 +14,6 @@ expects, ending with ``Therefore, the output should be : [b1 ... b8]``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -45,10 +44,6 @@ MODE_ORDER = (ExplanationMode.NONE, ExplanationMode.PARAGRAPH, ExplanationMode.S
 
 class TemplateError(DataError):
     """A template file is missing sections or otherwise malformed."""
-
-
-class EmptyCommand(UsageError):
-    """A transcript was requested for a blank command."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,13 +169,11 @@ def render_shot(shot: ShotExample, mode: ExplanationMode) -> tuple[str, str]:
     return shot.command, "\n".join(lines)
 
 
-@functools.lru_cache(maxsize=64)
 def transcript_prefix(config: PromptConfig) -> Transcript:
-    """The system message, then one user/assistant pair per shot.
+    """The messages before the command: the system message, then a user/assistant pair per shot.
 
-    Every transcript of a config opens with this prefix.  It is built once
-    per config and shared, so the transcripts of one run hold the very same
-    prefix messages.
+    That is 1 + 2 * len(config.shots) messages.  A request of the config
+    sends them, then the command as the final user message.
     """
     messages = [system(build_system_prompt(config))]
     for shot in config.shots:
@@ -188,17 +181,6 @@ def transcript_prefix(config: PromptConfig) -> Transcript:
         messages.append(user(shot_user))
         messages.append(assistant(shot_assistant))
     return tuple(messages)
-
-
-def build_transcript(config: PromptConfig, command: str) -> Transcript:
-    """The config's transcript prefix, then the command.
-
-    The final user message is the command byte-for-byte; blank commands are
-    rejected.  Total length is always 2 + 2 * len(config.shots).
-    """
-    if not command.strip():
-        raise EmptyCommand("cannot build a transcript for a blank command")
-    return transcript_prefix(config) + (user(command),)
 
 
 # =============================================================================

@@ -14,7 +14,10 @@ from pathlib import Path
 import pytest
 
 import cmdreason
-from cmdreason.dataset import LabeledCommand, RequirementVector, load_dataset
+from cmdreason.backend import MockChatBackend, ResponseCache, mock_config
+from cmdreason.chat import Transcript
+from cmdreason.dataset import LabeledCommand, RequirementVector, load_dataset, save_dataset
+from cmdreason.harness import ExperimentSpec, run_experiment
 from cmdreason.prompt import PromptConfig, ShotExample, default_template
 
 
@@ -63,6 +66,28 @@ def make_shot(command: str, bits: str) -> ShotExample:
         for flag in gold
     )
     return ShotExample(command, gold, rationales)
+
+
+def sent_in_a_run(
+    config: PromptConfig, commands: list[str], directory: Path
+) -> list[Transcript]:
+    """The transcripts that a callable MockChatBackend script receives in a run of commands.
+
+    The run sends from one worker: one request per distinct command, in dataset order.
+    """
+    dataset = directory / "d.tsv"
+    gold = RequirementVector.from_bits("00000000")
+    save_dataset([LabeledCommand(f"c{i}", text, gold) for i, text in enumerate(commands)], dataset)
+    sent = []
+
+    def script(transcript):
+        sent.append(transcript)
+        return f"Therefore, the output should be : {gold.bracket()}"
+
+    backend = MockChatBackend(script, mock_config(max_in_flight=1), ResponseCache(directory / "c"))
+    spec = ExperimentSpec(str(dataset), config, backend.config, str(directory / "run"))
+    run_experiment(spec, backend)
+    return sent
 
 
 # =============================================================================

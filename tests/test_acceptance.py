@@ -13,7 +13,7 @@ import shutil
 import time
 from fractions import Fraction
 
-from conftest import make_shot
+from conftest import make_shot, sent_in_a_run
 from test_metrics import naive_eval, random_instance
 
 from cmdreason.backend import MockChatBackend, ProtocolError, ResponseCache
@@ -36,7 +36,7 @@ from cmdreason.harness import (
 from cmdreason.backend import BackendConfig
 from cmdreason.metrics import PredictionRecord, evaluate, format_percent
 from cmdreason.parser import parse_response
-from cmdreason.prompt import ExplanationMode, PromptConfig, build_transcript
+from cmdreason.prompt import ExplanationMode, PromptConfig, transcript_prefix
 from cmdreason.rng import SplitMix64
 
 
@@ -244,18 +244,22 @@ def test_criterion_4_metrics_match_brute_force():
 # =============================================================================
 
 
-def test_criterion_5_message_count_law(template):
+def test_criterion_5_message_count_law(template, tmp_path):
     pool = tuple(
         make_shot(f"Example command {i}.", f"{i % 2}{(i + 1) % 2}000000") for i in range(8)
     )
     rng = random.Random(1234)
     alphabet = "abcdefghijklmnopqrstuvwxyz ,.!?'"
-    violations = 0
+    commands_by_shots: dict[int, list[str]] = {}
     for _ in range(500):
         command = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 80)))
         if not command.strip():
             command = "fallback command"
-        shots = rng.randint(0, 8)
+        commands_by_shots.setdefault(rng.randint(0, 8), []).append(command)
+    # each shot count's commands go out in one run; a command is checked against
+    # the transcript that the backend's script received for it
+    violations = 0
+    for shots, commands in sorted(commands_by_shots.items()):
         config = PromptConfig(
             mode=ExplanationMode.STEPWISE,
             shots=pool[:shots],
@@ -263,9 +267,18 @@ def test_criterion_5_message_count_law(template):
             preamble=template.preamble,
             format_instruction=template.format_instruction,
         )
-        transcript = build_transcript(config, command)
-        if len(transcript) != 2 + 2 * shots or transcript[-1].content != command:
-            violations += 1
+        prefix = transcript_prefix(config)
+        sent = sent_in_a_run(config, commands, tmp_path / str(shots))
+        received = {transcript[-1].content: transcript for transcript in sent}
+        for command in commands:
+            transcript = received.get(command)
+            if (
+                len(prefix) != 1 + 2 * shots
+                or transcript is None
+                or len(transcript) != 2 + 2 * shots
+                or transcript[:-1] != prefix
+            ):
+                violations += 1
     ok = violations == 0
     verdict(5, "message-count law", ok, f"{violations} violations over 500 random commands")
 

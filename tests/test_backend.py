@@ -26,6 +26,7 @@ from cmdreason.backend import (
     RETRY_AFTER_MAX_SECONDS,
     AuthError,
     BackendConfig,
+    CompletionResult,
     HttpChatBackend,
     MockChatBackend,
     ProtocolError,
@@ -40,7 +41,7 @@ from cmdreason.backend import (
 )
 from cmdreason.chat import assistant, system, user
 from cmdreason.dataset import write_atomic
-from cmdreason.prompt import MODE_ORDER, build_transcript, default_template, transcript_prefix
+from cmdreason.prompt import MODE_ORDER, default_template, transcript_prefix
 
 
 def transcript_for(command: str):
@@ -74,11 +75,15 @@ def body_for(config: BackendConfig, command: str = "Honk.") -> bytes:
 
 
 def ask(backend, command: str):
-    """One command's answer as a run gets it: the cache first, and on a miss one fetch."""
+    """One command's answer as a run gets it: the cache first, and on a miss one fetch.
+
+    An answer from the cache comes back as a CompletionResult of 0 attempts.
+    """
     key = cache_key(backend.config, transcript_for(command))
-    return backend.lookup_many([key]).get(key) or backend.fetch(
-        body_for(backend.config, command), key, threading.Event()
-    )
+    text = backend.cache.get_many([key]).get(key)
+    if text is not None:
+        return CompletionResult(text, attempt_count=0)
+    return backend.fetch(body_for(backend.config, command), key, threading.Event())
 
 
 def test_cache_key_is_hex_sha256():
@@ -155,7 +160,7 @@ def test_encoded_bodies_decode_to_the_request_and_key_their_bytes():
                 prompt = template.config(mode, shots)
                 encoder = RequestEncoder(config, transcript_prefix(prompt))
                 for command in commands:
-                    transcript = build_transcript(prompt, command)
+                    transcript = transcript_prefix(prompt) + (user(command),)
                     tail = encoder.tail(command)
                     body = encoder.head + tail
                     payload = json.loads(body)
@@ -204,10 +209,6 @@ def test_get_many_reads_hits_and_misses_in_chunks_of_at_most_500_keys(tmp_path, 
     assert cache.get_many(keys) == stored
     assert len(queries) == -(-n // 500)
     db.set_trace_callback(None)
-    found = MockChatBackend({}, cache=cache).lookup_many(keys)
-    assert {key: result.raw_text for key, result in found.items()} == stored
-    assert all(result.cache_hit for result in found.values())
-    assert MockChatBackend({}).lookup_many(keys) == {}  # the default cache, empty here
     cache.close()
 
 
@@ -350,7 +351,7 @@ def test_backend_close_closes_its_cache(tmp_path):
     assert len(list((tmp_path / "c").iterdir())) == 3  # the file, its WAL and the WAL index
     backend.close()
     assert [p.name for p in (tmp_path / "c").iterdir()] == ["responses.sqlite"]
-    assert ask(backend, "Honk.").cache_hit  # a later call reopens it
+    assert ask(backend, "Honk.").attempt_count == 0  # a later call reopens it
     backend.close()
 
 
@@ -359,7 +360,7 @@ def test_a_backend_without_a_cache_passed_in_caches_in_the_default_directory(
 ):
     monkeypatch.setenv("CMDREASON_CACHE_DIR", str(tmp_path / "envcache"))
     backend = MockChatBackend({"Honk.": "beep"})
-    assert not ask(backend, "Honk.").cache_hit
+    assert ask(backend, "Honk.").attempt_count == 1
     backend.close()
     assert list(cache_entries(tmp_path / "envcache").values()) == ["beep"]
     assert ask(MockChatBackend({}), "Honk.").raw_text == "beep"
@@ -374,7 +375,6 @@ def test_mock_mapping_answers_by_final_user_message():
     backend = MockChatBackend({"Honk.": "Output is [0 0 0 1 0 0 0 0]."})
     result = ask(backend, "Honk.")
     assert result.raw_text == "Output is [0 0 0 1 0 0 0 0]."
-    assert result.cache_hit is False
     assert result.attempt_count == 1
 
 
@@ -489,9 +489,8 @@ def test_second_completion_is_a_cache_hit(tmp_path):
     backend = MockChatBackend({"Honk.": "answer"}, cache=cache)
     first = ask(backend, "Honk.")
     second = ask(backend, "Honk.")
-    assert (first.cache_hit, second.cache_hit) == (False, True)
+    assert (first.attempt_count, second.attempt_count) == (1, 0)
     assert second.raw_text == "answer"
-    assert second.attempt_count == 0
     assert backend.send_count == 1  # no second network round trip
 
 
@@ -620,7 +619,7 @@ def test_http_503_is_retried_and_the_answer_cached(chat_stub, http_backend, tmp_
     result = fetch(backend, failed)
     assert (result.raw_text, result.attempt_count) == ("hello there", 2)
     assert failed.waits == [0.5]
-    assert ask(backend, "Honk.").cache_hit
+    assert ask(backend, "Honk.").attempt_count == 0
     assert len(chat_stub.requests) == 2
 
 

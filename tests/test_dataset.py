@@ -5,7 +5,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmdreason.dataset import (
@@ -206,6 +206,44 @@ def test_line_separators_that_load_does_not_split_on_round_trip(tmp_path):
         for i, text in enumerate(texts)
     ]
     save_dataset(records, tmp_path / "d.tsv")
+    assert load_dataset(tmp_path / "d.tsv") == records
+
+
+@pytest.mark.parametrize("text", ["", "   ", "\t\n"])
+def test_labeled_command_rejects_blank_text(text):
+    with pytest.raises(ValueError, match="text must be non-empty"):
+        LabeledCommand("x1", text, RequirementVector.from_bits("10000000"))
+
+
+@pytest.mark.parametrize("ids", [["#c1", "c2"], ["c1", "c1"]], ids=["comment", "twice"])
+def test_save_rejects_an_id_that_load_would_skip_or_refuse(tmp_path, ids):
+    records = [LabeledCommand(i, "Open it.", RequirementVector.from_bits("10000000")) for i in ids]
+    with pytest.raises(ValueError, match="starts with '#' or is not unique"):
+        save_dataset(records, tmp_path / "d.tsv")
+    assert not (tmp_path / "d.tsv").exists()
+
+
+# ids and texts drawn often from the characters that the TSV format gives a meaning to
+tsv_characters = st.sampled_from("#c1 \t\n\r\x0b\x85\u2028é🚗") | st.characters()
+field_strategy = st.text(tsv_characters, min_size=1)
+rows_strategy = st.lists(
+    st.tuples(field_strategy, field_strategy.filter(str.strip), bits_strategy), max_size=4
+)
+
+
+@settings(
+    max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(rows_strategy)
+def test_save_then_load_gives_the_records_back_or_save_refuses(tmp_path, rows):
+    records = [
+        LabeledCommand(command_id, text, RequirementVector.from_bits(bits))
+        for command_id, text, bits in rows
+    ]
+    try:
+        save_dataset(records, tmp_path / "d.tsv")
+    except ValueError:
+        return
     assert load_dataset(tmp_path / "d.tsv") == records
 
 

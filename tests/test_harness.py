@@ -53,7 +53,7 @@ from cmdreason.harness import (
     run_experiment,
 )
 from cmdreason.metrics import PredictionRecord, evaluate
-from cmdreason.prompt import ExplanationMode, build_transcript
+from cmdreason.prompt import ExplanationMode, transcript_prefix
 
 
 def gold_config(**overrides) -> BackendConfig:
@@ -142,14 +142,16 @@ def test_warm_run_builds_each_vector_once_from_the_dataset(
     assert callers == ["cmdreason.dataset"] * len(toy_data)
 
 
-def test_warm_gold_run_builds_no_message_and_no_vector(
+def test_warm_gold_run_builds_only_its_prefix_messages_and_no_vector(
     toy_path, toy_data, template, tmp_path, monkeypatch
 ):
-    # a warm replay of mock://gold reuses the prefix built for the cold run,
-    # encodes each command's text without a message, and takes every vector
-    # from the table: it builds no ChatMessage and no RequirementVector at all
+    # a warm replay of mock://gold builds its transcript prefix once, encodes
+    # each command's text without a message, and takes every vector from the
+    # table: the prefix's ChatMessages, whatever the dataset size, and no
+    # RequirementVector at all
     spec = make_spec(toy_path, template, tmp_path / "run")
     run_experiment(spec)
+    n_prefix = len(transcript_prefix(spec.prompt_config))
     built = []
     post_init, new = ChatMessage.__post_init__, RequirementVector.__new__
 
@@ -165,8 +167,9 @@ def test_warm_gold_run_builds_no_message_and_no_vector(
     monkeypatch.setattr(RequirementVector, "__new__", staticmethod(counting_new))
     warm = run_experiment(spec)
     assert warm.n_cache_hits == len(toy_data)
-    assert built == []
+    assert built == ["ChatMessage"] * n_prefix
     # the counters count
+    built.clear()
     user("Honk.")
     RequirementVector((True,) * 8)
     assert built == ["ChatMessage", "RequirementVector"]
@@ -850,6 +853,61 @@ def test_a_run_and_a_grid_close_the_backend_passed_in(toy_path, toy_data, templa
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.sqlite"]
 
 
+def final_command(body: bytes) -> str:
+    return json.loads(body)["messages"][-1]["content"]
+
+
+def test_run_counts_each_retry_as_an_attempt_and_its_warm_replay_sends_none(
+    chat_stub, toy_path, toy_data, template, tmp_path
+):
+    # every third command gets one 503, which asks for no wait, before its 200
+    flaky = {rec.text for rec in toy_data[::3]}
+    answered = set()
+    lock = threading.Lock()
+    ok = chat_stub.responder
+
+    def one_503_first(body):
+        command = final_command(body)
+        with lock:
+            first = command not in answered
+            answered.add(command)
+        if first and command in flaky:
+            return 503, {"error": "overloaded"}, {"Retry-After": "0"}
+        return ok(body)
+
+    chat_stub.responder = one_503_first
+    config = BackendConfig(endpoint_url=chat_stub.url, model_name="m")
+    spec = make_spec(toy_path, template, tmp_path / "run", backend_config=config)
+    n, k = len(toy_data), len(flaky)
+    cold = run_experiment(spec)
+    assert (cold.n_cache_hits, cold.n_backend_attempts) == (0, n + k)
+    warm = run_experiment(spec)
+    assert (warm.n_cache_hits, warm.n_backend_attempts) == (n, 0)
+    assert len(chat_stub.requests) == n + k
+
+
+def test_a_resumed_run_counts_each_answer_committed_before_the_abort_as_a_hit(
+    chat_stub, toy_path, toy_data, template, tmp_path
+):
+    broken = toy_data[12].text
+    ok = chat_stub.responder
+    chat_stub.responder = lambda body: (
+        (400, {"error": "no"}) if final_command(body) == broken else ok(body)
+    )
+    config = BackendConfig(endpoint_url=chat_stub.url, model_name="m")
+    spec = make_spec(toy_path, template, tmp_path / "run", backend_config=config)
+    with pytest.raises(AbortedRun) as err:
+        run_experiment(spec)
+    committed = len(cache_entries(tmp_path / "autocache"))
+    assert 0 < committed == err.value.n_completed < len(toy_data)
+
+    chat_stub.responder = ok
+    resumed = run_experiment(spec)
+    assert (resumed.n_cache_hits, resumed.n_backend_attempts) == (
+        committed, len(toy_data) - committed
+    )
+
+
 def test_an_http_backend_passed_in_keeps_no_idle_connection_and_runs_again(
     chat_stub, toy_path, toy_data, template, tmp_path
 ):
@@ -1056,9 +1114,8 @@ def test_grid_sends_cell_by_cell_in_dataset_order(toy_path, toy_data, template, 
     run_ablation(grid, backend)
     expected = []
     for mode, shots in grid.cells():
-        for rec in toy_data:
-            transcript = build_transcript(grid.base.prompt_config.config(mode, shots), rec.text)
-            expected.append((transcript[0].content, len(transcript), rec.text))
+        prefix = transcript_prefix(grid.base.prompt_config.config(mode, shots))
+        expected.extend((prefix[0].content, len(prefix) + 1, rec.text) for rec in toy_data)
     assert sent == expected
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_shot
+from conftest import make_shot, sent_in_a_run
 from cmdreason.chat import ChatMessage
 from cmdreason.dataset import RequirementVector
 from cmdreason.errors import UsageError
@@ -14,16 +16,15 @@ from cmdreason.prompt import (
     ANSWER_LINE_PREFIX,
     MODE_ORDER,
     OUTPUT_PATTERN,
-    EmptyCommand,
     ExplanationMode,
     PromptConfig,
     ShotExample,
     TemplateError,
     build_system_prompt,
-    build_transcript,
     default_template,
     load_template,
     render_shot,
+    transcript_prefix,
 )
 
 
@@ -145,34 +146,31 @@ def test_answer_line_ends_with_bracket_vector():
 def test_message_count_law(template):
     for shots in range(0, 5):
         config = template.config(ExplanationMode.STEPWISE, shots)
-        transcript = build_transcript(config, "Honk twice.")
-        assert len(transcript) == 2 + 2 * shots
+        assert len(transcript_prefix(config)) == 1 + 2 * shots
 
 
-def test_transcript_role_pattern(config):
-    transcript = build_transcript(config, "Honk twice.")
-    roles = [m.role for m in transcript]
+def test_transcript_role_pattern(config, tmp_path):
+    roles = [m.role for m in sent_in_a_run(config, ["Honk twice."], tmp_path)[0]]
     assert roles[0] == "system"
     assert roles[-1] == "user"
     assert roles[1:-1] == ["user", "assistant"] * len(config.shots)
 
 
-def test_final_message_is_command_verbatim(config):
-    command = "  Honk twice, please. "
-    transcript = build_transcript(config, command)
-    assert transcript[-1] == ChatMessage("user", command)
-
-
-def test_blank_command_rejected(config):
-    with pytest.raises(EmptyCommand):
-        build_transcript(config, "   ")
+def test_final_message_is_command_verbatim(config, tmp_path):
+    command = "  Honk twice, please. "
+    (transcript,) = sent_in_a_run(config, [command], tmp_path)
+    assert transcript == transcript_prefix(config) + (ChatMessage("user", command),)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.text(min_size=1).filter(lambda s: s.strip()), st.integers(0, 4))
+@given(
+    st.text(st.characters(blacklist_characters="\t\n\r"), min_size=1).filter(str.strip),
+    st.integers(0, 4),
+)
 def test_message_count_law_property(command, shots):
     config = default_template().config(ExplanationMode.PARAGRAPH, shots)
-    transcript = build_transcript(config, command)
+    with tempfile.TemporaryDirectory() as directory:
+        (transcript,) = sent_in_a_run(config, [command], Path(directory))
     assert len(transcript) == 2 + 2 * shots
     assert transcript[-1].content == command
 
