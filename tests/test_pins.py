@@ -1,25 +1,34 @@
-"""Byte pins: the requests and the artifacts of one fixed run, as sha256 digests.
+"""Byte pins: the requests and the artifacts of fixed runs, as sha256 digests.
 
 A cold run against the in-process stub endpoint, and its warm replay from the
 cache, must send and write exactly the bytes pinned here: each request body
-with its cache key, and spec.json, responses.jsonl, records.jsonl and
-report.json.  The corpus is the toy dataset plus commands that hold non-ASCII
-and astral characters, a quote, a backslash, a control character and U+2028,
-one of them twice; the replies mix bracket, step-fallback and unparseable
-answers.  The endpoint names a fixed address that the stub serves as its own
-CONNECT proxy, so the keys, which hash the endpoint URL, do not depend on the
-stub's port.  A change that moves a pinned byte fails here; a change meant to move
-one updates the digest and says why.
+with its cache key, spec.json, responses.jsonl, records.jsonl and
+report.json, and the cache's rows.  So must a run that a 400 aborts (its
+spec.json and .partial pair), a 4-cell grid (every file of every cell, and
+ablation.json and ablation.md), and both baselines (records.jsonl and
+report.json).  The corpus is the toy dataset plus commands that hold
+non-ASCII and astral characters, a quote, a backslash, a control character
+and U+2028, one of them twice; the replies mix bracket, step-fallback and
+unparseable answers.  The endpoint names a fixed address that the stub
+serves as its own CONNECT proxy, so the keys, which hash the endpoint URL,
+do not depend on the stub's port.  A change that moves a pinned byte fails
+here; a change meant to move one updates the digest and says why.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
-from conftest import toy_dataset_path
+import pytest
+
+from conftest import cache_entries, toy_dataset_path
+import cmdreason.cli as cli
 from cmdreason.backend import BackendConfig
+from cmdreason.baselines import example_rules_path
 from cmdreason.dataset import LabeledCommand, RequirementVector, load_dataset, save_dataset
-from cmdreason.harness import ExperimentSpec, run_experiment
+from cmdreason.harness import AblationGrid, AbortedRun, ExperimentSpec, run_ablation, run_experiment
 from cmdreason.prompt import ExplanationMode, default_template
 
 # reached only through the stub as its proxy: nothing listens on the discard port
@@ -41,11 +50,28 @@ PINS = {
     "responses.jsonl": "09bf5b9179e315cc9df5c5a403973dc2c090dada05ca12860cb82f5738b04014",
     "records.jsonl": "37bd3fc5e06f114d813d855093b0d05ac0099972b43fedc44eeba39fa0b7c384",
     "report.json": "4428b55f9ff9db10182f1edc49543ce612c9e59b79c24cee4a3d6885e2f140ee",
+    "cache rows": "058c0764e4a6cf3975468a02e6440d835164a868fce286a894532896374980d7",
+}
+# every file under a directory, as the digest of its sorted "path sha256" lines
+TREE_PINS = {
+    "aborted": "92d1fe4724f66408b174061ab7261c972d255a0e77673771dbd0459275d4aa0f",
+    "grid": "acbee788c572dfba66d34452b84a1d76f54ed400da48344d5ad41e484a0d4eb3",
+    "random": "0166f6041733f5eed2f12b6e341670cb313120ac9d5b03cb52a74bfbead2d013",
+    "rules": "7fd7f781eb8953f346664efe71af363caa6bef5b1156f44c5f520b0db5508918",
 }
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def tree_digest(root: Path) -> str:
+    lines = sorted(
+        f"{path.relative_to(root).as_posix()} {sha256(path.read_bytes())}"
+        for path in root.rglob("*")
+        if path.is_file()
+    )
+    return sha256("\n".join(lines).encode())
 
 
 def reply_for(i: int, rec: LabeledCommand) -> str:
@@ -63,7 +89,12 @@ def reply_for(i: int, rec: LabeledCommand) -> str:
     return f'I cannot tell "{rec.text}" \\ 🚦\u2028apart.\rStep 1: maybe'  # unparseable
 
 
-def test_requests_and_artifacts_are_pinned(chat_stub, tmp_path, monkeypatch):
+@pytest.fixture()
+def pinned(chat_stub, tmp_path, monkeypatch):
+    """The corpus saved as pins.tsv in tmp_path, the working directory, and its run spec.
+
+    The stub answers each command with reply_for, as the endpoint's proxy.
+    """
     data = load_dataset(toy_dataset_path()) + [
         LabeledCommand(command_id, text, RequirementVector.from_bits(bits))
         for command_id, text, bits in EXTRA_COMMANDS
@@ -82,12 +113,16 @@ def test_requests_and_artifacts_are_pinned(chat_stub, tmp_path, monkeypatch):
         return 200, {"choices": [{"message": {"role": "assistant", "content": replies[command]}}]}
 
     chat_stub.responder = respond
-    spec = ExperimentSpec(
+    return data, ExperimentSpec(
         dataset_path="pins.tsv",
         prompt_config=default_template().config(ExplanationMode.STEPWISE, 2),
         backend_config=BackendConfig(endpoint_url=ENDPOINT, model_name="pinned-model"),
         output_dir="run",
     )
+
+
+def test_requests_and_artifacts_are_pinned(pinned, chat_stub, tmp_path):
+    data, spec = pinned
     names = ("spec.json", "responses.jsonl", "records.jsonl", "report.json")
     runs = []
     for _ in ("cold", "warm"):
@@ -95,13 +130,58 @@ def test_requests_and_artifacts_are_pinned(chat_stub, tmp_path, monkeypatch):
         runs.append({name: sha256((tmp_path / "run" / name).read_bytes()) for name in names})
 
     bodies = [body for _, _, body in chat_stub.requests]
-    assert len(bodies) == len(replies)  # the warm replay sent nothing
+    assert len(bodies) == len({rec.text for rec in data})  # the warm replay sent nothing
     prefix = ENDPOINT.encode() + b"\0"
     keyed = sorted(f"{sha256(prefix + body)} {sha256(body)}" for body in bodies)
     lines = (tmp_path / "run" / "records.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     assert {line.split()[0] for line in keyed} == {row["cache_key"] for row in records}
     assert {row["method"] for row in records} == {"bracket", "step_fallback", None}
-    got = {"requests": sha256("\n".join(keyed).encode()), **runs[0]}
+    rows = sorted(cache_entries(tmp_path / "autocache").items())
+    got = {
+        "requests": sha256("\n".join(keyed).encode()),
+        **runs[0],
+        "cache rows": sha256(json.dumps(rows).encode()),
+    }
     assert runs[1] == runs[0]
     assert got == PINS
+
+
+def test_aborted_run_files_are_pinned(pinned, chat_stub, tmp_path):
+    data, spec = pinned
+    # one worker sends in dataset order, so the abort at the 11th command is
+    # preceded by exactly the first 10 answers
+    respond = chat_stub.responder
+    chat_stub.responder = lambda body: (
+        (400, {"error": "bad request"})
+        if json.loads(body)["messages"][-1]["content"] == data[10].text
+        else respond(body)
+    )
+    config = dataclasses.replace(spec.backend_config, max_in_flight=1)
+    with pytest.raises(AbortedRun) as aborted:
+        run_experiment(dataclasses.replace(spec, backend_config=config, output_dir="aborted"))
+    assert aborted.value.n_completed == 10
+    assert sorted(p.name for p in (tmp_path / "aborted").iterdir()) == [
+        "records.partial.jsonl", "responses.partial.jsonl", "spec.json",
+    ]
+    assert tree_digest(tmp_path / "aborted") == TREE_PINS["aborted"]
+
+
+def test_grid_files_are_pinned(pinned, tmp_path):
+    _, spec = pinned
+    base = dataclasses.replace(spec, prompt_config=default_template(), output_dir="grid")
+    modes = (ExplanationMode.NONE, ExplanationMode.STEPWISE)
+    cells = run_ablation(AblationGrid(base, modes, (0, 2)))
+    assert [cell.error for cell in cells] == [None] * 4
+    assert len(list((tmp_path / "grid").rglob("*.*"))) == 2 + 4 * 4
+    assert tree_digest(tmp_path / "grid") == TREE_PINS["grid"]
+
+
+def test_baseline_files_are_pinned(pinned, tmp_path):
+    for name, method in (("random", ["--random", "--seed", "7"]),
+                         ("rules", ["--rules", str(example_rules_path())])):
+        assert cli.main(["baseline", "--dataset", "pins.tsv", *method, "--out", name]) == 0
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
+            "records.jsonl", "report.json",
+        ]
+        assert tree_digest(tmp_path / name) == TREE_PINS[name], name
