@@ -83,10 +83,11 @@ def load_rules(path: str | Path) -> RuleSet:
                 raise MalformedRule(path, line_no, "duplicate default line")
             default = mask
             saw_default = True
-        elif pattern:
+            continue
+        try:
             rules.append(Rule(pattern, mask))
-        else:
-            raise MalformedRule(path, line_no, "empty pattern")
+        except ValueError as exc:
+            raise MalformedRule(path, line_no, str(exc)) from exc
     return RuleSet(tuple(rules), default)
 
 

@@ -96,8 +96,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         shot_counts = tuple(int(s) for s in args.shots.split(",") if s.strip())
     except ValueError as exc:
         raise UsageError(f"bad --modes/--shots value: {exc}") from exc
-    if not modes or not shot_counts:
-        raise UsageError("--modes and --shots must each name at least one value")
     template = _load_template(args)
     base = ExperimentSpec(
         dataset_path=args.dataset,

@@ -202,14 +202,13 @@ def load_dataset(path: str | Path) -> list[LabeledCommand]:
     records: list[LabeledCommand] = []
     seen: set[str] = set()
     for line_no, (command_id, text), gold in read_masked_tsv(path, 3, MalformedRecord):
-        if not command_id:
-            raise MalformedRecord(path, line_no, "empty id")
         if command_id in seen:
             raise MalformedRecord(path, line_no, f"duplicate id {command_id!r}")
-        if not text.strip():
-            raise MalformedRecord(path, line_no, "empty command text")
+        try:
+            records.append(LabeledCommand(command_id, text, gold))
+        except ValueError as exc:
+            raise MalformedRecord(path, line_no, str(exc)) from exc
         seen.add(command_id)
-        records.append(LabeledCommand(command_id, text, gold))
     log.debug("loaded %d records from %s", len(records), path)
     return records
 

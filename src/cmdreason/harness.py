@@ -311,7 +311,10 @@ class _Run:
         self.answers, self.misses = {}, {}
         done = [i for i, text in enumerate(texts) if text is not None]
         suffix = "" if len(done) == len(data) else ".partial"
-        records = [_predict(data[i], texts[i], self.keys[i]) for i in done]
+        records = [
+            PredictionRecord(data[i].command_id, *parse_response(texts[i]), self.keys[i])
+            for i in done
+        ]
         try:
             _write_responses(
                 self.out_dir / f"responses{suffix}.jsonl",
@@ -445,13 +448,6 @@ def _fetch(
             for run in runs:
                 run.failed.set()
             raise
-
-
-def _predict(rec: LabeledCommand, raw_text: str, key: str) -> PredictionRecord:
-    outcome = parse_response(raw_text)
-    return PredictionRecord(
-        rec.command_id, outcome.vector, outcome.method, outcome.failure_reason, key
-    )
 
 
 # =============================================================================

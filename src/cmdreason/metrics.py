@@ -30,8 +30,8 @@ class IdMismatch(DataError):
 class PredictionRecord:
     """One command's prediction: a vector and how it was made, or why there is none.
 
-    Parsed responses carry the parse method and their cache key; baselines
-    build ``PredictionRecord(id, vector)`` with method ``direct``.
+    A parsed response's record holds its ParseOutcome, which only this checks, and its
+    cache key; baselines build ``PredictionRecord(id, vector)`` with method ``direct``.
     """
 
     command_id: str

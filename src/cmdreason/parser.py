@@ -19,7 +19,7 @@ Anything else is a parse failure with one of four reasons:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dataset import N_QUESTIONS, VECTORS_BY_BITS, RequirementVector
 
@@ -38,21 +38,12 @@ _STEP_LINE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ParseOutcome:
-    """Either a parsed vector with the method that produced it, or a failure reason."""
+class ParseOutcome(NamedTuple):
+    """A PredictionRecord's parse fields: a vector and its method, or a failure reason."""
 
     vector: RequirementVector | None
     method: str | None  # METHOD_BRACKET or METHOD_STEP_FALLBACK
     failure_reason: str | None
-
-    def __post_init__(self) -> None:
-        parsed = self.vector is not None and self.method is not None
-        failed = self.failure_reason is not None
-        if parsed == failed:
-            raise ValueError("outcome must have exactly one of (vector, method) or failure_reason")
-        if parsed and self.method not in (METHOD_BRACKET, METHOD_STEP_FALLBACK):
-            raise ValueError(f"unknown parse method {self.method!r}")
 
 
 def _find_bracket_vector(text: str) -> RequirementVector | None:

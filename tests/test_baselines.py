@@ -79,14 +79,15 @@ def test_load_rules_missing_file(tmp_path):
         ("call\t0100111", "8 chars"),
         ("call 01001110", "expected 2"),
         ("call\t01001110\textra", "expected 2"),
-        ("\t01001110", "empty pattern"),
+        ("\t01001110", "rule pattern must be non-empty"),
     ],
 )
 def test_load_rules_rejects_bad_lines(tmp_path, line, fragment):
     p = tmp_path / "r.tsv"
     p.write_text(line + "\n")
-    with pytest.raises(MalformedRule, match=fragment):
+    with pytest.raises(MalformedRule, match=fragment) as err:
         load_rules(p)
+    assert str(err.value) == f"{p}:1: {err.value.reason}"
 
 
 def test_load_rules_rejects_second_default(tmp_path):

@@ -152,6 +152,17 @@ def test_ablate_rejects_unknown_mode(toy_path, tmp_path, capsys):
     assert "telepathy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modes,shots", [(",", "0"), ("none", ","), (" ", " ")])
+def test_ablate_rejects_an_empty_mode_or_shot_list(toy_path, tmp_path, capsys, modes, shots):
+    code = run_cli(
+        "ablate", "--dataset", toy_path, "--endpoint", "mock://gold", "--model", "demo",
+        "--modes", modes, "--shots", shots, "--out", str(tmp_path / "g"),
+    )
+    assert code == 1
+    assert "at least one mode and one shot count" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_ablate_rejects_oversized_shot_count(toy_path, tmp_path, capsys):
     code = run_cli(
         "ablate", "--dataset", toy_path, "--endpoint", "mock://gold", "--model", "demo",

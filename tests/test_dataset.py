@@ -145,8 +145,8 @@ def test_load_missing_file(tmp_path):
     [
         ("x1\tonly two fields", "expected 3"),
         ("x1\ta\tb\tc", "expected 3"),
-        ("\tDo a thing.\t10000000", "empty id"),
-        ("x1\t   \t10000000", "empty command text"),
+        ("\tDo a thing.\t10000000", "command_id must be non-empty"),
+        ("x1\t   \t10000000", "text must be non-empty after trimming"),
         ("x1\tDo a thing.\t1000000", "8 chars"),
         ("x1\tDo a thing.\t1000000x", "8 chars"),
     ],
@@ -156,7 +156,8 @@ def test_load_rejects_malformed_lines(tmp_path, line, fragment):
     p.write_text(line + "\n")
     with pytest.raises(MalformedRecord) as err:
         load_dataset(p)
-    assert fragment in str(err.value)
+    assert str(err.value) == f"{p}:1: {err.value.reason}"
+    assert fragment in err.value.reason
     assert err.value.line_no == 1
 
 

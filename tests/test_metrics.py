@@ -125,6 +125,31 @@ def test_duplicate_gold_raises():
 
 
 # =============================================================================
+# Record rules
+# =============================================================================
+
+
+@pytest.mark.parametrize(
+    "vector,method,failure_reason,message",
+    [
+        (None, None, None, "exactly one of vector or failure_reason"),
+        ("00000000", "bracket", "no_bracket_no_steps", "exactly one of vector or failure_reason"),
+        ("00000000", None, None, "a predicted vector needs a method"),
+    ],
+    ids=["neither side", "both sides", "vector without method"],
+)
+def test_record_rejects_a_broken_prediction(vector, method, failure_reason, message):
+    vector = None if vector is None else RequirementVector.from_bits(vector)
+    with pytest.raises(ValueError, match=message):
+        PredictionRecord("a", vector, method, failure_reason)
+
+
+def test_record_rejects_an_empty_id():
+    with pytest.raises(ValueError, match="command_id must be non-empty"):
+        PredictionRecord("", RequirementVector.from_bits("00000000"))
+
+
+# =============================================================================
 # Brute-force equivalence
 # =============================================================================
 

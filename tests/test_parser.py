@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_shot
 from cmdreason.dataset import N_QUESTIONS, RequirementVector
+from cmdreason.metrics import PredictionRecord
 from cmdreason.parser import (
     METHOD_BRACKET,
     METHOD_STEP_FALLBACK,
@@ -166,17 +167,6 @@ def test_failures_are_reported_in_ascending_step_order():
     assert parse_response("\n".join(lines)).failure_reason == "missing_step(2)"
 
 
-def test_outcome_requires_exactly_one_side():
-    with pytest.raises(ValueError):
-        ParseOutcome(vector=None, method=None, failure_reason=None)
-    with pytest.raises(ValueError):
-        ParseOutcome(
-            vector=RequirementVector.from_bits("00000000"),
-            method=METHOD_BRACKET,
-            failure_reason="no_bracket_no_steps",
-        )
-
-
 # =============================================================================
 # Properties
 # =============================================================================
@@ -185,8 +175,11 @@ def test_outcome_requires_exactly_one_side():
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=400))
 def test_parse_never_raises(text):
+    # every outcome is a record's parse fields: PredictionRecord checks them
     outcome = parse_response(text)
-    assert outcome.vector is not None or outcome.failure_reason
+    record = PredictionRecord("c1", *outcome)
+    assert record.method in (METHOD_BRACKET, METHOD_STEP_FALLBACK, None)
+    assert (record.method is None) == (outcome.vector is None)
 
 
 @settings(max_examples=100, deadline=None)
