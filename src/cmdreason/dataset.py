@@ -223,6 +223,10 @@ def save_dataset(records: Sequence[LabeledCommand], path: str | Path) -> None:
             raise ValueError(f"id {rec.command_id!r} contains a tab or line break")
         if any(c in rec.text for c in "\t\n\r"):
             raise ValueError(f"text for {rec.command_id!r} contains a tab or line break")
+        try:  # a lone surrogate has no UTF-8 encoding, so the file could not hold it
+            (rec.command_id + rec.text).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"id or text of {rec.command_id!r} holds a lone surrogate") from None
         # load_dataset skips a line that starts with "#", and refuses an id it has read before
         if rec.command_id.startswith("#") or rec.command_id in lines:
             raise ValueError(f"id {rec.command_id!r} starts with '#' or is not unique")

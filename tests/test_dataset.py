@@ -210,6 +210,20 @@ def test_line_separators_that_load_does_not_split_on_round_trip(tmp_path):
     assert load_dataset(tmp_path / "d.tsv") == records
 
 
+@pytest.mark.parametrize("field", ["id", "text"])
+def test_save_rejects_a_lone_surrogate_and_names_its_record(tmp_path, field):
+    command_id, text = ("x\ud800", "Open.") if field == "id" else ("x1", "Open \udfff.")
+    records = [
+        LabeledCommand("x0", "Close.", RequirementVector.from_bits("00000000")),
+        LabeledCommand(command_id, text, RequirementVector.from_bits("10000000")),
+    ]
+    with pytest.raises(ValueError, match="lone surrogate") as err:
+        save_dataset(records, tmp_path / "d.tsv")
+    assert type(err.value) is ValueError
+    assert repr(command_id) in str(err.value)
+    assert not (tmp_path / "d.tsv").exists()
+
+
 @pytest.mark.parametrize("text", ["", "   ", "\t\n"])
 def test_labeled_command_rejects_blank_text(text):
     with pytest.raises(ValueError, match="text must be non-empty"):
