@@ -347,27 +347,29 @@ class ChatBackend:
         retries give up as RetriesExhausted.  A request that fails for good
         sets `failed` itself before it raises, so that the run's queued
         requests stop without waiting for the error to reach the caller.
+        Whatever it raises carries `attempt_count`, as a CompletionResult does.
         """
         attempt = 0
-        while True:
-            attempt += 1
-            try:
-                text = self._send(body)
-                break
-            except _RETRYABLE as exc:
-                if attempt > self.config.max_retries:
-                    failed.set()
-                    raise RetriesExhausted(attempt, exc) from exc
-                delay = exc.retry_after
-                if delay is None:
-                    delay = self._backoff_rng.uniform(0.0, BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
-                log.warning("attempt %d failed (%s); retrying in %.2fs", attempt, exc, delay)
-                if failed.wait(delay):
-                    raise RetriesExhausted(attempt, exc) from exc
-            except BaseException:
-                failed.set()
-                raise
-        self.cache.put(key, text)
+        try:
+            while True:
+                attempt += 1
+                try:
+                    text = self._send(body)
+                    break
+                except _RETRYABLE as exc:
+                    if attempt > self.config.max_retries:
+                        raise RetriesExhausted(attempt, exc) from exc
+                    delay = exc.retry_after
+                    if delay is None:
+                        delay = self._backoff_rng.uniform(0.0, BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
+                    log.warning("attempt %d failed (%s); retrying in %.2fs", attempt, exc, delay)
+                    if failed.wait(delay):
+                        raise RetriesExhausted(attempt, exc) from exc
+            self.cache.put(key, text)
+        except BaseException as exc:
+            failed.set()
+            exc.attempt_count = attempt
+            raise
         return CompletionResult(text, attempt_count=attempt)
 
 

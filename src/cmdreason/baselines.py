@@ -75,20 +75,18 @@ def load_rules(path: str | Path) -> RuleSet:
     """Load a TSV rules file; raise MalformedRule on the first bad line."""
     path = Path(path)
     rules: list[Rule] = []
-    default = ALL_NO
-    saw_default = False
+    default: RequirementVector | None = None
     for line_no, (pattern,), mask in read_masked_tsv(path, 2, MalformedRule):
         if pattern == "default":
-            if saw_default:
+            if default is not None:
                 raise MalformedRule(path, line_no, "duplicate default line")
             default = mask
-            saw_default = True
             continue
         try:
             rules.append(Rule(pattern, mask))
         except ValueError as exc:
             raise MalformedRule(path, line_no, str(exc)) from exc
-    return RuleSet(tuple(rules), default)
+    return RuleSet(tuple(rules), ALL_NO if default is None else default)
 
 
 def example_rules_path() -> Path:

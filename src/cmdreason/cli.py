@@ -25,6 +25,7 @@ from .dataset import (
 from .errors import BackendError, DataError, UsageError
 from .harness import (
     AblationGrid,
+    AbortedRun,
     ExperimentSpec,
     REPORT_FORMATS,
     ResultRow,
@@ -80,7 +81,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         output_dir=args.out,
         failure_policy=args.policy,
     )
-    result = run_experiment(spec)
+    try:
+        result = run_experiment(spec)
+    except AbortedRun as exc:
+        print(f"requests sent: {exc.n_backend_attempts}")
+        raise
     _print_report(args.model, result.report)
     print(
         f"cache hits: {result.n_cache_hits} of {len(result.records)}; "

@@ -109,13 +109,14 @@ REPORT_FORMATS = ("table", "csv", "md")
 class AbortedRun(BackendError):
     """A run stopped early on a backend failure; completed calls stay cached."""
 
-    def __init__(self, n_completed: int, n_total: int, cause: BackendError) -> None:
-        super().__init__(
-            f"run aborted after {n_completed} of {n_total} commands: {cause}"
-        )
+    def __init__(
+        self, n_completed: int, n_total: int, cause: BackendError, n_backend_attempts: int
+    ) -> None:
+        super().__init__(f"run aborted after {n_completed} of {n_total} commands: {cause}")
         self.n_completed = n_completed
         self.n_total = n_total
         self.cause = cause
+        self.n_backend_attempts = n_backend_attempts  # requests sent, failed ones included
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,7 +323,9 @@ class _Run:
             )
             _write_records(self.out_dir / f"records{suffix}.jsonl", [data[i] for i in done], records)
             if suffix:
-                raise AbortedRun(len(done), len(data), self.error) from self.error
+                raise AbortedRun(
+                    len(done), len(data), self.error, self.n_backend_attempts
+                ) from self.error
             report = evaluate(records, data, self.spec.failure_policy)
             _write_json(
                 self.out_dir / "report.json",
@@ -385,8 +388,8 @@ def _fetch(
 
     Up to max_in_flight workers pull requests in canonical order, run by run
     and in dataset order within a run, from one shared iterator; an answer
-    goes into its run's `answers`, and the requests it took into the run's
-    `n_backend_attempts`.  The pool is the one bound on requests in flight,
+    goes into its run's `answers`, and the requests each fetch took, landed
+    or failed, into the run's `n_backend_attempts`.  The pool is the one bound on requests in flight,
     and runs without a miss start no pool.  The calling thread finishes
     each run in order, as soon as its requests are done, while the workers
     go on with the next runs.
@@ -425,10 +428,10 @@ def _fetch(
                 if not run.failed.is_set():
                     result = backend.fetch(run.head + tail, key, run.failed)
                     run.answers[key], attempts = result.raw_text, result.attempt_count
-            except BackendError as exc:
-                stop([run], exc)
-            except BaseException as exc:  # not the endpoint's: _run_all raises it
-                stop(runs, exc)
+            except BaseException as exc:
+                attempts = getattr(exc, "attempt_count", 0)
+                # a BackendError stops its run; any other error, which _run_all raises, every run
+                stop([run] if isinstance(exc, BackendError) else runs, exc)
             finally:
                 with lock:
                     run.n_backend_attempts += attempts

@@ -77,7 +77,7 @@ def test_run_missing_dataset_is_data_error(tmp_path, capsys):
 
 def test_run_backend_failure_exits_three(toy_path, tmp_path, monkeypatch, capsys):
     def explode(spec, backend=None):
-        raise AbortedRun(3, 24, ProtocolError("it broke"))
+        raise AbortedRun(3, 24, ProtocolError("it broke"), 5)
 
     monkeypatch.setattr(cli, "run_experiment", explode)
     code = run_cli(
@@ -85,7 +85,29 @@ def test_run_backend_failure_exits_three(toy_path, tmp_path, monkeypatch, capsys
         "--model", "demo", "--out", str(tmp_path / "r"),
     )
     assert code == 3
-    assert "aborted after 3 of 24" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "aborted after 3 of 24" in err
+    assert out == "requests sent: 5\n"
+
+
+def test_an_aborted_run_prints_every_request_it_sent(chat_stub, toy_path, toy_data, tmp_path, capsys):
+    # the 7th command is refused after two 503s: its three requests count too
+    tries = []
+
+    def respond(body):
+        if json.loads(body)["messages"][-1]["content"] != toy_data[6].text:
+            return 200, {"choices": [{"message": {"role": "assistant", "content": "[0 0 0 0 0 0 0 0]"}}]}
+        tries.append(body)
+        return (503, {}, {"Retry-After": "0"}) if len(tries) < 3 else (400, {"error": "no"})
+
+    chat_stub.responder = respond
+    code = run_cli(
+        "run", "--dataset", toy_path, "--endpoint", chat_stub.url,
+        "--model", "demo", "--out", str(tmp_path / "r"),
+    )
+    assert code == 3
+    assert len(tries) == 3
+    assert capsys.readouterr().out == f"requests sent: {len(chat_stub.requests)}\n"
 
 
 def test_unknown_mock_endpoint_is_usage_error(toy_path, tmp_path, capsys):

@@ -886,6 +886,37 @@ def test_run_counts_each_retry_as_an_attempt_and_its_warm_replay_sends_none(
     assert len(chat_stub.requests) == n + k
 
 
+@pytest.mark.parametrize("max_in_flight", [1, 4])
+def test_an_abort_counts_the_requests_of_the_failed_fetch_too(
+    chat_stub, toy_path, toy_data, template, tmp_path, max_in_flight
+):
+    # the 13th command gets 503, 503 and then 400: three requests, none of them landed
+    broken = toy_data[12].text
+    tries = []
+    ok = chat_stub.responder
+
+    def respond(body):
+        if final_command(body) != broken:
+            return ok(body)
+        tries.append(body)
+        return (503, {}, {"Retry-After": "0"}) if len(tries) < 3 else (400, {"error": "no"})
+
+    chat_stub.responder = respond
+    config = BackendConfig(endpoint_url=chat_stub.url, model_name="m", max_in_flight=max_in_flight)
+    spec = make_spec(toy_path, template, tmp_path / "run", backend_config=config)
+    with pytest.raises(AbortedRun) as err:
+        run_experiment(spec)
+    assert len(tries) == 3
+    landed = len(cache_entries(tmp_path / "autocache"))
+    assert landed == err.value.n_completed
+    assert err.value.n_backend_attempts == landed + 3 == len(chat_stub.requests)
+    if max_in_flight == 1:  # one worker sends in dataset order and stops at the failure
+        assert landed == 12
+    assert str(err.value) == (
+        f"run aborted after {landed} of {len(toy_data)} commands: {err.value.cause}"
+    )
+
+
 def test_a_resumed_run_counts_each_answer_committed_before_the_abort_as_a_hit(
     chat_stub, toy_path, toy_data, template, tmp_path
 ):
