@@ -12,13 +12,26 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import cmdreason
 from cmdreason.backend import MockChatBackend, ResponseCache, mock_config
 from cmdreason.chat import Transcript
-from cmdreason.dataset import LabeledCommand, RequirementVector, load_dataset, save_dataset
+from cmdreason.dataset import (
+    VECTORS_BY_BITS,
+    LabeledCommand,
+    RequirementVector,
+    load_dataset,
+    save_dataset,
+)
 from cmdreason.harness import ExperimentSpec, run_experiment
-from cmdreason.prompt import PromptConfig, ShotExample, default_template
+from cmdreason.prompt import (
+    MODE_ORDER,
+    OUTPUT_PATTERN,
+    PromptConfig,
+    ShotExample,
+    default_template,
+)
 
 
 def toy_dataset_path() -> str:
@@ -66,6 +79,38 @@ def make_shot(command: str, bits: str) -> ShotExample:
         for flag in gold
     )
     return ShotExample(command, gold, rationales)
+
+
+# texts of the characters that JSON, the TSV files and the rationale check give a
+# meaning to, a lone surrogate among them, or else of any code points
+awkward_text = st.text(
+    st.sampled_from(' "\\#\t\n\r\x00\x07\x85\u2028é🚗\ud800'), min_size=1, max_size=8
+) | st.text(min_size=1, max_size=8)
+vectors = st.sampled_from(sorted(VECTORS_BY_BITS.values()))
+
+
+@st.composite
+def prompt_configs(draw) -> PromptConfig:
+    """A PromptConfig of awkward texts; they cycle through a few drawn ones, as each draw is slow.
+
+    A blank text, which PromptConfig and ShotExample refuse, is left out of them.
+    """
+    drawn = draw(st.lists(awkward_text, min_size=1, max_size=5))
+    pool = [text for text in drawn if text.strip()] or ["x"]
+    texts = [pool[k % len(pool)] for k in range(12)]
+    shots = []
+    for i in range(draw(st.integers(0, 3))):
+        gold = draw(vectors)
+        yes, no = draw(st.sampled_from([("Yes", "No"), ("yes,", "no:"), ("YES.", "No!")]))
+        rationales = tuple(f"{yes if flag else no} {texts[i + 1]}" for flag in gold)
+        shots.append((texts[i], gold, rationales))
+    return PromptConfig(
+        mode=draw(st.sampled_from(MODE_ORDER)),
+        shots=tuple(ShotExample(*shot) for shot in shots),
+        question_texts=tuple(texts[1:9]),
+        preamble=texts[-1],
+        format_instruction=texts[-2] + OUTPUT_PATTERN + texts[-3],
+    )
 
 
 def sent_in_a_run(

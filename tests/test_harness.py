@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import re
 import shutil
@@ -16,8 +17,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import all_closed, cache_entries, child_env
+from conftest import all_closed, awkward_text, cache_entries, child_env, prompt_configs, vectors
 from cmdreason import harness
 from cmdreason.backend import (
     BackendConfig,
@@ -525,6 +528,80 @@ def test_jsonl_lines_are_the_bytes_json_dumps_writes(tmp_path):
     assert (tmp_path / "records.jsonl").read_bytes() == "".join(
         json.dumps(row, sort_keys=True) + "\n" for row in expected
     ).encode("ascii")
+
+
+@st.composite
+def records_with_their_commands(draw) -> tuple[list[LabeledCommand], list[PredictionRecord]]:
+    """Records of awkward texts, each with the command it predicts; PredictionRecord drops some.
+
+    The commands' gold is written but never read back, so one vector does for all.
+    """
+    pool = draw(st.lists(awkward_text, min_size=1, max_size=5))
+    fields = st.tuples(
+        st.sampled_from(pool),
+        st.none() | vectors,
+        st.sampled_from([None, "", "bracket", "step_fallback", "direct", *pool]),
+        st.sampled_from([None, "", *pool]),
+        st.sampled_from(["", *pool]),
+    )
+    data, records = [], []
+    for args in draw(st.lists(fields, max_size=4)):
+        try:
+            records.append(PredictionRecord(*args))
+        except ValueError:
+            continue
+        data.append(LabeledCommand(f"c{len(data)}", "Honk.", RequirementVector.from_bits("01001110")))
+    return data, records
+
+
+@settings(
+    max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(records_with_their_commands())
+def test_written_records_load_back_equal(tmp_path, drawn):
+    data, records = drawn
+    harness._write_records(tmp_path / "records.jsonl", data, records)
+    assert load_records(tmp_path / "records.jsonl") == records
+
+
+@st.composite
+def specs(draw) -> ExperimentSpec | None:
+    """An ExperimentSpec of awkward values, or None for a draw that its constructors reject."""
+    # each field is mostly one its constructor takes
+    text = st.sampled_from(draw(st.lists(awkward_text, min_size=1, max_size=4)))
+    number = st.floats(1e-3, 1e9) | st.integers(1, 3) | st.sampled_from([0, -0.0, -1, math.inf, math.nan])
+    try:
+        backend_config = BackendConfig(
+            endpoint_url=draw(text),
+            model_name=draw(text),
+            temperature=draw(number),
+            max_output_tokens=draw(st.integers(0, 10**9)),
+            timeout_seconds=draw(number),
+            max_retries=draw(st.integers(-1, 5)),
+            max_in_flight=draw(st.integers(0, 8)),
+        )
+        return ExperimentSpec(
+            draw(text), draw(prompt_configs()), backend_config, draw(text),
+            draw(st.sampled_from(["strict", "exclude"] * 3 + ["lenient"])),
+        )
+    except ValueError:
+        return None
+
+
+@settings(
+    max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(specs())
+def test_spec_json_gives_the_spec_back_or_the_spec_is_refused(tmp_path, spec):
+    if spec is None:  # BackendConfig or ExperimentSpec refused the draw
+        return
+    path = tmp_path / "spec.json"
+    harness._write_json(path, spec.to_json_dict())
+    written = path.read_bytes()
+    back = ExperimentSpec.from_json_dict(json.loads(written))
+    assert back == spec
+    harness._write_json(path, back.to_json_dict())
+    assert path.read_bytes() == written
 
 
 def test_cache_entries_of_another_endpoint_are_not_reused(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_shot, sent_in_a_run
+from conftest import make_shot, prompt_configs, sent_in_a_run
 from cmdreason.chat import ChatMessage
 from cmdreason.dataset import RequirementVector
 from cmdreason.errors import UsageError
@@ -186,6 +187,14 @@ def test_message_count_law_property(command, shots):
 def test_config_json_round_trip(template):
     config = template.config(ExplanationMode.PARAGRAPH, 3)
     assert PromptConfig.from_json_dict(config.to_json_dict()) == config
+
+
+@settings(max_examples=1000, deadline=None)
+@given(prompt_configs())
+def test_config_json_gives_the_config_back(config):
+    data = json.loads(json.dumps(config.to_json_dict()))
+    assert PromptConfig.from_json_dict(data) == config
+    assert PromptConfig.from_json_dict(data).to_json_dict() == data
 
 
 # =============================================================================
