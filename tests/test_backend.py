@@ -134,6 +134,19 @@ def test_config_rejects_a_temperature_or_timeout_that_breaks_requests(field, val
     assert getattr(mock_config(**{field: 0.5}), field) == 0.5
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("endpoint_url", "/", "endpoint_url must be non-empty"),
+     ("model_name", "", "model_name must be non-empty"),
+     ("max_output_tokens", 0, "max_output_tokens must be >= 1"),
+     ("max_retries", -1, "max_retries must be >= 0"),
+     ("max_in_flight", 0, "max_in_flight must be >= 1")],
+)
+def test_config_rejects_an_empty_name_or_a_count_below_its_floor(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        mock_config(**{field: value})
+
+
 def reference_payload(config: BackendConfig, transcript) -> dict:
     """The request a chat endpoint should read, built without the encoder."""
     return {
@@ -559,6 +572,21 @@ def test_http_omits_auth_header_without_key(chat_stub, http_backend, monkeypatch
     assert chat_stub.requests[0][1] is None
 
 
+@pytest.mark.parametrize("key", ["sk-1\r\nX-Injected: 1", "sk-1\n", "\rsk-1"])
+def test_a_key_holding_a_line_break_is_an_auth_error_that_sends_nothing(
+    chat_stub, http_backend, monkeypatch, tmp_path, key
+):
+    monkeypatch.setenv("CMDREASON_API_KEY", key)
+    backend = http_backend(http_config(chat_stub, max_retries=3), cache=ResponseCache(tmp_path / "c"))
+    failed = RecordedWaits()
+    with pytest.raises(AuthError, match="holds a line break") as err:
+        fetch(backend, failed)
+    assert err.value.attempt_count == 1  # not retried
+    assert failed.is_set() and failed.waits == []
+    assert (chat_stub.requests, chat_stub.opened) == ([], 0)
+    assert backend.cache.get_many([cache_key(backend.config, transcript_for("Honk."))]) == {}
+
+
 @pytest.mark.parametrize(
     "status,error",
     [(401, AuthError), (403, AuthError), (429, RateLimited), (500, ServerError)],
@@ -671,10 +699,13 @@ def test_failed_run_cuts_a_retry_after_wait_short(chat_stub, http_backend):
 
 
 class _ConnectRelay(BaseHTTPRequestHandler):
-    """A forward proxy that serves CONNECT only, relaying bytes both ways."""
+    """A forward proxy that serves CONNECT only, relaying bytes both ways, or refusing with 403."""
 
     def do_CONNECT(self):
         self.server.tunnels.append((self.path, self.headers.get("Proxy-Authorization")))
+        if self.server.refuse:
+            self.send_error(403)
+            return
         host, _, port = self.path.rpartition(":")
         with socket.create_connection((host, int(port)), timeout=5) as upstream:
             self.send_response(200, "Connection established")
@@ -697,6 +728,7 @@ class _ConnectRelay(BaseHTTPRequestHandler):
 def connect_relay():
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ConnectRelay)
     httpd.tunnels = []
+    httpd.refuse = False
     stop = serve(httpd)
     yield httpd
     stop()
@@ -771,6 +803,24 @@ def test_http_proxy_is_tunnelled_unless_no_proxy_names_the_host(
     ask(http_backend(), "Stop.")  # not yet sent: "Honk." is now a cache hit
     assert len(connect_relay.tunnels) == 1
     assert len(chat_stub.requests) == 3
+
+
+def test_a_proxy_that_refuses_connect_is_a_timeout_that_is_retried_and_never_cached(
+    chat_stub, http_backend, connect_relay, monkeypatch, tmp_path
+):
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{connect_relay.server_address[1]}")
+    connect_relay.refuse = True
+    config = http_config(chat_stub, max_retries=1)
+    backend = http_backend(config, cache=ResponseCache(tmp_path / "c"), backoff_rng=NoBackoff())
+    with pytest.raises(RetriesExhausted) as err:
+        fetch(backend, RecordedWaits())
+    assert isinstance(err.value.last_error, Timeout)
+    assert "tunnel connection failed: HTTP 403" in str(err.value.last_error)
+    assert err.value.attempt_count == 2 == len(connect_relay.tunnels)
+    assert (chat_stub.requests, chat_stub.opened) == ([], 0)
+    assert backend.cache.get_many([cache_key(config, transcript_for("Honk."))]) == {}
 
 
 # =============================================================================
@@ -967,6 +1017,45 @@ def test_a_body_cut_short_is_a_failed_attempt_not_a_reconnect(
     assert "ended after" in str(err.value.last_error)
     assert len(endpoint.requests) == 2
     assert endpoint.opened == 1
+
+
+CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+
+@pytest.mark.parametrize(
+    "bad, fragment",
+    [
+        pytest.param(reply(b"HTTP/1.1 2x0 OK"), "bad status line", id="status line"),
+        pytest.param(reply(headers=b"X-Broken header\r\n"), "bad header line", id="header line"),
+        pytest.param(
+            reply(headers=b"Content-Length: 7e1\r\n", length=False), "bad Content-Length",
+            id="content length",
+        ),
+        pytest.param(CHUNKED_HEAD + b"zz\r\n" + ANSWER, "bad chunk size", id="chunk size"),
+        pytest.param(
+            CHUNKED_HEAD + b"%x\r\n%s" % (len(ANSWER), ANSWER) + b"XX0\r\n\r\n",
+            "chunk not followed by CRLF", id="chunk end",
+        ),
+        pytest.param(b"", "timed out", id="read timeout"),  # the server never answers
+    ],
+)
+def test_a_malformed_or_missing_response_is_a_timeout_that_is_retried_and_never_cached(
+    raw_endpoint, http_backend, tmp_path, bad, fragment
+):
+    # two bad replies, each on its own connection, spend the one retry; a third request is answered
+    endpoint = raw_endpoint([(bad, bool(bad))] * 2 + [(reply(), False)])
+    config = http_config(endpoint, max_retries=1, timeout_seconds=0.5)
+    backend = http_backend(config, cache=ResponseCache(tmp_path / "c"), backoff_rng=NoBackoff())
+    key = cache_key(config, transcript_for("Honk."))
+    with pytest.raises(RetriesExhausted) as err:
+        fetch(backend, RecordedWaits())
+    assert isinstance(err.value.last_error, Timeout)
+    assert fragment in str(err.value.last_error)
+    assert err.value.attempts == err.value.attempt_count == 2
+    assert backend.cache.get_many([key]) == {}
+    assert (endpoint.opened, len(endpoint.requests)) == (2, 2)
+    assert fetch(backend, RecordedWaits()).raw_text == "hello there"
+    assert backend.cache.get_many([key]) == {key: "hello there"}
 
 
 def test_an_ipv6_literal_endpoint_names_its_host_in_brackets(raw_endpoint, http_backend):

@@ -713,6 +713,41 @@ def test_worker_failure_stops_run_and_leaves_partial_snapshot(
     assert not (out / "responses.partial.jsonl").exists()
 
 
+def test_an_error_on_the_calling_thread_stops_every_run_and_is_raised(
+    toy_path, toy_data, template, tmp_path, monkeypatch
+):
+    script = gold_echo_script(toy_data)
+
+    def slow(transcript):
+        time.sleep(0.005)
+        return script[transcript[-1].content]
+
+    config = gold_config(max_in_flight=3)
+    backend = MockChatBackend(slow, config=config, cache=ResponseCache(tmp_path / "cache"))
+    runs = [
+        harness._Run(make_spec(toy_path, template, tmp_path / f"r{k}", shots=k, backend_config=config),
+                     toy_data, backend)
+        for k in range(3)
+    ]
+    sent_before = []
+
+    def interrupted(run, data):  # the first run's finish, on the calling thread
+        sent_before.append(backend.send_count)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness._Run, "finish", interrupted)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            harness._fetch(backend, runs, toy_data, config.max_in_flight)
+    finally:
+        backend.close()
+    assert all(run.failed.is_set() for run in runs)
+    assert sent_before[0] >= len(toy_data)  # the first run's requests were all done
+    # requests in flight when it was raised finish; no queued one is sent
+    assert backend.send_count - sent_before[0] <= config.max_in_flight
+    assert backend.send_count < len(runs) * len(toy_data)
+
+
 def test_pool_bounds_requests_in_flight(toy_path, toy_data, template, tmp_path):
     script = gold_echo_script(toy_data)
 
