@@ -389,10 +389,10 @@ def _fetch(
     Up to max_in_flight workers pull requests in canonical order, run by run
     and in dataset order within a run, from one shared iterator; an answer
     goes into its run's `answers`, and the requests each fetch took, landed
-    or failed, into the run's `n_backend_attempts`.  The pool is the one bound on requests in flight,
-    and runs without a miss start no pool.  The calling thread finishes
-    each run in order, as soon as its requests are done, while the workers
-    go on with the next runs.
+    or failed, into the run's `n_backend_attempts`.  The pool is the one
+    bound on requests in flight, and runs without a miss start no pool.  The
+    calling thread finishes each run in order, as soon as its requests are
+    done, while the workers go on with the next runs.
 
     A failed request sets its run's `failed`: a queued request of that run
     that starts after that sends nothing, whatever the thread timing, and a
