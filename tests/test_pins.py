@@ -1,18 +1,21 @@
 """Byte pins: the requests and the artifacts of fixed runs, as sha256 digests.
 
-A cold run against the in-process stub endpoint, and its warm replay from the
-cache, must send and write exactly the bytes pinned here: each request body
-with its cache key, spec.json, responses.jsonl, records.jsonl and
+A cold run against the in-process stub endpoint, and its warm replay from
+the cache, must send and write exactly the bytes pinned here: each request
+body with its cache key, spec.json, responses.jsonl, records.jsonl and
 report.json, and the cache's rows.  So must a run that a 400 aborts (its
 spec.json and .partial pair), a 4-cell grid (every file of every cell, and
 ablation.json and ablation.md), and both baselines (records.jsonl and
-report.json).  The corpus is the toy dataset plus commands that hold
-non-ASCII and astral characters, a quote, a backslash, a control character
-and U+2028, one of them twice; the replies mix bracket, step-fallback and
-unparseable answers.  The endpoint names a fixed address that the stub
-serves as its own CONNECT proxy, so the keys, which hash the endpoint URL,
-do not depend on the stub's port.  A change that moves a pinned byte fails
-here; a change meant to move one updates the digest and says why.
+report.json).  So must what run (cold, then warm), ablate, baseline and
+score print, and the tables that report --in writes over a gold run and both
+baselines, in each format.  The corpus is the toy dataset plus commands that
+hold non-ASCII and astral characters, a quote, a backslash, a control
+character and U+2028, one of them twice; the replies mix bracket,
+step-fallback and unparseable answers.  The endpoint names a fixed address
+that the stub serves as its own CONNECT proxy, so the keys, which hash the
+endpoint URL, do not depend on the stub's port.  A change that moves a
+pinned byte fails here; a change meant to move one updates the digest and
+says why.
 """
 from __future__ import annotations
 
@@ -28,7 +31,14 @@ import cmdreason.cli as cli
 from cmdreason.backend import BackendConfig
 from cmdreason.baselines import example_rules_path
 from cmdreason.dataset import LabeledCommand, RequirementVector, load_dataset, save_dataset
-from cmdreason.harness import AblationGrid, AbortedRun, ExperimentSpec, run_ablation, run_experiment
+from cmdreason.harness import (
+    REPORT_FORMATS,
+    AblationGrid,
+    AbortedRun,
+    ExperimentSpec,
+    run_ablation,
+    run_experiment,
+)
 from cmdreason.prompt import ExplanationMode, default_template
 
 # reached only through the stub as its proxy: nothing listens on the discard port
@@ -51,6 +61,7 @@ PINS = {
     "records.jsonl": "37bd3fc5e06f114d813d855093b0d05ac0099972b43fedc44eeba39fa0b7c384",
     "report.json": "4428b55f9ff9db10182f1edc49543ce612c9e59b79c24cee4a3d6885e2f140ee",
     "cache rows": "058c0764e4a6cf3975468a02e6440d835164a868fce286a894532896374980d7",
+    "score stdout": "b1e07c13057bd08aacbd8b343c6b7e917ce838e9430c8c87ec304ca376a40f44",
 }
 # every file under a directory, as the digest of its sorted "path sha256" lines
 TREE_PINS = {
@@ -58,6 +69,17 @@ TREE_PINS = {
     "grid": "acbee788c572dfba66d34452b84a1d76f54ed400da48344d5ad41e484a0d4eb3",
     "random": "0166f6041733f5eed2f12b6e341670cb313120ac9d5b03cb52a74bfbead2d013",
     "rules": "7fd7f781eb8953f346664efe71af363caa6bef5b1156f44c5f520b0db5508918",
+}
+# what the subcommands print, and the tables that report --in writes
+TABLE_PINS = {
+    "run cold": "364074c16ee45fed65b6a026b72b90b05f0419f9b0996bde55416ccf7e9f8323",
+    "run warm": "1a2b9c033f8c812ad002eb426f23a6a67bab6d4c9b0c14d14d631cec25385546",
+    "ablate": "2de4be8cf94d99bd130d0b4b045ded71f0d70abbfd7f0b3db64147cab37c8dd4",
+    "baseline random": "351ffd74430d80f1943a8818a6b5aeba0a95f009736b6da6f872a028b3e9dc4b",
+    "baseline rules": "6e91d5f0165ac1d8e9d467f136c7d820d419aa64a02b749aae1ac0fa4988ebdd",
+    "report table": "303d18b4aa1e1ea1ea7bfcc93f1e9260b1760a1418c795c5d19b3101013299ce",
+    "report csv": "0f3b80adafb5e4473d4379e97492f537287e489772ef8ef44d96b504a7772d62",
+    "report md": "6eadbf3c80ca8de920a0965343966256ec82ebb069320f15707acc0340e37e3b",
 }
 
 
@@ -90,17 +112,21 @@ def reply_for(i: int, rec: LabeledCommand) -> str:
 
 
 @pytest.fixture()
-def pinned(chat_stub, tmp_path, monkeypatch):
-    """The corpus saved as pins.tsv in tmp_path, the working directory, and its run spec.
-
-    The stub answers each command with reply_for, as the endpoint's proxy.
-    """
+def corpus(tmp_path, monkeypatch) -> list[LabeledCommand]:
+    """The corpus, saved as pins.tsv in tmp_path, which becomes the working directory."""
     data = load_dataset(toy_dataset_path()) + [
         LabeledCommand(command_id, text, RequirementVector.from_bits(bits))
         for command_id, text, bits in EXTRA_COMMANDS
     ]
     monkeypatch.chdir(tmp_path)
     save_dataset(data, "pins.tsv")
+    return data
+
+
+@pytest.fixture()
+def pinned(corpus, chat_stub, monkeypatch):
+    """The corpus and its run spec; the stub answers each command with reply_for, as the proxy."""
+    data = corpus
     for name in ("no_proxy", "NO_PROXY"):
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{chat_stub.server_address[1]}")
@@ -121,7 +147,7 @@ def pinned(chat_stub, tmp_path, monkeypatch):
     )
 
 
-def test_requests_and_artifacts_are_pinned(pinned, chat_stub, tmp_path):
+def test_requests_and_artifacts_are_pinned(pinned, chat_stub, tmp_path, capsys):
     data, spec = pinned
     names = ("spec.json", "responses.jsonl", "records.jsonl", "report.json")
     runs = []
@@ -138,10 +164,13 @@ def test_requests_and_artifacts_are_pinned(pinned, chat_stub, tmp_path):
     assert {line.split()[0] for line in keyed} == {row["cache_key"] for row in records}
     assert {row["method"] for row in records} == {"bracket", "step_fallback", None}
     rows = sorted(cache_entries(tmp_path / "autocache").items())
+    score = ["score", "--records", "run/records.jsonl", "--dataset", "pins.tsv"]
+    assert cli.main([*score, "--policy", "exclude"]) == 0
     got = {
         "requests": sha256("\n".join(keyed).encode()),
         **runs[0],
         "cache rows": sha256(json.dumps(rows).encode()),
+        "score stdout": sha256(capsys.readouterr().out.encode()),
     }
     assert runs[1] == runs[0]
     assert got == PINS
@@ -185,3 +214,25 @@ def test_baseline_files_are_pinned(pinned, tmp_path):
             "records.jsonl", "report.json",
         ]
         assert tree_digest(tmp_path / name) == TREE_PINS[name], name
+
+
+def test_printed_and_reported_tables_are_pinned(corpus, capsys):
+    gold = ["--dataset", "pins.tsv", "--endpoint", "mock://gold", "--model", "gold-model"]
+    got = {}
+    for name, argv in (
+        ("run cold", ["run", *gold, "--out", "gold"]),
+        ("run warm", ["run", *gold, "--out", "gold"]),
+        ("ablate", ["ablate", *gold, "--out", "grid"]),
+        ("baseline random", ["baseline", "--dataset", "pins.tsv", "--random", "--out", "random"]),
+        ("baseline rules", ["baseline", "--dataset", "pins.tsv",
+                            "--rules", str(example_rules_path()), "--out", "rules"]),
+    ):
+        assert cli.main(argv) == 0, name
+        got[name] = sha256(capsys.readouterr().out.encode())
+    for fmt in REPORT_FORMATS:
+        out = f"report.{fmt}"
+        assert cli.main(["report", "--in", "gold", "random", "rules", "--format", fmt,
+                         "--out", out]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        got[f"report {fmt}"] = sha256(Path(out).read_bytes())
+    assert got == TABLE_PINS
