@@ -56,11 +56,11 @@ from .harness import (
     AblationGrid,
     AbortedRun,
     ExperimentSpec,
-    ResultRow,
     RunResult,
     emit_report,
     gold_echo_script,
     load_records,
+    report_json_dict,
     run_ablation,
     run_experiment,
 )

@@ -28,14 +28,14 @@ from .harness import (
     AbortedRun,
     ExperimentSpec,
     REPORT_FORMATS,
-    ResultRow,
     ablation_table,
     clear_run_dir,
     comparison_table,
     emit_report,
     load_records,
-    load_result_row,
+    load_report,
     render_table,
+    report_json_dict,
     run_ablation,
     run_experiment,
     save_run_artifacts,
@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_report(label: str, report: EvalReport) -> None:
-    print(comparison_table([ResultRow.from_eval(label, report)], "table"), end="")
+    print(comparison_table([report_json_dict(label, report)], "table"), end="")
     if report.n_parse_failures:
         print(
             f"parse failures: {report.n_parse_failures} of {report.n_commands}"
@@ -164,7 +164,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    rows = [load_result_row(d) for d in args.run_dirs]
+    rows = [load_report(d) for d in args.run_dirs]
     emit_report(rows, args.format, args.out)
     print(f"wrote {args.out}")
     return 0

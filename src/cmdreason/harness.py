@@ -27,9 +27,10 @@ backend passed in must carry it, or the run is a UsageError before it
 writes or sends anything.  A run closes its backend, whoever built it, and
 the backend reopens its cache and connections on its next use.
 
-ResultRow.from_eval is the one conversion from an EvalReport to display
-strings: report.json, ablation.json, ablation.md and every comparison table
-take their percentages from it.
+report_json_dict is the one conversion from an EvalReport to display
+strings, and its dict, the report.json schema, is the row that every table
+reads: ablation.json, ablation.md, the tables the CLI prints and report
+--in, which reads it back through load_report.
 
 Every command's parse becomes one metrics.PredictionRecord, which is what
 evaluate() scores, what RunResult.records holds and what load_records reads
@@ -604,12 +605,12 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
 
 def _cell_json(cell: AblationCell) -> dict[str, Any]:
     """One ablation.json row; the percentages are None for a failed cell."""
-    row = ResultRow.from_eval("", cell.report) if cell.report is not None else None
+    row = report_json_dict("", cell.report) if cell.report is not None else {}
     return {
         "mode": cell.mode.value,
         "shots": cell.shot_count,
-        "command_level": row.command_pct if row else None,
-        "question_level": row.question_pct if row else None,
+        "command_level": row.get("command_level"),
+        "question_level": row.get("question_level"),
         "error": cell.error,
     }
 
@@ -631,59 +632,42 @@ def ablation_table(cells: list[AblationCell], fmt: str) -> str:
 # =============================================================================
 
 
-@dataclass(frozen=True, slots=True)
-class ResultRow:
-    """One display row: a labeled result with preformatted percentages."""
-
-    label: str
-    command_pct: str
-    question_pct: str
-    per_question_pct: tuple[str, ...]
-
-    @classmethod
-    def from_eval(cls, label: str, report: EvalReport) -> "ResultRow":
-        """The one place where a report's accuracies become display strings."""
-        command, question, *per_question = map(
-            format_percent,
-            (
-                report.command_level_accuracy,
-                report.question_level_accuracy,
-                *report.per_question_accuracy,
-            ),
-        )
-        return cls(label, command, question, tuple(per_question))
-
-
 def report_json_dict(label: str, report: EvalReport) -> dict[str, Any]:
-    """The report.json schema: the ResultRow's strings plus scoring metadata."""
-    row = ResultRow.from_eval(label, report)
+    """The report.json schema, and a table's row: the display strings plus scoring metadata.
+
+    The one place where a report's accuracies become display strings.
+    """
+    command, question, *per_question = map(format_percent, (
+        report.command_level_accuracy, report.question_level_accuracy, *report.per_question_accuracy
+    ))
     return {
-        "label": row.label,
+        "label": label,
         "failure_policy": report.failure_policy,
         "n_commands": report.n_commands,
         "n_parse_failures": report.n_parse_failures,
-        "command_level": row.command_pct,
-        "question_level": row.question_pct,
-        "per_question": dict(zip(CATEGORY_TITLES, row.per_question_pct)),
+        "command_level": command,
+        "question_level": question,
+        "per_question": dict(zip(CATEGORY_TITLES, per_question)),
     }
 
 
-def load_result_row(run_dir: str | Path) -> ResultRow:
-    """Rebuild a ResultRow from a run directory's report.json."""
+def _table_cells(row: dict[str, Any]) -> list[str]:
+    """A report row's comparison-table cells: label, command, overall, then the 8 categories."""
+    per_question = row["per_question"]
+    cells = (row["label"], row["command_level"], row["question_level"])
+    return [*cells, *(per_question[title] for title in CATEGORY_TITLES)]
+
+
+def load_report(run_dir: str | Path) -> dict[str, Any]:
+    """A run directory's report.json, checked to hold a table row."""
     path = Path(run_dir) / "report.json"
     if not path.is_file():
         raise MissingFile(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        row = ResultRow(
-            label=data["label"],
-            command_pct=data["command_level"],
-            question_pct=data["question_level"],
-            per_question_pct=tuple(data["per_question"][t] for t in CATEGORY_TITLES),
-        )
+        row = json.loads(path.read_text(encoding="utf-8"))
+        cells = _table_cells(row)
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a valid report file: {exc}") from exc
-    cells = (row.label, row.command_pct, row.question_pct, *row.per_question_pct)
     if not all(isinstance(cell, str) for cell in cells):
         raise DataError(f"{path}: not a valid report file: every value must be a string")
     return row
@@ -723,17 +707,13 @@ def render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     raise ValueError(f"format must be one of {REPORT_FORMATS}, got {fmt!r}")
 
 
-def comparison_table(rows: list[ResultRow], fmt: str) -> str:
-    """Render a method-comparison table: label, command, overall, 8 categories."""
+def comparison_table(rows: list[dict[str, Any]], fmt: str) -> str:
+    """Render report rows as a method-comparison table: label, command, overall, 8 categories."""
     header = ["Method", "Command", "Overall", *CATEGORY_TITLES]
-    table = [
-        [row.label, row.command_pct, row.question_pct, *row.per_question_pct]
-        for row in rows
-    ]
-    return render_table(header, table, fmt)
+    return render_table(header, [_table_cells(row) for row in rows], fmt)
 
 
-def emit_report(rows: list[ResultRow], fmt: str, out_path: str | Path) -> Path:
+def emit_report(rows: list[dict[str, Any]], fmt: str, out_path: str | Path) -> Path:
     """Write comparison_table(rows, fmt) to out_path."""
     if not rows:
         raise ValueError("emit_report needs at least one row")

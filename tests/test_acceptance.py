@@ -19,6 +19,7 @@ from test_metrics import naive_eval, random_instance
 from cmdreason.backend import MockChatBackend, ProtocolError, ResponseCache
 from cmdreason.baselines import random_classify
 from cmdreason.dataset import (
+    CATEGORY_TITLES,
     LabeledCommand,
     RequirementVector,
     distribution,
@@ -27,7 +28,6 @@ from cmdreason.dataset import (
 from cmdreason.harness import (
     AblationGrid,
     ExperimentSpec,
-    ResultRow,
     emit_report,
     gold_echo_script,
     run_ablation,
@@ -417,14 +417,16 @@ def test_criterion_7_grid_determinism_and_resume(toy_path, toy_data, template, t
 # Published-style comparison rows used purely to exercise report layout;
 # nothing below asserts that any live model reproduces them.
 FIXTURE_ROWS = [
-    ResultRow(
-        "Random", "0.36", "49.44",
-        ("50.59", "47.68", "51.96", "48.95", "47.86", "48.23", "50.59", "49.68"),
-    ),
-    ResultRow(
-        "GPT-4", "38.03", "89.02",
-        ("93.18", "74.89", "91.54", "88.63", "94.45", "85.99", "91.99", "91.54"),
-    ),
+    {
+        "label": label, "command_level": command, "question_level": question,
+        "per_question": dict(zip(CATEGORY_TITLES, per_question)),
+    }
+    for label, command, question, per_question in (
+        ("Random", "0.36", "49.44",
+         ("50.59", "47.68", "51.96", "48.95", "47.86", "48.23", "50.59", "49.68")),
+        ("GPT-4", "38.03", "89.02",
+         ("93.18", "74.89", "91.54", "88.63", "94.45", "85.99", "91.99", "91.54")),
+    )
 ]
 
 

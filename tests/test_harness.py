@@ -44,18 +44,18 @@ from cmdreason.harness import (
     AblationGrid,
     AbortedRun,
     ExperimentSpec,
-    ResultRow,
     UnwritableOutput,
     ablation_table,
     build_backend,
     emit_report,
     gold_echo_script,
     load_records,
-    load_result_row,
+    load_report,
+    report_json_dict,
     run_ablation,
     run_experiment,
 )
-from cmdreason.metrics import PredictionRecord, evaluate
+from cmdreason.metrics import EvalReport, PredictionRecord, evaluate
 from cmdreason.prompt import ExplanationMode, transcript_prefix
 
 
@@ -1499,14 +1499,13 @@ def test_small_grid_output_bytes_are_pinned(toy_path, toy_data, template, tmp_pa
 # =============================================================================
 
 
-def rows_from_runs(*reports) -> list[ResultRow]:
-    return [ResultRow.from_eval(label, report) for label, report in reports]
-
-
-def sample_rows(toy_path, toy_data, template, tmp_path) -> list[ResultRow]:
+def sample_rows(toy_path, toy_data, template, tmp_path) -> list[dict]:
     spec = make_spec(toy_path, template, tmp_path / "rowsrun")
     result = run_experiment(spec, MockChatBackend(gold_echo_script(toy_data), spec.backend_config))
-    return rows_from_runs(("mock-gold", result.report))
+    return [report_json_dict("mock-gold", result.report)]
+
+
+ZERO_ROW = report_json_dict("x", EvalReport((Fraction(0),) * 8, Fraction(0), Fraction(0), 0, 0, "strict"))
 
 
 def test_emit_csv_round_trips_at_emitted_precision(toy_path, toy_data, template, tmp_path):
@@ -1520,8 +1519,9 @@ def test_emit_csv_round_trips_at_emitted_precision(toy_path, toy_data, template,
         "Perception", "In-cabin Monitoring", "Localization", "Vehicle Control",
         "Entertainment", "Personal Data", "Network Access", "Traffic Laws",
     ]
-    assert parsed[1] == ["mock-gold"] + [rows[0].command_pct, rows[0].question_pct] + list(
-        rows[0].per_question_pct
+    row = rows[0]
+    assert parsed[1] == ["mock-gold", row["command_level"], row["question_level"]] + list(
+        row["per_question"].values()
     )
     assert len(parsed[1]) == 11  # method + 10 numeric columns
 
@@ -1548,27 +1548,24 @@ def test_emit_markdown_layout(toy_path, toy_data, template, tmp_path):
 
 
 def test_emit_rejects_empty_and_unknown_format(tmp_path):
-    row = ResultRow("x", "0.00", "0.00", ("0.00",) * 8)
     with pytest.raises(ValueError):
         emit_report([], "md", tmp_path / "r.md")
     with pytest.raises(ValueError):
-        emit_report([row], "yaml", tmp_path / "r.yaml")
+        emit_report([ZERO_ROW], "yaml", tmp_path / "r.yaml")
 
 
 def test_emit_unwritable_path(tmp_path):
-    row = ResultRow("x", "0.00", "0.00", ("0.00",) * 8)
     blocker = tmp_path / "file.txt"
     blocker.write_text("in the way")
     with pytest.raises(UnwritableOutput):
-        emit_report([row], "md", blocker / "nested.md")
+        emit_report([ZERO_ROW], "md", blocker / "nested.md")
 
 
-def test_load_result_row_round_trip(toy_path, toy_data, template, tmp_path):
+def test_load_report_round_trip(toy_path, toy_data, template, tmp_path):
     out = tmp_path / "run"
     spec = make_spec(toy_path, template, out)
     result = run_experiment(spec, MockChatBackend(gold_echo_script(toy_data), spec.backend_config))
-    row = load_result_row(out)
-    assert row == ResultRow.from_eval("mock-gold", result.report)
+    assert load_report(out) == report_json_dict("mock-gold", result.report)
 
 
 # =============================================================================
