@@ -659,17 +659,21 @@ def _table_cells(row: dict[str, Any]) -> list[str]:
 
 
 def load_report(run_dir: str | Path) -> dict[str, Any]:
-    """A run directory's report.json, checked to hold a table row."""
+    """A run directory's report.json, checked to hold a table row and a failure policy."""
     path = Path(run_dir) / "report.json"
     if not path.is_file():
         raise MissingFile(path)
     try:
         row = json.loads(path.read_text(encoding="utf-8"))
-        cells = _table_cells(row)
+        cells, policy = _table_cells(row), row["failure_policy"]
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a valid report file: {exc}") from exc
     if not all(isinstance(cell, str) for cell in cells):
         raise DataError(f"{path}: not a valid report file: every value must be a string")
+    if policy not in FAILURE_POLICIES:
+        raise DataError(
+            f"{path}: not a valid report file: failure_policy must be one of {FAILURE_POLICIES}"
+        )
     return row
 
 

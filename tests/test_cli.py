@@ -339,8 +339,10 @@ def test_report_missing_run_dir_is_data_error(tmp_path, capsys):
         lambda report: [report],
         lambda report: {**report, "command_level": 5},
         lambda report: {**report, "per_question": list(report["per_question"].values())},
+        lambda report: {k: v for k, v in report.items() if k != "failure_policy"},
+        lambda report: {**report, "failure_policy": "lenient"},
     ],
-    ids=["json-list", "number-percentage", "per-question-list"],
+    ids=["json-list", "number-percentage", "per-question-list", "no-policy", "unknown-policy"],
 )
 def test_report_malformed_report_json_is_data_error(change, toy_path, tmp_path, capsys):
     run_dir = tmp_path / "rand"
@@ -352,6 +354,25 @@ def test_report_malformed_report_json_is_data_error(change, toy_path, tmp_path, 
     assert code == 2
     assert "not a valid report file" in capsys.readouterr().err
     assert not (tmp_path / "r.md").exists()
+
+
+def test_report_refuses_runs_scored_under_different_policies(toy_path, tmp_path, capsys):
+    gold = ("--dataset", toy_path, "--endpoint", "mock://gold", "--model", "demo")
+    strict, exclude, rand = (str(tmp_path / name) for name in ("strict", "exclude", "rand"))
+    assert run_cli("run", *gold, "--out", strict) == 0
+    assert run_cli("run", *gold, "--policy", "exclude", "--out", exclude) == 0
+    assert run_cli("baseline", "--dataset", toy_path, "--random", "--out", rand) == 0
+    capsys.readouterr()
+    out = tmp_path / "r.md"
+    assert run_cli("report", "--in", strict, rand, exclude, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {exclude} was scored under failure policy exclude, {strict} under"
+        " strict: a table compares one policy\n"
+    )
+    assert run_cli("report", "--in", exclude, rand, strict, "--out", str(out)) == 2
+    assert f"data error: {rand} was scored under failure policy strict" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("report", "--in", strict, rand, "--out", str(out)) == 0
 
 
 # =============================================================================
