@@ -4,7 +4,7 @@ A RequestEncoder gives each request its one encoding: the JSON body sent, and
 the cache key, sha256 over the endpoint URL and that body.  The harness reads
 a run's keys from the backend's cache in one ResponseCache.get_many(), which
 replays each answer byte for byte, and for each miss fetch() drives the
-retry loop around the transport-specific _send(body).  It makes these calls
+retry loop around the transport-specific _send().  It makes these calls
 in that order: it resolves every hit before it starts any worker, and its
 pool of max_in_flight workers bounds the requests in flight.  fetch()
 answers with a CompletionResult: the raw text and the requests it took.
@@ -143,10 +143,16 @@ class BackendConfig:
             raise ValueError("endpoint_url must be non-empty")
         if not self.model_name:
             raise ValueError("model_name must be non-empty")
+        if isinstance(self.temperature, bool) or not isinstance(self.temperature, (int, float)):
+            raise ValueError("temperature must be an int or a float")
+        # one body per value: 0, 0.0 and -0.0 all post 0.0
+        object.__setattr__(self, "temperature", float(self.temperature) + 0.0)
         if not 0 <= self.temperature < math.inf:
             raise ValueError("temperature must be finite and >= 0")
         if not 0 < self.timeout_seconds < math.inf:
             raise ValueError("timeout_seconds must be finite and > 0")
+        if isinstance(self.max_output_tokens, bool) or not isinstance(self.max_output_tokens, int):
+            raise ValueError("max_output_tokens must be an int")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
         if self.max_retries < 0:
@@ -333,7 +339,11 @@ class ChatBackend:
         self.cache = cache or ResponseCache()
         self._backoff_rng = backoff_rng or random.Random()
 
-    def _send(self, body: bytes) -> str:
+    def _auth(self) -> bytes:
+        """The header lines that each attempt of a fetch sends; an error here sends nothing."""
+        return b""
+
+    def _send(self, body: bytes, auth: bytes) -> str:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -347,14 +357,16 @@ class ChatBackend:
         retries give up as RetriesExhausted.  A request that fails for good
         sets `failed` itself before it raises, so that the run's queued
         requests stop without waiting for the error to reach the caller.
-        Whatever it raises carries `attempt_count`, as a CompletionResult does.
+        Whatever it raises carries `attempt_count`, the requests sent, as a
+        CompletionResult does: 0 if _auth() raised, before the first attempt.
         """
         attempt = 0
         try:
+            auth = self._auth()
             while True:
                 attempt += 1
                 try:
-                    text = self._send(body)
+                    text = self._send(body, auth)
                     break
                 except _RETRYABLE as exc:
                     if attempt > self.config.max_retries:
@@ -378,7 +390,7 @@ class HttpChatBackend(ChatBackend):
 
     The request line and fixed headers are encoded once; each request goes
     out in one write: them, Content-Length, Authorization (read from
-    $CMDREASON_API_KEY per request) and the body.  Idle keep-alive
+    $CMDREASON_API_KEY once per fetch) and the body.  Idle keep-alive
     connections wait in a queue: a request takes one or opens one, and puts
     it back once the whole response body is read, unless the response ends
     the connection, so there are never more connections than requests in
@@ -485,14 +497,14 @@ class HttpChatBackend(ChatBackend):
                 conn.close()
             return status, headers, data
 
-    def _send(self, body: bytes) -> str:
+    def _auth(self) -> bytes:
         api_key = os.environ.get(API_KEY_ENV, "")
         if "\r" in api_key or "\n" in api_key:
             raise AuthError(f"{API_KEY_ENV} holds a line break")
-        auth = f"Authorization: Bearer {api_key}\r\n" if api_key else ""
-        status, headers, data = self._post(
-            b"%s%d\r\n%s\r\n%s" % (self._head, len(body), auth.encode("latin-1"), body)
-        )
+        return f"Authorization: Bearer {api_key}\r\n".encode("latin-1") if api_key else b""
+
+    def _send(self, body: bytes, auth: bytes) -> str:
+        status, headers, data = self._post(b"%s%d\r\n%s\r\n%s" % (self._head, len(body), auth, body))
         if status in (401, 403):
             raise AuthError(
                 f"endpoint rejected credentials (HTTP {status}); "
@@ -696,7 +708,7 @@ class MockChatBackend(ChatBackend):
         self.send_count = 0
         self.peak_in_flight = 0
 
-    def _send(self, body: bytes) -> str:
+    def _send(self, body: bytes, auth: bytes) -> str:
         with self._stats_lock:
             self._in_flight += 1
             self.send_count += 1

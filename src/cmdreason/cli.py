@@ -165,13 +165,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = [load_report(d) for d in args.run_dirs]
-    policy = rows[0]["failure_policy"]
-    for run_dir, row in zip(args.run_dirs, rows):
-        if row["failure_policy"] != policy:
-            raise DataError(
-                f"{run_dir} was scored under failure policy {row['failure_policy']}, "
-                f"{args.run_dirs[0]} under {policy}: a table compares one policy"
-            )
+    policies = [row["failure_policy"] for row in rows]
+    for run_dir, policy in zip(args.run_dirs, policies):
+        if policy != policies[0]:
+            raise DataError(f"{run_dir} was scored under failure policy {policy}, "
+                            f"{args.run_dirs[0]} under {policies[0]}: a table compares one policy")
     emit_report(rows, args.format, args.out)
     print(f"wrote {args.out}")
     return 0

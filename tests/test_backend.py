@@ -147,6 +147,27 @@ def test_config_rejects_an_empty_name_or_a_count_below_its_floor(field, value, m
         mock_config(**{field: value})
 
 
+@pytest.mark.parametrize("temperature", [0, 0.0, -0.0])
+def test_each_spelling_of_a_temperature_posts_one_body(temperature):
+    config = mock_config(temperature=temperature)
+    assert config == mock_config()
+    assert body_for(config) == body_for(mock_config())
+    assert b'"temperature":0.0,' in body_for(config)
+    assert cache_key(config, transcript_for("Honk.")) == cache_key(mock_config(), transcript_for("Honk."))
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [("temperature", False, "temperature must be an int or a float"),
+     ("temperature", "0", "temperature must be an int or a float"),
+     ("max_output_tokens", 1.5, "max_output_tokens must be an int"),
+     ("max_output_tokens", True, "max_output_tokens must be an int")],
+)
+def test_config_refuses_a_bool_or_a_value_of_another_type(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        mock_config(**{field: value})
+
+
 def reference_payload(config: BackendConfig, transcript) -> dict:
     """The request a chat endpoint should read, built without the encoder."""
     return {
@@ -581,7 +602,7 @@ def test_a_key_holding_a_line_break_is_an_auth_error_that_sends_nothing(
     failed = RecordedWaits()
     with pytest.raises(AuthError, match="holds a line break") as err:
         fetch(backend, failed)
-    assert err.value.attempt_count == 1  # not retried
+    assert err.value.attempt_count == 0  # refused before the first attempt
     assert failed.is_set() and failed.waits == []
     assert (chat_stub.requests, chat_stub.opened) == ([], 0)
     assert backend.cache.get_many([cache_key(backend.config, transcript_for("Honk."))]) == {}
@@ -594,14 +615,14 @@ def test_a_key_holding_a_line_break_is_an_auth_error_that_sends_nothing(
 def test_http_status_mapping(chat_stub, http_backend, status, error):
     chat_stub.responder = lambda body: (status, {"error": "nope"})
     with pytest.raises(error):
-        http_backend()._send(body_for(http_config(chat_stub)))
+        http_backend()._send(body_for(http_config(chat_stub)), b"")
 
 
 def test_http_malformed_bodies_are_protocol_errors(chat_stub, http_backend):
     for payload in (b"not json at all", {"unexpected": "shape"}, {"choices": []}):
         chat_stub.responder = lambda body, p=payload: (200, p)
         with pytest.raises(ProtocolError):
-            http_backend()._send(body_for(http_config(chat_stub)))
+            http_backend()._send(body_for(http_config(chat_stub)), b"")
 
 
 def test_a_lone_surrogate_in_the_content_is_a_protocol_error_and_is_not_cached(
@@ -626,14 +647,14 @@ def test_http_connection_refused_maps_to_timeout():
         endpoint_url="http://127.0.0.1:9", model_name="m", timeout_seconds=2.0
     )
     with pytest.raises(Timeout):
-        HttpChatBackend(config)._send(body_for(config))
+        HttpChatBackend(config)._send(body_for(config), b"")
 
 
 @pytest.mark.parametrize("status", [500, 501, 502, 503, 504, 505])
 def test_only_transient_5xx_statuses_are_server_errors(chat_stub, http_backend, status):
     chat_stub.responder = lambda body: (status, {"error": "nope"})
     with pytest.raises(ProtocolError) as err:
-        http_backend()._send(body_for(http_config(chat_stub)))
+        http_backend()._send(body_for(http_config(chat_stub)), b"")
     assert isinstance(err.value, ServerError) is (status in (500, 502, 503, 504))
     assert err.value.status == status
 

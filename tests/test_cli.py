@@ -110,6 +110,21 @@ def test_an_aborted_run_prints_every_request_it_sent(chat_stub, toy_path, toy_da
     assert capsys.readouterr().out == f"requests sent: {len(chat_stub.requests)}\n"
 
 
+def test_a_key_holding_a_line_break_aborts_the_run_before_any_request(
+    chat_stub, toy_path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("CMDREASON_API_KEY", "sk-1\r\nX-Injected: 1")
+    code = run_cli(
+        "run", "--dataset", toy_path, "--endpoint", chat_stub.url,
+        "--model", "demo", "--out", str(tmp_path / "r"),
+    )
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "requests sent: 0\n"
+    assert "holds a line break" in err
+    assert chat_stub.requests == []
+
+
 def test_unknown_mock_endpoint_is_usage_error(toy_path, tmp_path, capsys):
     # the endpoint is rejected before any artifact is written
     endpoints = {
