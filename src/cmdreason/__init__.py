@@ -33,7 +33,6 @@ from .baselines import (
     random_classify,
     rule_classify,
 )
-from .chat import ChatMessage, Transcript
 from .dataset import (
     CATEGORIES,
     CATEGORY_TITLES,

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO
 
-from .chat import ChatMessage, Transcript
 from .errors import BackendError
 
 if TYPE_CHECKING:
@@ -63,6 +62,7 @@ CACHE_DIR_ENV = "CMDREASON_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".cmdreason-cache"
 BACKOFF_BASE_SECONDS = 1.0
 RETRY_AFTER_MAX_SECONDS = 60.0  # the longest Retry-After wait honoured
+ROLES = ("system", "user", "assistant")
 
 
 class AuthError(BackendError):
@@ -119,7 +119,7 @@ class RetriesExhausted(BackendError):
 
 
 class UnscriptedInput(BackendError):
-    """A mock backend received a transcript it has no script entry for."""
+    """A mock backend received a request it has no script entry for."""
 
 
 _RETRYABLE = (RateLimited, ServerError, Timeout)
@@ -172,7 +172,7 @@ _JSON = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _message_json(role: str, content: str) -> str:
-    """One message's JSON object; a role is a name from chat.ROLES."""
+    """One message's JSON object; a role is a name from ROLES, written as is."""
     return f'{{"role":"{role}","content":{_JSON(content)}}}'
 
 
@@ -180,21 +180,27 @@ class RequestEncoder:
     """Request bodies and cache keys of the commands that follow one shared prefix.
 
     A body is compact JSON: model, temperature, max_tokens, then the
-    messages: the prefix's, which opens with a system message, and one user
-    message holding the command.  The head, through the prefix's messages, is
+    messages: the prefix's, each a {"role", "content"} dict whose role is one
+    of ROLES and whose content is non-empty, the first a system message; then
+    one user message holding the command.  The head, through the prefix's messages, is
     encoded once here; tail(command) encodes the command's message and the
     closing ']}', and head + tail is the body sent.  A cache key is sha256
     over the endpoint URL, a NUL byte (which JSON escapes) and that body;
     key() hashes the tail on a copy of the head's state.
     """
 
-    def __init__(self, config: BackendConfig, prefix: Transcript) -> None:
-        if not prefix or prefix[0].role != "system":
+    def __init__(self, config: BackendConfig, prefix: list[dict[str, str]]) -> None:
+        if not prefix or prefix[0]["role"] != "system":
             raise ValueError("the prefix must open with a system message")
+        for m in prefix:
+            if m["role"] not in ROLES:
+                raise ValueError(f"role must be one of {ROLES}, got {m['role']!r}")
+            if not m["content"]:
+                raise ValueError("message content must be non-empty")
         self.head = (
             f'{{"model":{_JSON(config.model_name)},"temperature":{_JSON(config.temperature)},'
             f'"max_tokens":{_JSON(config.max_output_tokens)},"messages":['
-            + ",".join(_message_json(m.role, m.content) for m in prefix)
+            + ",".join(_message_json(m["role"], m["content"]) for m in prefix)
         ).encode("utf-8")
         self._state = hashlib.sha256(config.endpoint_url.encode("utf-8") + b"\0" + self.head)
 
@@ -681,15 +687,16 @@ def _read_chunked(reader: BinaryIO) -> bytes:
 
 
 # Mapping values: the response text, or an exception instance to raise.
-MockScript = Callable[[Transcript], str] | Mapping[str, str | BaseException]
+MockScript = Callable[[list[dict[str, str]]], str] | Mapping[str, str | BaseException]
 
 
 class MockChatBackend(ChatBackend):
     """In-process backend driven by a script; used by tests and mock:// runs.
 
-    The script is either a callable(transcript) -> text (which may raise), or
-    a mapping from the final user-message content to text / an exception
-    instance to raise, for the transcript read back from the request body.
+    The script is either a callable(messages) -> text (which may raise), given
+    the request body's messages as decoded, {"role", "content"} dicts, or a
+    mapping from the final message's content to text / an exception instance
+    to raise.
     Tracks how many sends happened and the peak number in flight at once, so
     tests can assert the harness's concurrency limit held.
     """
@@ -714,10 +721,10 @@ class MockChatBackend(ChatBackend):
             self.send_count += 1
             self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
         try:
-            transcript = tuple(ChatMessage(**m) for m in json.loads(body)["messages"])
+            messages = json.loads(body)["messages"]
             if callable(self._script):
-                return self._script(transcript)
-            final_user = transcript[-1].content
+                return self._script(messages)
+            final_user = messages[-1]["content"]
             try:
                 entry = self._script[final_user]
             except KeyError:

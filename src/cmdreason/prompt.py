@@ -21,7 +21,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .chat import Transcript, assistant, system, user
 from .dataset import N_QUESTIONS, RequirementVector
 from .errors import DataError, UsageError
 
@@ -169,18 +168,18 @@ def render_shot(shot: ShotExample, mode: ExplanationMode) -> tuple[str, str]:
     return shot.command, "\n".join(lines)
 
 
-def transcript_prefix(config: PromptConfig) -> Transcript:
+def transcript_prefix(config: PromptConfig) -> list[dict[str, str]]:
     """The messages before the command: the system message, then a user/assistant pair per shot.
 
-    That is 1 + 2 * len(config.shots) messages.  A request of the config
-    sends them, then the command as the final user message.
+    That is 1 + 2 * len(config.shots) {"role", "content"} dicts.  A request
+    of the config sends them, then the command as the final user message.
     """
-    messages = [system(build_system_prompt(config))]
+    messages = [{"role": "system", "content": build_system_prompt(config)}]
     for shot in config.shots:
         shot_user, shot_assistant = render_shot(shot, config.mode)
-        messages.append(user(shot_user))
-        messages.append(assistant(shot_assistant))
-    return tuple(messages)
+        messages.append({"role": "user", "content": shot_user})
+        messages.append({"role": "assistant", "content": shot_assistant})
+    return messages
 
 
 # =============================================================================

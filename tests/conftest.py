@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import cmdreason
 from cmdreason.backend import MockChatBackend, ResponseCache, mock_config
-from cmdreason.chat import Transcript
 from cmdreason.dataset import (
     VECTORS_BY_BITS,
     LabeledCommand,
@@ -115,8 +114,8 @@ def prompt_configs(draw) -> PromptConfig:
 
 def sent_in_a_run(
     config: PromptConfig, commands: list[str], directory: Path
-) -> list[Transcript]:
-    """The transcripts that a callable MockChatBackend script receives in a run of commands.
+) -> list[list[dict[str, str]]]:
+    """The messages that a callable MockChatBackend script receives in a run of commands.
 
     The run sends from one worker: one request per distinct command, in dataset order.
     """

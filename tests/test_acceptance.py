@@ -269,7 +269,7 @@ def test_criterion_5_message_count_law(template, tmp_path):
         )
         prefix = transcript_prefix(config)
         sent = sent_in_a_run(config, commands, tmp_path / str(shots))
-        received = {transcript[-1].content: transcript for transcript in sent}
+        received = {transcript[-1]["content"]: transcript for transcript in sent}
         for command in commands:
             transcript = received.get(command)
             if (
@@ -366,7 +366,7 @@ class DyingScript:
             self.budget -= 1
             if self.budget < 0:
                 raise ProtocolError("simulated mid-grid crash")
-        return self.script[transcript[-1].content]
+        return self.script[transcript[-1]["content"]]
 
 
 def test_criterion_7_grid_determinism_and_resume(toy_path, toy_data, template, tmp_path):

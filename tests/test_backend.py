@@ -39,13 +39,15 @@ from cmdreason.backend import (
     UnscriptedInput,
     mock_config,
 )
-from cmdreason.chat import assistant, system, user
 from cmdreason.dataset import write_atomic
 from cmdreason.prompt import MODE_ORDER, default_template, transcript_prefix
 
 
-def transcript_for(command: str):
-    return (system("Answer the questions."), user(command))
+SYSTEM = {"role": "system", "content": "Answer the questions."}
+
+
+def transcript_for(command: str) -> list[dict[str, str]]:
+    return [SYSTEM, {"role": "user", "content": command}]
 
 
 class FakeRandom:
@@ -66,7 +68,7 @@ class FakeRandom:
 
 def cache_key(config: BackendConfig, transcript) -> str:
     encoder = RequestEncoder(config, transcript[:-1])
-    return encoder.key(encoder.tail(transcript[-1].content))
+    return encoder.key(encoder.tail(transcript[-1]["content"]))
 
 
 def body_for(config: BackendConfig, command: str = "Honk.") -> bytes:
@@ -104,7 +106,9 @@ def test_cache_key_changes_with_any_input():
     assert cache_key(mock_config(temperature=0.7), transcript_for("Honk.")) != base
     assert cache_key(mock_config(max_output_tokens=64), transcript_for("Honk.")) != base
     assert cache_key(mock_config(endpoint_url="http://other/v1"), transcript_for("Honk.")) != base
-    with_assistant = transcript_for("Honk.") + (assistant("ok"), user("Honk."))
+    with_assistant = transcript_for("Honk.") + [
+        {"role": "assistant", "content": "ok"}, {"role": "user", "content": "Honk."}
+    ]
     assert cache_key(config, with_assistant) != base
 
 
@@ -174,7 +178,7 @@ def reference_payload(config: BackendConfig, transcript) -> dict:
         "model": config.model_name,
         "temperature": config.temperature,
         "max_tokens": config.max_output_tokens,
-        "messages": [{"role": m.role, "content": m.content} for m in transcript],
+        "messages": transcript,
     }
 
 
@@ -194,7 +198,7 @@ def test_encoded_bodies_decode_to_the_request_and_key_their_bytes():
                 prompt = template.config(mode, shots)
                 encoder = RequestEncoder(config, transcript_prefix(prompt))
                 for command in commands:
-                    transcript = transcript_prefix(prompt) + (user(command),)
+                    transcript = transcript_prefix(prompt) + [{"role": "user", "content": command}]
                     tail = encoder.tail(command)
                     body = encoder.head + tail
                     payload = json.loads(body)
@@ -206,9 +210,22 @@ def test_encoded_bodies_decode_to_the_request_and_key_their_bytes():
 
 
 def test_encoder_rejects_prefix_without_system_message():
-    for prefix in [(), (user("Honk."),), (assistant("ok"), system("Answer the questions."))]:
+    ok = {"role": "assistant", "content": "ok"}
+    for prefix in [[], transcript_for("Honk.")[1:], [ok, SYSTEM]]:
         with pytest.raises(ValueError, match="system message"):
             RequestEncoder(mock_config(), prefix)
+
+
+@pytest.mark.parametrize(
+    "message,error",
+    [({"role": "robot", "content": "Honk."}, "role must be one of"),
+     # the role is written into the body unescaped: this one would break its JSON
+     ({"role": 'us"er', "content": "Honk."}, "role must be one of"),
+     ({"role": "user", "content": ""}, "content must be non-empty")],
+)
+def test_encoder_rejects_an_unknown_role_or_empty_content(message, error):
+    with pytest.raises(ValueError, match=error):
+        RequestEncoder(mock_config(), [SYSTEM, message])
 
 
 # =============================================================================

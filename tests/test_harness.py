@@ -31,7 +31,6 @@ from cmdreason.backend import (
     RequestEncoder,
     ResponseCache,
 )
-from cmdreason.chat import ChatMessage, user
 from cmdreason.dataset import (
     LabeledCommand,
     MalformedRecord,
@@ -150,32 +149,30 @@ def test_warm_gold_run_builds_only_its_prefix_messages_and_no_vector(
 ):
     # a warm replay of mock://gold builds its transcript prefix once, encodes
     # each command's text without a message, and takes every vector from the
-    # table: the prefix's ChatMessages, whatever the dataset size, and no
+    # table: one transcript_prefix call, whatever the dataset size, and no
     # RequirementVector at all
     spec = make_spec(toy_path, template, tmp_path / "run")
     run_experiment(spec)
-    n_prefix = len(transcript_prefix(spec.prompt_config))
     built = []
-    post_init, new = ChatMessage.__post_init__, RequirementVector.__new__
+    prefix, new = harness.transcript_prefix, RequirementVector.__new__
 
-    def counting_post_init(self):
-        built.append("ChatMessage")
-        post_init(self)
+    def counting_prefix(config):
+        built.append("transcript_prefix")
+        return prefix(config)
 
     def counting_new(cls, flags):
         built.append("RequirementVector")
         return new(cls, flags)
 
-    monkeypatch.setattr(ChatMessage, "__post_init__", counting_post_init)
+    monkeypatch.setattr(harness, "transcript_prefix", counting_prefix)
     monkeypatch.setattr(RequirementVector, "__new__", staticmethod(counting_new))
     warm = run_experiment(spec)
     assert warm.n_cache_hits == len(toy_data)
-    assert built == ["ChatMessage"] * n_prefix
-    # the counters count
+    assert built == ["transcript_prefix"]
+    # the counter counts
     built.clear()
-    user("Honk.")
     RequirementVector((True,) * 8)
-    assert built == ["ChatMessage", "RequirementVector"]
+    assert built == ["RequirementVector"]
 
 
 GOOD_RECORD = {
@@ -274,7 +271,7 @@ def test_parallel_dispatch_does_not_change_outputs(toy_path, toy_data, template,
     def staggered(transcript):
         import time
 
-        text = transcript[-1].content
+        text = transcript[-1]["content"]
         with lock:
             calls.append(text)
         time.sleep((hash(text) % 7) / 1000)
@@ -355,7 +352,7 @@ calls = itertools.count(1)
 def answer(transcript):
     if next(calls) == 10:
         os._exit(9)  # dies while other workers may be writing to the cache
-    return script[transcript[-1].content]
+    return script[transcript[-1]["content"]]
 
 
 spec = ExperimentSpec(
@@ -696,7 +693,7 @@ def test_worker_failure_stops_run_and_leaves_partial_snapshot(
 
     def slow(transcript):
         time.sleep(0.005)
-        return script[transcript[-1].content]
+        return script[transcript[-1]["content"]]
 
     out = tmp_path / "run"
     spec = make_spec(toy_path, template, out, backend_config=gold_config(max_in_flight=2))
@@ -720,7 +717,7 @@ def test_an_error_on_the_calling_thread_stops_every_run_and_is_raised(
 
     def slow(transcript):
         time.sleep(0.005)
-        return script[transcript[-1].content]
+        return script[transcript[-1]["content"]]
 
     config = gold_config(max_in_flight=3)
     backend = MockChatBackend(slow, config=config, cache=ResponseCache(tmp_path / "cache"))
@@ -753,7 +750,7 @@ def test_pool_bounds_requests_in_flight(toy_path, toy_data, template, tmp_path):
 
     def slow(transcript):
         time.sleep(0.02)
-        return script[transcript[-1].content]
+        return script[transcript[-1]["content"]]
 
     backend = MockChatBackend(slow, config=gold_config(max_in_flight=3))
     result = run_experiment(
@@ -769,10 +766,10 @@ def test_no_request_is_sent_after_a_failure(toy_path, toy_data, template, tmp_pa
     calls = []
 
     def third_call_fails(transcript):
-        calls.append(transcript[-1].content)
+        calls.append(transcript[-1]["content"])
         if len(calls) == 3:
             raise ProtocolError("scripted failure")
-        return script[transcript[-1].content]
+        return script[transcript[-1]["content"]]
 
     cache_dir = tmp_path / "cache"
     backend = MockChatBackend(
@@ -800,7 +797,7 @@ def test_failure_ends_a_siblings_backoff(toy_path, toy_data, template, tmp_path)
     backing_off = threading.Event()
 
     def answer(transcript):
-        text = transcript[-1].content
+        text = transcript[-1]["content"]
         sent.append(text)
         if text == first:
             backing_off.set()
@@ -850,7 +847,7 @@ def test_failure_under_contention_keeps_every_completed_result(
                     late_sends[threading.get_ident()] += late
                 if n == 5:
                     raise ProtocolError("scripted failure")
-                return script[transcript[-1].content]
+                return script[transcript[-1]["content"]]
 
             cache_dir = tmp_path / f"cache{attempt}"
             out = tmp_path / f"run{attempt}"
@@ -893,10 +890,10 @@ def test_duplicate_command_is_sent_once_and_replays_identically(
 
     def changing(transcript):
         with lock:
-            calls.append(transcript[-1].content)
+            calls.append(transcript[-1]["content"])
             n = len(calls)
         time.sleep(0.01)  # keeps the copies' requests in flight together
-        return gold[transcript[-1].content] if n % 2 else "[0 0 0 0 0 0 0 0]"
+        return gold[transcript[-1]["content"]] if n % 2 else "[0 0 0 0 0 0 0 0]"
 
     out = tmp_path / "run"
     spec = make_spec(path, template, out, backend_config=gold_config(max_in_flight=max_in_flight))
@@ -1172,7 +1169,7 @@ def test_grid_continues_past_failing_cell(toy_path, toy_data, template, tmp_path
     def script(transcript):
         if len(transcript) == 2:  # every zero-shot transcript fails
             raise ProtocolError("no shots, no service")
-        return gold_script[transcript[-1].content]
+        return gold_script[transcript[-1]["content"]]
 
     backend = MockChatBackend(script, config=gold_config(), cache=ResponseCache(tmp_path / "cache"))
     out = tmp_path / "grid"
@@ -1215,7 +1212,7 @@ def test_grid_fetches_through_one_pool_that_stays_full_across_cells(
 
     def slow(transcript):
         time.sleep(0.05)
-        return gold[transcript[-1].content]
+        return gold[transcript[-1]["content"]]
 
     pools = []
 
@@ -1249,8 +1246,8 @@ def test_grid_sends_cell_by_cell_in_dataset_order(toy_path, toy_data, template, 
     sent = []
 
     def recording(transcript):
-        sent.append((transcript[0].content, len(transcript), transcript[-1].content))
-        return gold[transcript[-1].content]
+        sent.append((transcript[0]["content"], len(transcript), transcript[-1]["content"]))
+        return gold[transcript[-1]["content"]]
 
     backend = MockChatBackend(recording, config=gold_config(max_in_flight=1))
     grid = small_grid(toy_path, template, tmp_path / "grid", backend.config)
@@ -1258,7 +1255,7 @@ def test_grid_sends_cell_by_cell_in_dataset_order(toy_path, toy_data, template, 
     expected = []
     for mode, shots in grid.cells():
         prefix = transcript_prefix(grid.base.prompt_config.config(mode, shots))
-        expected.extend((prefix[0].content, len(prefix) + 1, rec.text) for rec in toy_data)
+        expected.extend((prefix[0]["content"], len(prefix) + 1, rec.text) for rec in toy_data)
     assert sent == expected
 
 
@@ -1271,12 +1268,12 @@ def test_grid_writes_each_cell_while_later_cells_are_fetched(
     written = []
 
     def waiting_for_the_first_cell(transcript):
-        if len(transcript) == 6 and "Step 1:" in transcript[0].content:  # the last cell
+        if len(transcript) == 6 and "Step 1:" in transcript[0]["content"]:  # the last cell
             deadline = time.monotonic() + 5
             while not first_report.exists() and time.monotonic() < deadline:
                 time.sleep(0.005)
             written.append(first_report.exists())
-        return gold[transcript[-1].content]
+        return gold[transcript[-1]["content"]]
 
     backend = MockChatBackend(waiting_for_the_first_cell, config=gold_config(max_in_flight=2))
     run_ablation(small_grid(toy_path, template, out, backend.config), backend)
@@ -1298,12 +1295,12 @@ def test_failed_cell_stops_only_its_own_queued_requests(toy_path, toy_data, temp
 
         def first_cell_fails(transcript):
             time.sleep(0.002)
-            if len(transcript) == 2 and "Step 1:" not in transcript[0].content:
+            if len(transcript) == 2 and "Step 1:" not in transcript[0]["content"]:
                 with lock:
-                    zero_shot.append(transcript[-1].content)
+                    zero_shot.append(transcript[-1]["content"])
                     if len(zero_shot) == 3:
                         raise ProtocolError("scripted failure")
-            return gold[transcript[-1].content]
+            return gold[transcript[-1]["content"]]
 
         out, cache_dir = tmp_path / f"grid{attempt}", tmp_path / f"cache{attempt}"
         backend = MockChatBackend(
@@ -1343,7 +1340,7 @@ def test_grid_under_contention_finishes_every_cell(toy_path, toy_data, template,
                     n = len(calls)
                 if n == 10:
                     raise ProtocolError("scripted failure")
-                return gold[transcript[-1].content]
+                return gold[transcript[-1]["content"]]
 
             cache_dir = tmp_path / f"cache{attempt}"
             backend = MockChatBackend(
@@ -1464,9 +1461,9 @@ def test_small_grid_output_bytes_are_pinned(toy_path, toy_data, template, tmp_pa
     index = {rec.text: i for i, rec in enumerate(toy_data)}
 
     def script(transcript):
-        i = index[transcript[-1].content]
+        i = index[transcript[-1]["content"]]
         shots = (len(transcript) - 2) // 2
-        if shots == 2 and i == 5 and "Step 1:" not in transcript[0].content:
+        if shots == 2 and i == 5 and "Step 1:" not in transcript[0]["content"]:
             raise ProtocolError("scripted failure", 500, "overloaded")
         if (i + shots) % 7 == 3:
             return "I would rather not say."

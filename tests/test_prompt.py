@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_shot, prompt_configs, sent_in_a_run
-from cmdreason.chat import ChatMessage
 from cmdreason.dataset import RequirementVector
 from cmdreason.errors import UsageError
 from cmdreason.prompt import (
@@ -151,7 +150,7 @@ def test_message_count_law(template):
 
 
 def test_transcript_role_pattern(config, tmp_path):
-    roles = [m.role for m in sent_in_a_run(config, ["Honk twice."], tmp_path)[0]]
+    roles = [m["role"] for m in sent_in_a_run(config, ["Honk twice."], tmp_path)[0]]
     assert roles[0] == "system"
     assert roles[-1] == "user"
     assert roles[1:-1] == ["user", "assistant"] * len(config.shots)
@@ -160,7 +159,7 @@ def test_transcript_role_pattern(config, tmp_path):
 def test_final_message_is_command_verbatim(config, tmp_path):
     command = "  Honk twice, please. "
     (transcript,) = sent_in_a_run(config, [command], tmp_path)
-    assert transcript == transcript_prefix(config) + (ChatMessage("user", command),)
+    assert transcript == transcript_prefix(config) + [{"role": "user", "content": command}]
 
 
 @settings(max_examples=50, deadline=None)
@@ -176,7 +175,7 @@ def test_message_count_law_property(command, shots):
     with tempfile.TemporaryDirectory() as directory:
         (transcript,) = sent_in_a_run(config, [command], Path(directory))
     assert len(transcript) == 2 + 2 * shots
-    assert transcript[-1].content == command
+    assert transcript[-1]["content"] == command
 
 
 # =============================================================================
