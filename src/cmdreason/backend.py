@@ -46,7 +46,7 @@ import time
 import urllib.parse
 import weakref
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO
 
@@ -124,6 +124,10 @@ class UnscriptedInput(BackendError):
 
 _RETRYABLE = (RateLimited, ServerError, Timeout)
 _SERVER_ERROR_STATUSES = (500, 502, 503, 504)
+# BackendConfig's field types, by annotation, and their names in an error; a bool is no number
+_FIELD_TYPES = {
+    "str": (str, "a string"), "int": (int, "an int"), "float": ((int, float), "an int or a float")
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,22 +141,24 @@ class BackendConfig:
     max_in_flight: int = 4  # concurrent requests a run sends
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kinds, kind_name = _FIELD_TYPES[field.type]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{field.name} must be {kind_name}")
         # one spelling per endpoint, so the cache key and the posted URL agree
         object.__setattr__(self, "endpoint_url", self.endpoint_url.rstrip("/"))
         if not self.endpoint_url:
             raise ValueError("endpoint_url must be non-empty")
         if not self.model_name:
             raise ValueError("model_name must be non-empty")
-        if isinstance(self.temperature, bool) or not isinstance(self.temperature, (int, float)):
-            raise ValueError("temperature must be an int or a float")
         # one body per value: 0, 0.0 and -0.0 all post 0.0
         object.__setattr__(self, "temperature", float(self.temperature) + 0.0)
+        object.__setattr__(self, "timeout_seconds", float(self.timeout_seconds))
         if not 0 <= self.temperature < math.inf:
             raise ValueError("temperature must be finite and >= 0")
         if not 0 < self.timeout_seconds < math.inf:
             raise ValueError("timeout_seconds must be finite and > 0")
-        if isinstance(self.max_output_tokens, bool) or not isinstance(self.max_output_tokens, int):
-            raise ValueError("max_output_tokens must be an int")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
         if self.max_retries < 0:
@@ -505,9 +511,12 @@ class HttpChatBackend(ChatBackend):
 
     def _auth(self) -> bytes:
         api_key = os.environ.get(API_KEY_ENV, "")
-        if "\r" in api_key or "\n" in api_key:
-            raise AuthError(f"{API_KEY_ENV} holds a line break")
-        return f"Authorization: Bearer {api_key}\r\n".encode("latin-1") if api_key else b""
+        # a bearer token is printable ASCII (RFC 6750); anything else could break the header
+        if not (api_key.isascii() and api_key.isprintable()):
+            raise AuthError(
+                f"{API_KEY_ENV} holds a line break or another character outside printable ASCII"
+            )
+        return f"Authorization: Bearer {api_key}\r\n".encode("ascii") if api_key else b""
 
     def _send(self, body: bytes, auth: bytes) -> str:
         status, headers, data = self._post(b"%s%d\r\n%s\r\n%s" % (self._head, len(body), auth, body))

@@ -165,11 +165,24 @@ def test_each_spelling_of_a_temperature_posts_one_body(temperature):
     [("temperature", False, "temperature must be an int or a float"),
      ("temperature", "0", "temperature must be an int or a float"),
      ("max_output_tokens", 1.5, "max_output_tokens must be an int"),
-     ("max_output_tokens", True, "max_output_tokens must be an int")],
+     ("max_output_tokens", True, "max_output_tokens must be an int"),
+     ("endpoint_url", 5, "endpoint_url must be a string"),
+     ("model_name", 5, "model_name must be a string"),
+     ("max_retries", True, "max_retries must be an int"),
+     ("max_retries", 1.0, "max_retries must be an int"),
+     ("max_in_flight", True, "max_in_flight must be an int"),
+     ("max_in_flight", 2.5, "max_in_flight must be an int"),
+     ("timeout_seconds", True, "timeout_seconds must be an int or a float"),
+     ("timeout_seconds", "5", "timeout_seconds must be an int or a float")],
 )
 def test_config_refuses_a_bool_or_a_value_of_another_type(field, value, message):
     with pytest.raises(ValueError, match=message):
         mock_config(**{field: value})
+
+
+def test_config_stores_a_timeout_as_a_float():
+    timeout = mock_config(timeout_seconds=5).timeout_seconds
+    assert (timeout, type(timeout)) == (5.0, float)
 
 
 def reference_payload(config: BackendConfig, transcript) -> dict:
@@ -610,7 +623,9 @@ def test_http_omits_auth_header_without_key(chat_stub, http_backend, monkeypatch
     assert chat_stub.requests[0][1] is None
 
 
-@pytest.mark.parametrize("key", ["sk-1\r\nX-Injected: 1", "sk-1\n", "\rsk-1"])
+# a key outside ASCII once crashed the header's encoding, or was posted as
+# its raw Latin-1 bytes; bearer tokens are ASCII (RFC 6750)
+@pytest.mark.parametrize("key", ["sk-1\r\nX-Injected: 1", "sk-1\n", "\rsk-1", "tok\u20acn", "\u00e9"])
 def test_a_key_holding_a_line_break_is_an_auth_error_that_sends_nothing(
     chat_stub, http_backend, monkeypatch, tmp_path, key
 ):

@@ -1094,6 +1094,20 @@ def test_spec_json_with_old_api_key_env_still_loads(toy_path, template, tmp_path
     assert "api_key_env" not in spec.to_json_dict()["backend_config"]
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("endpoint_url", 5), ("model_name", 5), ("timeout_seconds", True), ("timeout_seconds", "5"),
+     ("max_retries", True), ("max_in_flight", True), ("max_in_flight", 2.5)],
+)
+def test_spec_json_with_a_backend_value_of_another_type_is_refused(
+    toy_path, template, tmp_path, field, value
+):
+    data = make_spec(toy_path, template, tmp_path / "run").to_json_dict()
+    data["backend_config"][field] = value
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ExperimentSpec.from_json_dict(data)
+
+
 def test_spec_rejects_unknown_policy(toy_path, template, tmp_path):
     with pytest.raises(ValueError):
         make_spec(toy_path, template, tmp_path, failure_policy="lenient")
