@@ -56,7 +56,6 @@ from .harness import (
     AbortedRun,
     ExperimentSpec,
     RunResult,
-    emit_report,
     gold_echo_script,
     load_records,
     report_json_dict,

@@ -110,11 +110,10 @@ class ServerError(ProtocolError):
 
 
 class RetriesExhausted(BackendError):
-    """Every allowed attempt failed with a retryable error."""
+    """Every allowed attempt failed with a retryable error; fetch sets its attempt_count."""
 
     def __init__(self, attempts: int, last_error: BackendError) -> None:
         super().__init__(f"gave up after {attempts} attempts: {last_error}")
-        self.attempts = attempts
         self.last_error = last_error
 
 
@@ -706,8 +705,6 @@ class MockChatBackend(ChatBackend):
     the request body's messages as decoded, {"role", "content"} dicts, or a
     mapping from the final message's content to text / an exception instance
     to raise.
-    Tracks how many sends happened and the peak number in flight at once, so
-    tests can assert the harness's concurrency limit held.
     """
 
     def __init__(
@@ -719,31 +716,19 @@ class MockChatBackend(ChatBackend):
     ) -> None:
         super().__init__(config or mock_config(), cache, **kwargs)
         self._script = script
-        self._stats_lock = threading.Lock()
-        self._in_flight = 0
-        self.send_count = 0
-        self.peak_in_flight = 0
 
     def _send(self, body: bytes, auth: bytes) -> str:
-        with self._stats_lock:
-            self._in_flight += 1
-            self.send_count += 1
-            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+        messages = json.loads(body)["messages"]
+        if callable(self._script):
+            return self._script(messages)
+        final_user = messages[-1]["content"]
         try:
-            messages = json.loads(body)["messages"]
-            if callable(self._script):
-                return self._script(messages)
-            final_user = messages[-1]["content"]
-            try:
-                entry = self._script[final_user]
-            except KeyError:
-                raise UnscriptedInput(f"no scripted response for {final_user!r}") from None
-            if isinstance(entry, BaseException):
-                raise entry
-            return entry
-        finally:
-            with self._stats_lock:
-                self._in_flight -= 1
+            entry = self._script[final_user]
+        except KeyError:
+            raise UnscriptedInput(f"no scripted response for {final_user!r}") from None
+        if isinstance(entry, BaseException):
+            raise entry
+        return entry
 
 
 def mock_config(**overrides) -> BackendConfig:

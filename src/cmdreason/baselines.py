@@ -16,20 +16,14 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .dataset import N_QUESTIONS, LabeledCommand, RequirementVector, read_masked_tsv
-from .errors import DataError
+from .dataset import N_QUESTIONS, LabeledCommand, MalformedRecord, RequirementVector, read_masked_tsv
 from .rng import SplitMix64
 
 ALL_NO = RequirementVector((False,) * N_QUESTIONS)
 
 
-class MalformedRule(DataError):
+class MalformedRule(MalformedRecord):
     """A rules file line violates the pattern/mask format."""
-
-    def __init__(self, path: str | Path, line_no: int, reason: str) -> None:
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,6 +21,7 @@ from .dataset import (
     load_dataset,
     save_dataset,
     stratified_sample,
+    write_text,
 )
 from .errors import BackendError, DataError, UsageError
 from .harness import (
@@ -31,7 +32,6 @@ from .harness import (
     ablation_table,
     clear_run_dir,
     comparison_table,
-    emit_report,
     load_records,
     load_report,
     render_table,
@@ -147,8 +147,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     save_dataset(subset, args.out)
-    full = distribution(data)
-    sub = distribution(subset)
     rows = [
         [
             title,
@@ -156,7 +154,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             f"{float(sr):.4f}",
             f"{abs(float(sr) - float(fr)):.4f}",
         ]
-        for title, fr, sr in zip(CATEGORY_TITLES, full.positive_rate, sub.positive_rate)
+        for title, fr, sr in zip(CATEGORY_TITLES, distribution(data), distribution(subset))
     ]
     print(render_table(["Question", "Full", "Sample", "Deviation"], rows, "table"), end="")
     print(f"wrote {len(subset)} of {len(data)} records to {args.out}")
@@ -170,7 +168,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if policy != policies[0]:
             raise DataError(f"{run_dir} was scored under failure policy {policy}, "
                             f"{args.run_dirs[0]} under {policies[0]}: a table compares one policy")
-    emit_report(rows, args.format, args.out)
+    write_text(Path(args.out), comparison_table(rows, args.format))
     print(f"wrote {args.out}")
     return 0
 

@@ -67,7 +67,7 @@ class MissingFile(DataError):
 
 
 class MalformedRecord(DataError):
-    """A dataset line violates the id/text/labels format."""
+    """A line of an input file (a dataset or rules TSV, records.jsonl) breaks its format."""
 
     def __init__(self, path: str | Path, line_no: int, reason: str) -> None:
         super().__init__(f"{path}:{line_no}: {reason}")
@@ -149,18 +149,6 @@ class LabeledCommand:
             raise ValueError("command_id must be non-empty")
         if not self.text.strip():
             raise ValueError("text must be non-empty after trimming")
-
-
-@dataclass(frozen=True, slots=True)
-class LabelDistribution:
-    """Per-question positive rates over a dataset."""
-
-    counts: tuple[int, ...]  # positives per question
-    n: int  # records counted
-
-    @property
-    def positive_rate(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.n) for c in self.counts)
 
 
 # =============================================================================
@@ -267,21 +255,15 @@ def write_text(path: Path, text: str) -> None:
 # =============================================================================
 
 
-def distribution(records: Sequence[LabeledCommand]) -> LabelDistribution:
-    """Count positives per question; raise EmptyDataset on an empty input."""
+def distribution(records: Sequence[LabeledCommand]) -> tuple[Fraction, ...]:
+    """Each question's positive rate; raise EmptyDataset on an empty input."""
     if not records:
         raise EmptyDataset("cannot compute a distribution over zero records")
-    counts = tuple(map(sum, zip(*(rec.gold for rec in records))))
-    return LabelDistribution(counts, len(records))
+    return tuple(Fraction(sum(flags), len(records)) for flags in zip(*(r.gold for r in records)))
 
 
-def _max_deviation(
-    sample_counts: Sequence[int], n: int, full: LabelDistribution
-) -> Fraction:
-    return max(
-        abs(Fraction(sample_counts[i], n) - Fraction(full.counts[i], full.n))
-        for i in range(N_QUESTIONS)
-    )
+def _max_deviation(counts: Sequence[int], n: int, full: tuple[Fraction, ...]) -> Fraction:
+    return max(abs(Fraction(c, n) - rate) for c, rate in zip(counts, full))
 
 
 def stratified_sample(
@@ -316,7 +298,7 @@ def stratified_sample(
     selected = indices[:n]
     rest = indices[n:]
 
-    counts = distribution([records[idx] for idx in selected]).counts
+    counts = tuple(map(sum, zip(*(records[idx].gold for idx in selected))))
     best = _max_deviation(counts, n, full)
 
     for _ in range(SAMPLE_MAX_SWAPS):

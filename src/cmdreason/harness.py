@@ -108,7 +108,7 @@ REPORT_FORMATS = ("table", "csv", "md")
 
 
 class AbortedRun(BackendError):
-    """A run stopped early on a backend failure; completed calls stay cached."""
+    """A run stopped early on a backend failure, its __cause__; completed calls stay cached."""
 
     def __init__(
         self, n_completed: int, n_total: int, cause: BackendError, n_backend_attempts: int
@@ -116,7 +116,6 @@ class AbortedRun(BackendError):
         super().__init__(f"run aborted after {n_completed} of {n_total} commands: {cause}")
         self.n_completed = n_completed
         self.n_total = n_total
-        self.cause = cause
         self.n_backend_attempts = n_backend_attempts  # requests sent, failed ones included
 
 
@@ -713,12 +712,3 @@ def comparison_table(rows: list[dict[str, Any]], fmt: str) -> str:
     """Render report rows as a method-comparison table: label, command, overall, 8 categories."""
     header = ["Method", "Command", "Overall", *CATEGORY_TITLES]
     return render_table(header, [_table_cells(row) for row in rows], fmt)
-
-
-def emit_report(rows: list[dict[str, Any]], fmt: str, out_path: str | Path) -> Path:
-    """Write comparison_table(rows, fmt) to out_path."""
-    if not rows:
-        raise ValueError("emit_report needs at least one row")
-    out_path = Path(out_path)
-    write_text(out_path, comparison_table(rows, fmt))
-    return out_path

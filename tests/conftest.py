@@ -70,6 +70,26 @@ def cache_entries(directory: Path) -> dict[str, str]:
         return dict(db.execute("SELECT key, text FROM responses"))
 
 
+class CountingMock(MockChatBackend):
+    """A MockChatBackend that counts its sends and the most of them in flight at once."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._stats_lock = threading.Lock()
+        self._in_flight = self.send_count = self.peak_in_flight = 0
+
+    def _send(self, body: bytes, auth: bytes) -> str:
+        with self._stats_lock:
+            self._in_flight += 1
+            self.send_count += 1
+            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+        try:
+            return super()._send(body, auth)
+        finally:
+            with self._stats_lock:
+                self._in_flight -= 1
+
+
 def make_shot(command: str, bits: str) -> ShotExample:
     """Shot with placeholder rationales consistent with the gold bits."""
     gold = RequirementVector.from_bits(bits)

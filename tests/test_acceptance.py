@@ -28,7 +28,7 @@ from cmdreason.dataset import (
 from cmdreason.harness import (
     AblationGrid,
     ExperimentSpec,
-    emit_report,
+    comparison_table,
     gold_echo_script,
     run_ablation,
     run_experiment,
@@ -312,7 +312,7 @@ def test_criterion_6_stratified_sampler():
     sub = distribution(sample)
     max_dev = max(
         abs(float(sr) - float(fr))
-        for sr, fr in zip(sub.positive_rate, full.positive_rate)
+        for sr, fr in zip(sub, full)
     )
     again = stratified_sample(data, 100, seed=42, tolerance=0.05)
     same_ids = [r.command_id for r in sample] == [r.command_id for r in again]
@@ -431,9 +431,7 @@ FIXTURE_ROWS = [
 
 
 def test_criterion_8_live_numbers_are_formatting_fixtures_only(tmp_path):
-    out = tmp_path / "fixture.md"
-    emit_report(FIXTURE_ROWS, "md", out)
-    text = out.read_text()
+    text = comparison_table(FIXTURE_ROWS, "md")
     layout_ok = (
         text.splitlines()[0].startswith("| Method | Command | Overall | Perception |")
         and "| GPT-4 | 38.03 | 89.02 | 93.18 |" in text

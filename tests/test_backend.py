@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import all_closed, cache_entries, child_env, serve
+from conftest import CountingMock, all_closed, cache_entries, child_env, serve
 from cmdreason.backend import (
     RETRY_AFTER_MAX_SECONDS,
     AuthError,
@@ -497,7 +497,7 @@ def make_flaky(failures: list[Exception], answer: str = "done"):
 def test_two_failures_then_success_gives_attempt_count_three():
     failed = RecordedWaits()
     rng = FakeRandom()
-    backend = MockChatBackend(
+    backend = CountingMock(
         make_flaky([RateLimited("slow down"), Timeout("no answer")]),
         config=mock_config(max_retries=3),
         backoff_rng=rng,
@@ -512,14 +512,15 @@ def test_two_failures_then_success_gives_attempt_count_three():
 
 
 def test_retries_exhausted_after_max_retries():
-    backend = MockChatBackend(
+    backend = CountingMock(
         make_flaky([RateLimited("x")] * 10),
         config=mock_config(max_retries=2),
         backoff_rng=FakeRandom(),
     )
     with pytest.raises(RetriesExhausted) as err:
         fetch(backend, RecordedWaits())
-    assert err.value.attempts == 3  # 1 try + 2 retries
+    assert err.value.attempt_count == 3  # 1 try + 2 retries
+    assert str(err.value).startswith("gave up after 3 attempts: ")
     assert isinstance(err.value.last_error, RateLimited)
     assert backend.send_count == 3
 
@@ -529,14 +530,14 @@ def test_zero_retries_fails_on_first_retryable_error():
     backend = MockChatBackend(make_flaky([Timeout("x")]), config=mock_config(max_retries=0))
     with pytest.raises(RetriesExhausted) as err:
         fetch(backend, failed)
-    assert err.value.attempts == 1
+    assert err.value.attempt_count == 1
     assert failed.waits == []
 
 
 def test_auth_and_protocol_errors_are_not_retried():
     for exc in (AuthError("bad key"), ProtocolError("weird body", 500)):
         failed = RecordedWaits()
-        backend = MockChatBackend(make_flaky([exc]), config=mock_config(max_retries=5))
+        backend = CountingMock(make_flaky([exc]), config=mock_config(max_retries=5))
         with pytest.raises(type(exc)):
             fetch(backend, failed)
         assert backend.send_count == 1
@@ -550,7 +551,7 @@ def test_auth_and_protocol_errors_are_not_retried():
 
 def test_second_completion_is_a_cache_hit(tmp_path):
     cache = ResponseCache(tmp_path / "c")
-    backend = MockChatBackend({"Honk.": "answer"}, cache=cache)
+    backend = CountingMock({"Honk.": "answer"}, cache=cache)
     first = ask(backend, "Honk.")
     second = ask(backend, "Honk.")
     assert (first.attempt_count, second.attempt_count) == (1, 0)
@@ -560,7 +561,7 @@ def test_second_completion_is_a_cache_hit(tmp_path):
 
 def test_cache_is_keyed_by_transcript(tmp_path):
     cache = ResponseCache(tmp_path / "c")
-    backend = MockChatBackend({"Honk.": "a", "Wave.": "b"}, cache=cache)
+    backend = CountingMock({"Honk.": "a", "Wave.": "b"}, cache=cache)
     assert ask(backend, "Honk.").raw_text == "a"
     assert ask(backend, "Wave.").raw_text == "b"
     assert backend.send_count == 2
@@ -742,7 +743,7 @@ def test_failed_run_cuts_a_retry_after_wait_short(chat_stub, http_backend):
     finally:
         timer.cancel()
     assert 0.2 <= time.monotonic() - start < 10
-    assert err.value.attempts == 1  # waited on Retry-After, not the zero backoff
+    assert err.value.attempt_count == 1  # waited on Retry-After, not the zero backoff
     assert len(chat_stub.requests) == 1
 
 
@@ -1065,7 +1066,7 @@ def test_a_body_cut_short_is_a_failed_attempt_not_a_reconnect(
     assert ask(backend, "Honk.").attempt_count == 1
     with pytest.raises(RetriesExhausted) as err:
         ask(backend, "Wave.")  # on the reused connection
-    assert err.value.attempts == 1
+    assert err.value.attempt_count == 1
     assert isinstance(err.value.last_error, Timeout)
     assert "ended after" in str(err.value.last_error)
     assert len(endpoint.requests) == 2
@@ -1104,7 +1105,7 @@ def test_a_malformed_or_missing_response_is_a_timeout_that_is_retried_and_never_
         fetch(backend, RecordedWaits())
     assert isinstance(err.value.last_error, Timeout)
     assert fragment in str(err.value.last_error)
-    assert err.value.attempts == err.value.attempt_count == 2
+    assert err.value.attempt_count == 2
     assert backend.cache.get_many([key]) == {}
     assert (endpoint.opened, len(endpoint.requests)) == (2, 2)
     assert fetch(backend, RecordedWaits()).raw_text == "hello there"

@@ -363,6 +363,29 @@ def test_report_missing_run_dir_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_report_of_no_run_or_an_unknown_format_is_a_usage_error(toy_path, tmp_path, capsys):
+    rand = str(tmp_path / "rand")
+    run_cli("baseline", "--dataset", toy_path, "--random", "--out", rand)
+    capsys.readouterr()
+    out = tmp_path / "r.md"
+    assert run_cli("report", "--in", "--out", str(out)) == 1
+    assert "--in: expected at least one argument" in capsys.readouterr().err
+    assert run_cli("report", "--in", rand, "--format", "yaml", "--out", str(out)) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_to_an_unwritable_path_is_a_data_error(toy_path, tmp_path, capsys):
+    rand = str(tmp_path / "rand")
+    run_cli("baseline", "--dataset", toy_path, "--random", "--out", rand)
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("in the way")
+    capsys.readouterr()
+    assert run_cli("report", "--in", rand, "--out", str(blocker / "nested.md")) == 2
+    assert capsys.readouterr().err.startswith(f"data error: cannot write {blocker / 'nested.md'}")
+    assert blocker.read_text() == "in the way"
+
+
 @pytest.mark.parametrize(
     "change",
     [

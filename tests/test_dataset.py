@@ -269,10 +269,9 @@ def test_save_then_load_gives_the_records_back_or_save_refuses(tmp_path, rows):
 
 def test_distribution_hand_counted_on_toy(toy_data):
     # counted by hand off the toy file, column by column
-    dist = distribution(toy_data)
-    assert dist.n == 24
-    assert dist.counts == (11, 12, 6, 12, 5, 6, 8, 6)
-    assert dist.positive_rate[1] == Fraction(1, 2)
+    counts = (11, 12, 6, 12, 5, 6, 8, 6)
+    assert distribution(toy_data) == tuple(Fraction(c, 24) for c in counts)
+    assert distribution(toy_data)[1] == Fraction(1, 2)
 
 
 def test_distribution_rejects_empty():
@@ -313,7 +312,7 @@ def test_sample_recount_oracle():
     full = distribution(data)
     sub = distribution(sample)
     for i in range(8):  # recount from scratch, compare as exact fractions
-        deviation = abs(sub.positive_rate[i] - full.positive_rate[i])
+        deviation = abs(sub[i] - full[i])
         assert deviation <= Fraction(1, 20)
 
 

@@ -4,6 +4,7 @@ import collections
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import random
@@ -20,7 +21,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_closed, awkward_text, cache_entries, child_env, prompt_configs, vectors
+from conftest import (
+    CountingMock,
+    all_closed,
+    awkward_text,
+    cache_entries,
+    child_env,
+    prompt_configs,
+    vectors,
+)
 from cmdreason import harness
 from cmdreason.backend import (
     BackendConfig,
@@ -43,10 +52,9 @@ from cmdreason.harness import (
     AblationGrid,
     AbortedRun,
     ExperimentSpec,
-    UnwritableOutput,
     ablation_table,
     build_backend,
-    emit_report,
+    comparison_table,
     gold_echo_script,
     load_records,
     load_report,
@@ -75,8 +83,8 @@ def make_spec(toy_path, template, out_dir, **overrides) -> ExperimentSpec:
     )
 
 
-def gold_backend(toy_data, cache_dir, max_in_flight=4) -> MockChatBackend:
-    return MockChatBackend(
+def gold_backend(toy_data, cache_dir, max_in_flight=4) -> CountingMock:
+    return CountingMock(
         gold_echo_script(toy_data),
         config=gold_config(max_in_flight=max_in_flight),
         cache=ResponseCache(cache_dir),
@@ -301,7 +309,7 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
     out = tmp_path / "run"
     spec = make_spec(toy_path, template, out, backend_config=gold_config(max_in_flight=1))
 
-    broken = MockChatBackend(script, config=spec.backend_config, cache=cache)
+    broken = CountingMock(script, config=spec.backend_config, cache=cache)
     with pytest.raises(AbortedRun) as err:
         run_experiment(spec, broken)
     assert err.value.n_completed == 12
@@ -312,7 +320,7 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
     assert [row["id"] for row in responses] == [rec.command_id for rec in toy_data[:12]]
     assert not (out / "records.jsonl").exists()
 
-    healthy = MockChatBackend(gold_echo_script(toy_data), config=spec.backend_config, cache=cache)
+    healthy = CountingMock(gold_echo_script(toy_data), config=spec.backend_config, cache=cache)
     resumed = run_experiment(spec, healthy)
     # everything the first pass managed to complete replays from cache; only
     # the remainder (at least the command that died) goes out again
@@ -474,7 +482,7 @@ def test_a_repeated_command_is_looked_up_once_in_one_call_per_run(
 
     monkeypatch.setattr(ResponseCache, "get_many", counting_get_many)
     spec = make_spec(path, template, tmp_path / "run")
-    backend = MockChatBackend(
+    backend = CountingMock(
         gold_echo_script(data), config=gold_config(), cache=ResponseCache(tmp_path / "cache")
     )
     cold = run_experiment(spec, backend)
@@ -612,7 +620,7 @@ def test_cache_entries_of_another_endpoint_are_not_reused(
     assert gold.report.command_level_accuracy == 1
 
     other_config = BackendConfig(endpoint_url="http://127.0.0.1:9/v1", model_name="same-model")
-    zeros = MockChatBackend(
+    zeros = CountingMock(
         lambda transcript: "[0 0 0 0 0 0 0 0]",
         config=other_config,
         cache=ResponseCache(tmp_path / "cache"),
@@ -697,7 +705,7 @@ def test_worker_failure_stops_run_and_leaves_partial_snapshot(
 
     out = tmp_path / "run"
     spec = make_spec(toy_path, template, out, backend_config=gold_config(max_in_flight=2))
-    backend = MockChatBackend(slow, config=spec.backend_config, cache=FullCache(tmp_path / "cache"))
+    backend = CountingMock(slow, config=spec.backend_config, cache=FullCache(tmp_path / "cache"))
     with pytest.raises(OSError, match="No space left"):
         run_experiment(spec, backend)
     assert backend.send_count < len(toy_data)  # queued requests were cancelled
@@ -720,7 +728,7 @@ def test_an_error_on_the_calling_thread_stops_every_run_and_is_raised(
         return script[transcript[-1]["content"]]
 
     config = gold_config(max_in_flight=3)
-    backend = MockChatBackend(slow, config=config, cache=ResponseCache(tmp_path / "cache"))
+    backend = CountingMock(slow, config=config, cache=ResponseCache(tmp_path / "cache"))
     runs = [
         harness._Run(make_spec(toy_path, template, tmp_path / f"r{k}", shots=k, backend_config=config),
                      toy_data, backend)
@@ -752,7 +760,7 @@ def test_pool_bounds_requests_in_flight(toy_path, toy_data, template, tmp_path):
         time.sleep(0.02)
         return script[transcript[-1]["content"]]
 
-    backend = MockChatBackend(slow, config=gold_config(max_in_flight=3))
+    backend = CountingMock(slow, config=gold_config(max_in_flight=3))
     result = run_experiment(
         make_spec(toy_path, template, tmp_path / "run", backend_config=backend.config), backend
     )
@@ -772,7 +780,7 @@ def test_no_request_is_sent_after_a_failure(toy_path, toy_data, template, tmp_pa
         return script[transcript[-1]["content"]]
 
     cache_dir = tmp_path / "cache"
-    backend = MockChatBackend(
+    backend = CountingMock(
         third_call_fails, config=gold_config(max_in_flight=1), cache=ResponseCache(cache_dir)
     )
     with pytest.raises(AbortedRun):
@@ -817,7 +825,7 @@ def test_failure_ends_a_siblings_backoff(toy_path, toy_data, template, tmp_path)
         )
     assert time.monotonic() - start < 10  # the sibling's backoff alone is 30 s
     assert sorted(sent) == sorted([first, second])  # the sibling sent nothing more
-    assert isinstance(err.value.cause, ProtocolError)  # the failure, not the cut backoff
+    assert isinstance(err.value.__cause__, ProtocolError)  # the failure, not the cut backoff
     assert err.value.n_completed == 0
 
 
@@ -851,7 +859,7 @@ def test_failure_under_contention_keeps_every_completed_result(
 
             cache_dir = tmp_path / f"cache{attempt}"
             out = tmp_path / f"run{attempt}"
-            backend = MockChatBackend(
+            backend = CountingMock(
                 fifth_call_fails, config=gold_config(max_in_flight=8),
                 cache=ResponseCache(cache_dir),
             )
@@ -920,7 +928,7 @@ def test_cached_responses_replay_byte_for_byte(newline, toy_path, toy_data, temp
         text: f"Step 1: Yes.{newline}{answer}{newline}"
         for text, answer in gold_echo_script(toy_data).items()
     }
-    backend = MockChatBackend(script, config=gold_config(), cache=ResponseCache(tmp_path / "cache"))
+    backend = CountingMock(script, config=gold_config(), cache=ResponseCache(tmp_path / "cache"))
     outputs = []
     for attempt in ("cold", "warm"):
         out = tmp_path / attempt
@@ -939,7 +947,7 @@ def test_cached_responses_replay_byte_for_byte(newline, toy_path, toy_data, temp
 def test_backend_of_another_config_is_a_usage_error_before_any_write_or_send(
     other, toy_path, toy_data, template, tmp_path
 ):
-    backend = MockChatBackend(
+    backend = CountingMock(
         gold_echo_script(toy_data),
         config=dataclasses.replace(gold_config(), **other),
         cache=ResponseCache(tmp_path / "cache"),
@@ -1022,7 +1030,7 @@ def test_an_abort_counts_the_requests_of_the_failed_fetch_too(
     if max_in_flight == 1:  # one worker sends in dataset order and stops at the failure
         assert landed == 12
     assert str(err.value) == (
-        f"run aborted after {landed} of {len(toy_data)} commands: {err.value.cause}"
+        f"run aborted after {landed} of {len(toy_data)} commands: {err.value.__cause__}"
     )
 
 
@@ -1236,7 +1244,7 @@ def test_grid_fetches_through_one_pool_that_stays_full_across_cells(
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", CountedPool)
-    backend = MockChatBackend(
+    backend = CountingMock(
         slow, config=gold_config(max_in_flight=4), cache=ResponseCache(tmp_path / "cache")
     )
     grid = small_grid(tmp_path / "two.tsv", template, tmp_path / "grid", backend.config)
@@ -1317,7 +1325,7 @@ def test_failed_cell_stops_only_its_own_queued_requests(toy_path, toy_data, temp
             return gold[transcript[-1]["content"]]
 
         out, cache_dir = tmp_path / f"grid{attempt}", tmp_path / f"cache{attempt}"
-        backend = MockChatBackend(
+        backend = CountingMock(
             first_cell_fails, config=gold_config(max_in_flight=1 if attempt else 3),
             cache=ResponseCache(cache_dir),
         )
@@ -1357,7 +1365,7 @@ def test_grid_under_contention_finishes_every_cell(toy_path, toy_data, template,
                 return gold[transcript[-1]["content"]]
 
             cache_dir = tmp_path / f"cache{attempt}"
-            backend = MockChatBackend(
+            backend = CountingMock(
                 tenth_call_fails, config=gold_config(max_in_flight=8),
                 cache=ResponseCache(cache_dir),
             )
@@ -1392,7 +1400,7 @@ class FailingCache(ResponseCache):
 
 
 def test_cache_put_error_stops_the_grid_and_propagates(toy_path, toy_data, template, tmp_path):
-    backend = MockChatBackend(
+    backend = CountingMock(
         gold_echo_script(toy_data), config=gold_config(max_in_flight=1),
         cache=FailingCache(tmp_path / "cache"),
     )
@@ -1521,10 +1529,7 @@ ZERO_ROW = report_json_dict("x", EvalReport((Fraction(0),) * 8, Fraction(0), Fra
 
 def test_emit_csv_round_trips_at_emitted_precision(toy_path, toy_data, template, tmp_path):
     rows = sample_rows(toy_path, toy_data, template, tmp_path)
-    out = tmp_path / "report.csv"
-    emit_report(rows, "csv", out)
-    with out.open() as fh:
-        parsed = list(csv.reader(fh))
+    parsed = list(csv.reader(io.StringIO(comparison_table(rows, "csv"), newline="")))
     assert parsed[0] == [
         "Method", "Command", "Overall",
         "Perception", "In-cabin Monitoring", "Localization", "Vehicle Control",
@@ -1539,17 +1544,13 @@ def test_emit_csv_round_trips_at_emitted_precision(toy_path, toy_data, template,
 
 def test_emit_is_byte_deterministic(toy_path, toy_data, template, tmp_path):
     rows = sample_rows(toy_path, toy_data, template, tmp_path)
-    a, b = tmp_path / "a.md", tmp_path / "b.md"
-    emit_report(rows * 2, "md", a)
-    emit_report(rows * 2, "md", b)
-    assert a.read_bytes() == b.read_bytes()
+    again = sample_rows(toy_path, toy_data, template, tmp_path / "again")
+    assert comparison_table(rows * 2, "md") == comparison_table(again * 2, "md")
 
 
 def test_emit_markdown_layout(toy_path, toy_data, template, tmp_path):
     rows = sample_rows(toy_path, toy_data, template, tmp_path)
-    out = tmp_path / "report.md"
-    emit_report(rows, "md", out)
-    lines = out.read_text().splitlines()
+    lines = comparison_table(rows, "md").splitlines()
     assert lines[0] == (
         "| Method | Command | Overall | Perception | In-cabin Monitoring | Localization"
         " | Vehicle Control | Entertainment | Personal Data | Network Access | Traffic Laws |"
@@ -1558,18 +1559,9 @@ def test_emit_markdown_layout(toy_path, toy_data, template, tmp_path):
     assert lines[2].startswith("| mock-gold | 100.00 | 100.00 |")
 
 
-def test_emit_rejects_empty_and_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        emit_report([], "md", tmp_path / "r.md")
-    with pytest.raises(ValueError):
-        emit_report([ZERO_ROW], "yaml", tmp_path / "r.yaml")
-
-
-def test_emit_unwritable_path(tmp_path):
-    blocker = tmp_path / "file.txt"
-    blocker.write_text("in the way")
-    with pytest.raises(UnwritableOutput):
-        emit_report([ZERO_ROW], "md", blocker / "nested.md")
+def test_comparison_table_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="format must be one of"):
+        comparison_table([ZERO_ROW], "yaml")
 
 
 def test_load_report_round_trip(toy_path, toy_data, template, tmp_path):
