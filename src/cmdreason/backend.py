@@ -151,9 +151,11 @@ class BackendConfig:
             raise ValueError("endpoint_url must be non-empty")
         if not self.model_name:
             raise ValueError("model_name must be non-empty")
-        # one body per value: 0, 0.0 and -0.0 all post 0.0
-        object.__setattr__(self, "temperature", float(self.temperature) + 0.0)
-        object.__setattr__(self, "timeout_seconds", float(self.timeout_seconds))
+        for name in ("temperature", "timeout_seconds"):
+            try:  # one body per value: 0, 0.0 and -0.0 all post 0.0
+                object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
+            except OverflowError:  # an int beyond the float range
+                object.__setattr__(self, name, math.inf)
         if not 0 <= self.temperature < math.inf:
             raise ValueError("temperature must be finite and >= 0")
         if not 0 < self.timeout_seconds < math.inf:
@@ -660,7 +662,9 @@ def _read_headers(reader: BinaryIO) -> dict[str, str]:
             raise _MalformedResponse(
                 "response ended in its head" if not line else f"bad header line {line[:80]!r}"
             )
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        # a repeated name is one list, its lines joined by commas (RFC 9110 section 5.3)
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
     raise _MalformedResponse(f"more than {MAX_HEADERS} headers")
 
 

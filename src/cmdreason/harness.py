@@ -130,7 +130,11 @@ class ExperimentSpec:
     failure_policy: str = "strict"
 
     def __post_init__(self) -> None:
-        if self.failure_policy not in FAILURE_POLICIES:
+        for name, kind in (("dataset_path", str), ("output_dir", str),
+                           ("prompt_config", PromptConfig), ("backend_config", BackendConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}")
+        if self.failure_policy not in FAILURE_POLICIES:  # so it is a str
             raise ValueError(f"failure_policy must be one of {FAILURE_POLICIES}")
 
     def to_json_dict(self) -> dict[str, Any]:

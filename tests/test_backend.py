@@ -138,6 +138,14 @@ def test_config_rejects_a_temperature_or_timeout_that_breaks_requests(field, val
     assert getattr(mock_config(**{field: 0.5}), field) == 0.5
 
 
+@pytest.mark.parametrize("field", ["temperature", "timeout_seconds"])
+def test_config_refuses_an_int_beyond_the_float_range_as_not_finite(field):
+    for value in (10**400, -(10**400)):  # float() of either overflows
+        with pytest.raises(ValueError, match=f"{field} must be finite and"):
+            mock_config(**{field: value})
+    assert getattr(mock_config(**{field: 10**300}), field) == 1e300
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [("endpoint_url", "/", "endpoint_url must be non-empty"),
@@ -991,6 +999,8 @@ def test_each_request_goes_out_in_one_write(chat_stub, http_backend, monkeypatch
         (b"HTTP/1.1 200 OK", b"Connection: close\r\n", False),
         (b"HTTP/1.0 200 OK", b"", False),
         (b"HTTP/1.0 200 OK", b"Connection: keep-alive\r\n", True),
+        # repeated lines are one comma-joined list, and "close" in it ends the connection
+        (b"HTTP/1.1 200 OK", b"Connection: close\r\nConnection: keep-alive\r\n", False),
     ],
 )
 def test_a_response_that_ends_its_connection_is_not_reused(
@@ -1084,6 +1094,14 @@ CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
         pytest.param(
             reply(headers=b"Content-Length: 7e1\r\n", length=False), "bad Content-Length",
             id="content length",
+        ),
+        pytest.param(  # RFC 9112 section 6.3: differing lengths make a response invalid
+            reply(headers=b"Content-Length: 2\r\nContent-Length: 3\r\n", length=False),
+            "bad Content-Length '2, 3'", id="differing content lengths",
+        ),
+        pytest.param(  # RFC 9112 allows equal ones; the reader refuses them too
+            reply(headers=b"Content-Length: %d\r\n" % len(ANSWER)),
+            "bad Content-Length '%d, %d'" % (len(ANSWER), len(ANSWER)), id="equal content lengths",
         ),
         pytest.param(CHUNKED_HEAD + b"zz\r\n" + ANSWER, "bad chunk size", id="chunk size"),
         pytest.param(
