@@ -1105,7 +1105,10 @@ def test_spec_json_with_old_api_key_env_still_loads(toy_path, template, tmp_path
 @pytest.mark.parametrize(
     "field,value",
     [("endpoint_url", 5), ("model_name", 5), ("timeout_seconds", True), ("timeout_seconds", "5"),
-     ("max_retries", True), ("max_in_flight", True), ("max_in_flight", 2.5)],
+     ("max_retries", True), ("max_in_flight", True), ("max_in_flight", 2.5),
+     # too large for a float, so not finite
+     pytest.param("temperature", 10**400, id="temperature-10**400"),
+     pytest.param("timeout_seconds", 10**400, id="timeout_seconds-10**400")],
 )
 def test_spec_json_with_a_backend_value_of_another_type_is_refused(
     toy_path, template, tmp_path, field, value
@@ -1116,41 +1119,20 @@ def test_spec_json_with_a_backend_value_of_another_type_is_refused(
         ExperimentSpec.from_json_dict(data)
 
 
-@pytest.mark.parametrize("field", ["temperature", "timeout_seconds"])
-def test_spec_json_with_an_int_beyond_the_float_range_is_refused(
-    toy_path, template, tmp_path, field
-):
-    data = make_spec(toy_path, template, tmp_path / "run").to_json_dict()
-    data["backend_config"][field] = 10**400
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        ExperimentSpec.from_json_dict(data)
-
-
 @pytest.mark.parametrize(
     "field,value,message",
     [("dataset_path", 5, "a str"), ("dataset_path", Path("d.tsv"), "a str"),
      ("output_dir", 7, "a str"), ("output_dir", Path("run"), "a str"),
-     ("prompt_config", {}, "a PromptConfig"), ("backend_config", {}, "a BackendConfig"),
-     ("failure_policy", 5, "one of")],
+     ("prompt_config", {}, "a PromptConfig"), ("backend_config", {}, "a BackendConfig")],
 )
 def test_spec_refuses_a_field_of_another_type(
     toy_path, template, tmp_path, field, value, message
 ):
-    fields = dict(dataset_path=toy_path, prompt_config=template, backend_config=gold_config(),
-                  output_dir=str(tmp_path / "run"), failure_policy="strict")
+    args = [toy_path, template, gold_config(), str(tmp_path / "run"), "strict"]
+    args[[f.name for f in dataclasses.fields(ExperimentSpec)].index(field)] = value
     with pytest.raises(ValueError, match=f"{field} must be {message}"):
-        ExperimentSpec(**{**fields, field: value})
-    with pytest.raises(ValueError, match="dataset_path must be a str"):
-        ExperimentSpec(5, template, gold_config(), 7)  # positional, as a library caller may
+        ExperimentSpec(*args)  # positional, as a library caller may pass them
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("field", ["dataset_path", "output_dir", "failure_policy"])
-def test_spec_json_with_a_number_for_a_string_is_refused(toy_path, template, tmp_path, field):
-    data = make_spec(toy_path, template, tmp_path / "run").to_json_dict()
-    data[field] = 5
-    with pytest.raises(ValueError, match=f"{field} must be"):
-        ExperimentSpec.from_json_dict(data)
 
 
 def test_spec_rejects_unknown_policy(toy_path, template, tmp_path):
