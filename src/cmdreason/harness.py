@@ -3,7 +3,8 @@
 A run owns an output directory and persists everything needed to audit or
 re-score it offline:
 
-* ``spec.json``       - the resolved experiment spec (re-runs reproduce
+* ``spec.json``       - the resolved experiment spec, without output_dir,
+                        so it reloads given its directory (re-runs reproduce
                         results given the mock backend or a warm cache);
                         written only once the backend is built, so a
                         rejected endpoint leaves nothing behind
@@ -121,7 +122,7 @@ class AbortedRun(BackendError):
 
 @dataclass(frozen=True, slots=True)
 class ExperimentSpec:
-    """Everything that determines a run's outputs; fully serializable."""
+    """What determines a run's outputs, which spec.json holds, and the output_dir they go to."""
 
     dataset_path: str
     prompt_config: PromptConfig
@@ -140,24 +141,27 @@ class ExperimentSpec:
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "dataset_path": self.dataset_path,
-            "output_dir": self.output_dir,
             "failure_policy": self.failure_policy,
             "prompt_config": self.prompt_config.to_json_dict(),
             "backend_config": dataclasses.asdict(self.backend_config),
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "ExperimentSpec":
-        return cls(
-            dataset_path=data["dataset_path"],
-            prompt_config=PromptConfig.from_json_dict(data["prompt_config"]),
-            # "api_key_env" is written by older versions; the key is now always API_KEY_ENV
-            backend_config=BackendConfig(
-                **{k: v for k, v in data["backend_config"].items() if k != "api_key_env"}
-            ),
-            output_dir=data["output_dir"],
-            failure_policy=data["failure_policy"],
-        )
+    def from_json_dict(cls, data: dict[str, Any], output_dir: str) -> "ExperimentSpec":
+        """The spec a spec.json holds, run into output_dir; a ValueError names a malformed part.
+
+        Keys older versions wrote are ignored: "output_dir", "seed" and the backend's "api_key_env".
+        """
+        part = "spec"  # the part being read, which a refusal names
+        try:
+            dataset_path, failure_policy = data["dataset_path"], data["failure_policy"]
+            part = "prompt_config"
+            prompt_config = PromptConfig.from_json_dict(data[part])
+            part = "backend_config"
+            backend_config = BackendConfig(**{k: v for k, v in data[part].items() if k != "api_key_env"})
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{part} is malformed: {exc!r}") from exc
+        return cls(dataset_path, prompt_config, backend_config, output_dir, failure_policy)
 
 
 @dataclass(frozen=True, slots=True)
@@ -545,6 +549,10 @@ class AblationGrid:
     shot_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not set(self.explanation_modes) <= set(MODE_ORDER):
+            raise ValueError(f"explanation modes must be among {[m.value for m in MODE_ORDER]}")
+        if any(isinstance(k, bool) or not isinstance(k, int) for k in self.shot_counts):
+            raise ValueError(f"shot counts must be ints, got {self.shot_counts}")
         modes = tuple(m for m in MODE_ORDER if m in set(self.explanation_modes))
         counts = tuple(sorted(set(self.shot_counts)))
         if not modes or not counts:

@@ -81,6 +81,8 @@ class PromptConfig:
     format_instruction: str  # must contain OUTPUT_PATTERN exactly once
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, ExplanationMode):  # rendering tells modes apart by `is`
+            raise ValueError(f"mode must be an ExplanationMode, got {self.mode!r}")
         if len(self.question_texts) != N_QUESTIONS:
             raise ValueError(f"expected {N_QUESTIONS} question texts")
         if any(not q.strip() for q in self.question_texts):
@@ -127,9 +129,11 @@ class PromptConfig:
 
     def config(self, mode: ExplanationMode, shot_count: int) -> "PromptConfig":
         """This config's prose in the given mode, with the first shot_count of its shots."""
-        if not 0 <= shot_count <= len(self.shots):
+        if isinstance(shot_count, bool) or not isinstance(shot_count, int) or not (
+            0 <= shot_count <= len(self.shots)
+        ):
             raise UsageError(
-                f"template provides {len(self.shots)} shots, cannot take {shot_count}"
+                f"template provides {len(self.shots)} shots, cannot take {shot_count!r}"
             )
         return dataclasses.replace(self, mode=mode, shots=self.shots[:shot_count])
 

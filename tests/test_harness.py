@@ -316,6 +316,7 @@ def test_aborted_run_resumes_from_cache(toy_path, toy_data, template, tmp_path):
     assert err.value.n_total == 24
     partial = load_records(out / "records.partial.jsonl")
     assert [r.command_id for r in partial] == [rec.command_id for rec in toy_data[:12]]
+    assert reloaded(out / "spec.json") == spec
     responses = read_jsonl(out / "responses.partial.jsonl")
     assert [row["id"] for row in responses] == [rec.command_id for rec in toy_data[:12]]
     assert not (out / "records.jsonl").exists()
@@ -603,7 +604,7 @@ def test_spec_json_gives_the_spec_back_or_the_spec_is_refused(tmp_path, spec):
     path = tmp_path / "spec.json"
     harness._write_json(path, spec.to_json_dict())
     written = path.read_bytes()
-    back = ExperimentSpec.from_json_dict(json.loads(written))
+    back = ExperimentSpec.from_json_dict(json.loads(written), spec.output_dir)
     assert back == spec
     harness._write_json(path, back.to_json_dict())
     assert path.read_bytes() == written
@@ -1079,18 +1080,36 @@ def test_an_http_backend_passed_in_keeps_no_idle_connection_and_runs_again(
         backend.close()
 
 
+def reloaded(spec_json: Path) -> ExperimentSpec:
+    """The spec a spec.json file holds, given the directory it sits in."""
+    return ExperimentSpec.from_json_dict(json.loads(spec_json.read_text()), str(spec_json.parent))
+
+
 def test_spec_json_round_trip(toy_path, template, tmp_path):
     spec = make_spec(toy_path, template, tmp_path / "run", failure_policy="exclude")
-    assert ExperimentSpec.from_json_dict(spec.to_json_dict()) == spec
+    assert ExperimentSpec.from_json_dict(spec.to_json_dict(), spec.output_dir) == spec
     backend = MockChatBackend(gold_echo_script(load_dataset(toy_path)), spec.backend_config)
     run_experiment(spec, backend)
-    on_disk = json.loads((tmp_path / "run" / "spec.json").read_text())
-    assert ExperimentSpec.from_json_dict(on_disk) == spec
+    assert reloaded(tmp_path / "run" / "spec.json") == spec
+
+
+def test_one_spec_run_into_two_directories_writes_the_same_spec_json(
+    toy_path, toy_data, template, tmp_path
+):
+    backend = gold_backend(toy_data, tmp_path / "cache")
+    written = []
+    for name in ("a", "b"):
+        spec = make_spec(toy_path, template, tmp_path / name, backend_config=backend.config)
+        run_experiment(spec, backend)
+        assert reloaded(tmp_path / name / "spec.json") == spec
+        written.append((tmp_path / name / "spec.json").read_bytes())
+    assert written[0] == written[1]
+    assert "output_dir" not in json.loads(written[0])
 
 
 def test_spec_json_with_old_seed_key_still_loads(toy_path, template, tmp_path):
     spec = make_spec(toy_path, template, tmp_path / "run")
-    assert ExperimentSpec.from_json_dict({**spec.to_json_dict(), "seed": 7}) == spec
+    assert ExperimentSpec.from_json_dict({**spec.to_json_dict(), "seed": 7}, spec.output_dir) == spec
     assert "seed" not in spec.to_json_dict()
 
 
@@ -1098,25 +1117,44 @@ def test_spec_json_with_old_api_key_env_still_loads(toy_path, template, tmp_path
     spec = make_spec(toy_path, template, tmp_path / "run")
     old = spec.to_json_dict()
     old["backend_config"] = {**old["backend_config"], "api_key_env": "CMDREASON_API_KEY"}
-    assert ExperimentSpec.from_json_dict(old) == spec
+    assert ExperimentSpec.from_json_dict(old, spec.output_dir) == spec
     assert "api_key_env" not in spec.to_json_dict()["backend_config"]
 
 
 @pytest.mark.parametrize(
-    "field,value",
-    [("endpoint_url", 5), ("model_name", 5), ("timeout_seconds", True), ("timeout_seconds", "5"),
-     ("max_retries", True), ("max_in_flight", True), ("max_in_flight", 2.5),
+    "path,value,message",
+    [("backend_config.endpoint_url", 5, "endpoint_url must be"),
+     ("backend_config.model_name", 5, "model_name must be"),
+     ("backend_config.timeout_seconds", True, "timeout_seconds must be"),
+     ("backend_config.timeout_seconds", "5", "timeout_seconds must be"),
+     ("backend_config.max_retries", True, "max_retries must be"),
+     ("backend_config.max_in_flight", True, "max_in_flight must be"),
+     ("backend_config.max_in_flight", 2.5, "max_in_flight must be"),
      # too large for a float, so not finite
-     pytest.param("temperature", 10**400, id="temperature-10**400"),
-     pytest.param("timeout_seconds", 10**400, id="timeout_seconds-10**400")],
+     pytest.param("backend_config.temperature", 10**400, "temperature must be",
+                  id="temperature-10**400"),
+     pytest.param("backend_config.timeout_seconds", 10**400, "timeout_seconds must be",
+                  id="timeout_seconds-10**400"),
+     # a part of another shape, which the refusal names; "" is the whole spec
+     ("backend_config", {}, "backend_config is malformed"),
+     ("prompt_config", {}, "prompt_config is malformed"),
+     ("", [], "spec is malformed"),
+     ("prompt_config.shots", 5, "prompt_config is malformed")],
 )
-def test_spec_json_with_a_backend_value_of_another_type_is_refused(
-    toy_path, template, tmp_path, field, value
+def test_spec_json_with_a_value_of_another_type_is_refused(
+    toy_path, template, tmp_path, path, value, message
 ):
     data = make_spec(toy_path, template, tmp_path / "run").to_json_dict()
-    data["backend_config"][field] = value
-    with pytest.raises(ValueError, match=f"{field} must be"):
-        ExperimentSpec.from_json_dict(data)
+    if path:
+        *parents, field = path.split(".")
+        parent = data
+        for key in parents:
+            parent = parent[key]
+        parent[field] = value
+    else:
+        data = value
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec.from_json_dict(data, str(tmp_path / "run"))
 
 
 @pytest.mark.parametrize(
@@ -1176,12 +1214,16 @@ def test_grid_cells_are_mode_major_shots_ascending(toy_path, template, tmp_path)
     ]
 
 
-def test_grid_rejects_empty_or_oversized(toy_path, template, tmp_path):
+@pytest.mark.parametrize(
+    "modes,shot_counts",
+    [((), (0,)), ((ExplanationMode.NONE,), (99,)),
+     (("stepwise", "stpewise"), (0, 2)),  # a misspelled mode is not dropped
+     ((ExplanationMode.NONE,), (True,)), ((ExplanationMode.NONE,), (2.0,))],
+)
+def test_grid_rejects_empty_or_oversized(toy_path, template, tmp_path, modes, shot_counts):
     spec = make_spec(toy_path, template, tmp_path / "grid")
     with pytest.raises(ValueError):
-        AblationGrid(spec, (), (0,))
-    with pytest.raises(ValueError):
-        AblationGrid(spec, (ExplanationMode.NONE,), (99,))
+        AblationGrid(spec, modes, shot_counts)
 
 
 def test_gold_grid_all_cells_perfect(toy_path, toy_data, template, tmp_path):
@@ -1196,6 +1238,10 @@ def test_gold_grid_all_cells_perfect(toy_path, toy_data, template, tmp_path):
     assert all(c.report.command_level_accuracy == 1 for c in cells)
     for cell in cells:
         assert (out / f"{cell.mode.value}_{cell.shot_count}shot" / "report.json").is_file()
+        prompt_config = spec.prompt_config.config(cell.mode, cell.shot_count)
+        assert reloaded(cell.output_dir / "spec.json") == dataclasses.replace(
+            spec, prompt_config=prompt_config, output_dir=str(cell.output_dir)
+        )
     summary = json.loads((out / "ablation.json").read_text())
     assert [(row["mode"], row["shots"]) for row in summary] == [
         ("none", 0), ("none", 2), ("stepwise", 0), ("stepwise", 2)
@@ -1238,7 +1284,7 @@ def small_grid(path, template, out, backend_config=None) -> AblationGrid:
 
 
 def grid_files(out: Path) -> dict[Path, bytes]:
-    """Every file of a grid's output but spec.json, which names the output directory."""
+    """Every file of a grid's output but spec.json: the grids compared differ in max_in_flight."""
     return {name: data for name, data in snapshot(out).items() if name.name != "spec.json"}
 
 

@@ -56,17 +56,19 @@ EXTRA_COMMANDS = [
 
 PINS = {
     "requests": "4f68308db45f78d4732566dc0d83b2d243022e2ffc141a4a290a23dc4e7b3d05",
-    "spec.json": "616d4185084ac1e569158af3e3fa893c4faa0d3d9fa11ac67c14fa7395f4efa0",
+    "spec.json": "a207ebf16ff38147dc2bd656b6eef67e1612099551d82d8a84e9da6745338726",
     "responses.jsonl": "09bf5b9179e315cc9df5c5a403973dc2c090dada05ca12860cb82f5738b04014",
     "records.jsonl": "37bd3fc5e06f114d813d855093b0d05ac0099972b43fedc44eeba39fa0b7c384",
     "report.json": "4428b55f9ff9db10182f1edc49543ce612c9e59b79c24cee4a3d6885e2f140ee",
     "cache rows": "058c0764e4a6cf3975468a02e6440d835164a868fce286a894532896374980d7",
     "score stdout": "b1e07c13057bd08aacbd8b343c6b7e917ce838e9430c8c87ec304ca376a40f44",
 }
+# the run's spec.json as versions that wrote "output_dir" wrote it, which must still load
+OLD_SPEC_JSON = "616d4185084ac1e569158af3e3fa893c4faa0d3d9fa11ac67c14fa7395f4efa0"
 # every file under a directory, as the digest of its sorted "path sha256" lines
 TREE_PINS = {
-    "aborted": "92d1fe4724f66408b174061ab7261c972d255a0e77673771dbd0459275d4aa0f",
-    "grid": "acbee788c572dfba66d34452b84a1d76f54ed400da48344d5ad41e484a0d4eb3",
+    "aborted": "1fb7edd658aac138b704879ed9d279ddb75ba61a77d95c3e98668395d993a902",
+    "grid": "8e640ca757f942b408e6faa086e70f7df6fba7c30fc0bc0b266a7c8cff3b0e12",
     "random": "0166f6041733f5eed2f12b6e341670cb313120ac9d5b03cb52a74bfbead2d013",
     "rules": "7fd7f781eb8953f346664efe71af363caa6bef5b1156f44c5f520b0db5508918",
 }
@@ -174,6 +176,14 @@ def test_requests_and_artifacts_are_pinned(pinned, chat_stub, tmp_path, capsys):
     }
     assert runs[1] == runs[0]
     assert got == PINS
+
+
+def test_a_spec_json_that_names_its_output_dir_still_loads(pinned):
+    _, spec = pinned
+    old = {**spec.to_json_dict(), "output_dir": "run"}
+    written = json.dumps(old, indent=2, sort_keys=True) + "\n"
+    assert sha256(written.encode()) == OLD_SPEC_JSON
+    assert ExperimentSpec.from_json_dict(json.loads(written), "run") == spec
 
 
 def test_aborted_run_files_are_pinned(pinned, chat_stub, tmp_path):

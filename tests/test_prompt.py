@@ -216,6 +216,19 @@ def test_template_config_rejects_too_many_shots(template):
         template.config(ExplanationMode.NONE, len(template.shots) + 1)
 
 
+@pytest.mark.parametrize("shot_count", [True, 2.0, "2", None])
+def test_template_config_rejects_a_shot_count_that_is_not_an_int(template, shot_count):
+    with pytest.raises(UsageError, match="cannot take"):
+        template.config(ExplanationMode.STEPWISE, shot_count)
+
+
+@pytest.mark.parametrize("mode", ["stepwise", "stpewise", None])
+def test_template_config_rejects_a_mode_that_is_not_an_explanation_mode(template, mode):
+    # "stepwise" equals ExplanationMode.STEPWISE, but would render without its Step k: lines
+    with pytest.raises(ValueError, match="mode must be an ExplanationMode"):
+        template.config(mode, 2)
+
+
 def _template_text(**overrides) -> str:
     sections = {"preamble": "Follow the steps."}
     for k in range(1, 9):
