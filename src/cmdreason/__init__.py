@@ -34,7 +34,6 @@ from .baselines import (
     rule_classify,
 )
 from .dataset import (
-    CATEGORIES,
     CATEGORY_TITLES,
     N_QUESTIONS,
     EmptyDataset,

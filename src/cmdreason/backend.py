@@ -84,15 +84,14 @@ class Timeout(BackendError):
 class ProtocolError(BackendError):
     """The endpoint answered with something that is not a chat completion."""
 
-    def __init__(self, message: str, status: int | None = None, body_excerpt: str = "") -> None:
+    def __init__(self, message: str, status: int | None = None, excerpt: str = "") -> None:
         detail = message
         if status is not None:
             detail += f" (HTTP {status})"
-        if body_excerpt:
-            detail += f": {body_excerpt}"
+        if excerpt:  # of the response body
+            detail += f": {excerpt}"
         super().__init__(detail)
         self.status = status
-        self.body_excerpt = body_excerpt
 
 
 class ServerError(ProtocolError):
@@ -102,19 +101,18 @@ class ServerError(ProtocolError):
         self,
         message: str,
         status: int | None = None,
-        body_excerpt: str = "",
+        excerpt: str = "",
         retry_after: float | None = None,
     ) -> None:
-        super().__init__(message, status, body_excerpt)
+        super().__init__(message, status, excerpt)
         self.retry_after = retry_after
 
 
 class RetriesExhausted(BackendError):
-    """Every allowed attempt failed with a retryable error; fetch sets its attempt_count."""
+    """Every allowed attempt failed with a retryable error, the last one its __cause__."""
 
-    def __init__(self, attempts: int, last_error: BackendError) -> None:
-        super().__init__(f"gave up after {attempts} attempts: {last_error}")
-        self.last_error = last_error
+    def __init__(self, attempts: int, cause: BackendError) -> None:
+        super().__init__(f"gave up after {attempts} attempts: {cause}")
 
 
 class UnscriptedInput(BackendError):

@@ -41,7 +41,7 @@ from .harness import (
     save_run_artifacts,
 )
 from .metrics import FAILURE_POLICIES, EvalReport, PredictionRecord, evaluate
-from .prompt import MODE_ORDER, ExplanationMode, default_template_path, load_template
+from .prompt import ExplanationMode, default_template_path, load_template
 
 log = logging.getLogger(__name__)
 
@@ -60,12 +60,12 @@ def _print_report(label: str, report: EvalReport) -> None:
         )
 
 
-def _load_template(args: argparse.Namespace):
-    return load_template(args.template if args.template else default_template_path())
-
-
-def _backend_config(args: argparse.Namespace) -> BackendConfig:
-    return BackendConfig(endpoint_url=args.endpoint, model_name=args.model)
+def _spec(args: argparse.Namespace, cell: tuple[ExplanationMode, int] | None = None) -> ExperimentSpec:
+    """The spec that run's and ablate's shared flags name, over the template or its (mode, shots)."""
+    template = load_template(args.template or default_template_path())
+    prompt_config = template if cell is None else template.config(*cell)
+    backend_config = BackendConfig(endpoint_url=args.endpoint, model_name=args.model)
+    return ExperimentSpec(args.dataset, prompt_config, backend_config, args.out, args.policy)
 
 
 # =============================================================================
@@ -74,15 +74,8 @@ def _backend_config(args: argparse.Namespace) -> BackendConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        dataset_path=args.dataset,
-        prompt_config=_load_template(args).config(ExplanationMode(args.mode), args.shots),
-        backend_config=_backend_config(args),
-        output_dir=args.out,
-        failure_policy=args.policy,
-    )
     try:
-        result = run_experiment(spec)
+        result = run_experiment(_spec(args, (ExplanationMode(args.mode), args.shots)))
     except AbortedRun as exc:
         print(f"requests sent: {exc.n_backend_attempts}")
         raise
@@ -91,7 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"cache hits: {result.n_cache_hits} of {len(result.records)}; "
         f"requests sent: {result.n_backend_attempts}"
     )
-    print(f"artifacts written to {result.output_dir}")
+    print(f"artifacts written to {args.out}")
     return 0
 
 
@@ -101,16 +94,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         shot_counts = tuple(int(s) for s in args.shots.split(",") if s.strip())
     except ValueError as exc:
         raise UsageError(f"bad --modes/--shots value: {exc}") from exc
-    template = _load_template(args)
-    base = ExperimentSpec(
-        dataset_path=args.dataset,
-        prompt_config=template,
-        backend_config=_backend_config(args),
-        output_dir=args.out,
-        failure_policy=args.policy,
-    )
     try:
-        grid = AblationGrid(base, modes, shot_counts)
+        grid = AblationGrid(_spec(args), modes, shot_counts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     cells = run_ablation(grid)
@@ -195,31 +180,27 @@ def build_parser() -> _Parser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
-    def add_backend_args(p: argparse.ArgumentParser) -> None:
+    def spec_parser(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+        """A subcommand taking the flags that _spec reads."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--dataset", required=True, help="TSV dataset file")
+        p.add_argument("--template", help="prompt template file (default: built-in)")
         p.add_argument("--endpoint", required=True,
                        help="chat-completions base URL, or mock://gold for an offline demo")
         p.add_argument("--model", required=True, help="model name sent to the endpoint")
+        p.add_argument("--policy", choices=FAILURE_POLICIES, default="strict")
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(handler=handler)
+        return p
 
-    run = sub.add_parser("run", help="run one prompt configuration over a dataset")
-    run.add_argument("--dataset", required=True, help="TSV dataset file")
-    run.add_argument("--template", help="prompt template file (default: built-in)")
+    run = spec_parser("run", "run one prompt configuration over a dataset", _cmd_run)
     run.add_argument("--shots", type=int, default=3, help="worked examples to include")
-    run.add_argument("--mode", choices=[m.value for m in MODE_ORDER], default="stepwise")
-    add_backend_args(run)
-    run.add_argument("--policy", choices=FAILURE_POLICIES, default="strict")
-    run.add_argument("--out", required=True, help="output directory")
-    run.set_defaults(handler=_cmd_run)
+    run.add_argument("--mode", choices=[m.value for m in ExplanationMode], default="stepwise")
 
-    ablate = sub.add_parser("ablate", help="run a mode x shot-count grid")
-    ablate.add_argument("--dataset", required=True)
-    ablate.add_argument("--template", help="prompt template file (default: built-in)")
+    ablate = spec_parser("ablate", "run a mode x shot-count grid", _cmd_ablate)
     ablate.add_argument("--modes", default="none,paragraph,stepwise",
                         help="comma-separated explanation modes")
     ablate.add_argument("--shots", default="0,1,2,3,4", help="comma-separated shot counts")
-    add_backend_args(ablate)
-    ablate.add_argument("--policy", choices=FAILURE_POLICIES, default="strict")
-    ablate.add_argument("--out", required=True, help="output directory")
-    ablate.set_defaults(handler=_cmd_ablate)
 
     baseline = sub.add_parser("baseline", help="score a non-LLM reference classifier")
     baseline.add_argument("--dataset", required=True)

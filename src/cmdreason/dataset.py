@@ -31,17 +31,6 @@ SAMPLE_MAX_SWAPS = 10_000  # swaps stratified_sample tries before giving up
 
 # Category order is load-bearing: it fixes label-string positions, prompt
 # question order, and report column order.
-CATEGORIES = (
-    "perception",
-    "in_cabin_monitoring",
-    "localization",
-    "vehicle_control",
-    "entertainment",
-    "personal_data",
-    "network_access",
-    "traffic_laws",
-)
-
 CATEGORY_TITLES = (
     "Perception",
     "In-cabin Monitoring",
@@ -222,30 +211,25 @@ def save_dataset(records: Sequence[LabeledCommand], path: str | Path) -> None:
     write_text(path, "".join(line + "\n" for line in lines.values()))
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Replace path's content with text, all at once.
+def write_text(path: Path, text: str) -> None:
+    """Replace path's content with text, all at once; an OSError is raised as UnwritableOutput.
 
     The text goes to a temp file beside path, which os.replace then moves
     over it.  A crash or failed write mid-way leaves the old file whole and
     no temp file behind, and concurrent writers of one path each leave a
     whole file.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".tmp-{os.urandom(8).hex()}")
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def write_text(path: Path, text: str) -> None:
-    """write_atomic, with an OSError raised as UnwritableOutput."""
-    try:
-        write_atomic(path, text)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
 

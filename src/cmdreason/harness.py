@@ -96,7 +96,6 @@ from .metrics import (
 from .parser import parse_response
 from .prompt import (
     ANSWER_LINE_PREFIX,
-    MODE_ORDER,
     ExplanationMode,
     PromptConfig,
     transcript_prefix,
@@ -168,7 +167,6 @@ class ExperimentSpec:
 class RunResult:
     report: EvalReport
     records: list[PredictionRecord]
-    output_dir: Path
     n_cache_hits: int  # answers read from the cache; a command's second copy is not one
     n_backend_attempts: int  # requests sent, retries included
 
@@ -342,7 +340,6 @@ class _Run:
             self.outcome = RunResult(
                 report=report,
                 records=records,
-                output_dir=self.out_dir,
                 n_cache_hits=self.n_cache_hits,
                 n_backend_attempts=self.n_backend_attempts,
             )
@@ -380,7 +377,7 @@ def _run_all(
             except DataError as exc:
                 planned.append(exc)
         runs = [run for run in planned if isinstance(run, _Run)]
-        _fetch(backend, runs, data, config.max_in_flight)
+        _fetch(backend, runs, data)
     finally:
         backend.close()
     for run in runs:
@@ -389,18 +386,17 @@ def _run_all(
     return [run.outcome if isinstance(run, _Run) else run for run in planned]
 
 
-def _fetch(
-    backend: ChatBackend, runs: list[_Run], data: list[LabeledCommand], max_in_flight: int
-) -> None:
+def _fetch(backend: ChatBackend, runs: list[_Run], data: list[LabeledCommand]) -> None:
     """Send every run's misses from one pool, and finish each run once its requests are done.
 
-    Up to max_in_flight workers pull requests in canonical order, run by run
-    and in dataset order within a run, from one shared iterator; an answer
-    goes into its run's `answers`, and the requests each fetch took, landed
-    or failed, into the run's `n_backend_attempts`.  The pool is the one
-    bound on requests in flight, and runs without a miss start no pool.  The
-    calling thread finishes each run in order, as soon as its requests are
-    done, while the workers go on with the next runs.
+    Up to the backend config's max_in_flight workers pull requests in
+    canonical order, run by run and in dataset order within a run, from one
+    shared iterator; an answer goes into its run's `answers`, and the
+    requests each fetch took, landed or failed, into the run's
+    `n_backend_attempts`.  The pool is the one bound on requests in flight,
+    and runs without a miss start no pool.  The calling thread finishes each
+    run in order, as soon as its requests are done, while the workers go on
+    with the next runs.
 
     A failed request sets its run's `failed`: a queued request of that run
     that starts after that sends nothing, whatever the thread timing, and a
@@ -447,7 +443,7 @@ def _fetch(
                     if not run.pending:
                         run.done.set()
 
-    workers = min(max_in_flight, n_jobs)
+    workers = min(backend.config.max_in_flight, n_jobs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in range(workers):
             pool.submit(work)  # work() keeps every error on its runs: no future holds one
@@ -519,17 +515,15 @@ def load_records(path: str | Path) -> list[PredictionRecord]:
 
 
 def save_run_artifacts(
-    out_dir: str | Path,
+    out: Path,
     label: str,
     data: list[LabeledCommand],
     records: list[PredictionRecord],
     report: EvalReport,
-) -> Path:
+) -> None:
     """Persist a baseline's records.jsonl and report.json."""
-    out = Path(out_dir)
     _write_records(out / "records.jsonl", data, records)
     _write_json(out / "report.json", report_json_dict(label, report))
-    return out
 
 
 # =============================================================================
@@ -549,11 +543,11 @@ class AblationGrid:
     shot_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not set(self.explanation_modes) <= set(MODE_ORDER):
-            raise ValueError(f"explanation modes must be among {[m.value for m in MODE_ORDER]}")
+        if not set(self.explanation_modes) <= set(ExplanationMode):
+            raise ValueError(f"explanation modes must be among {[m.value for m in ExplanationMode]}")
         if any(isinstance(k, bool) or not isinstance(k, int) for k in self.shot_counts):
             raise ValueError(f"shot counts must be ints, got {self.shot_counts}")
-        modes = tuple(m for m in MODE_ORDER if m in set(self.explanation_modes))
+        modes = tuple(m for m in ExplanationMode if m in set(self.explanation_modes))
         counts = tuple(sorted(set(self.shot_counts)))
         if not modes or not counts:
             raise ValueError("ablation grid must have at least one mode and one shot count")
@@ -573,7 +567,7 @@ class AblationCell:
     mode: ExplanationMode
     shot_count: int
     report: EvalReport | None  # None when the cell failed
-    error: str | None
+    error: DataError | BackendError | None  # what stopped the cell, its outcome
     output_dir: Path
 
 
@@ -607,7 +601,7 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
             report, error = outcome.report, None
         else:
             log.warning("cell %s/%d failed: %s", mode.value, shot_count, outcome)
-            report, error = None, f"{type(outcome).__name__}: {outcome}"
+            report, error = None, outcome
         cells.append(AblationCell(mode, shot_count, report, error, Path(spec.output_dir)))
     _write_json(base_out / "ablation.json", [_cell_json(c) for c in cells])
     write_text(base_out / "ablation.md", ablation_table(cells, "md"))
@@ -615,14 +609,14 @@ def run_ablation(grid: AblationGrid, backend: ChatBackend | None = None) -> list
 
 
 def _cell_json(cell: AblationCell) -> dict[str, Any]:
-    """One ablation.json row; the percentages are None for a failed cell."""
+    """One ablation.json row; for a failed cell the percentages are None, and the error is named."""
     row = report_json_dict("", cell.report) if cell.report is not None else {}
     return {
         "mode": cell.mode.value,
         "shots": cell.shot_count,
         "command_level": row.get("command_level"),
         "question_level": row.get("question_level"),
-        "error": cell.error,
+        "error": None if cell.error is None else f"{type(cell.error).__name__}: {cell.error}",
     }
 
 

@@ -32,13 +32,11 @@ ANSWER_LINE_PREFIX = "Therefore, the output should be :"
 
 
 class ExplanationMode(str, Enum):
+    """How the system message explains the questions; the members' order is the grids' order."""
+
     NONE = "none"
     PARAGRAPH = "paragraph"
     STEPWISE = "stepwise"
-
-
-# Canonical order for ablation grids and reports.
-MODE_ORDER = (ExplanationMode.NONE, ExplanationMode.PARAGRAPH, ExplanationMode.STEPWISE)
 
 
 class TemplateError(DataError):

@@ -25,8 +25,8 @@ from cmdreason.dataset import (
 )
 from cmdreason.harness import ExperimentSpec, run_experiment
 from cmdreason.prompt import (
-    MODE_ORDER,
     OUTPUT_PATTERN,
+    ExplanationMode,
     PromptConfig,
     ShotExample,
     default_template,
@@ -124,7 +124,7 @@ def prompt_configs(draw) -> PromptConfig:
         rationales = tuple(f"{yes if flag else no} {texts[i + 1]}" for flag in gold)
         shots.append((texts[i], gold, rationales))
     return PromptConfig(
-        mode=draw(st.sampled_from(MODE_ORDER)),
+        mode=draw(st.sampled_from(ExplanationMode)),
         shots=tuple(ShotExample(*shot) for shot in shots),
         question_texts=tuple(texts[1:9]),
         preamble=texts[-1],

@@ -39,8 +39,8 @@ from cmdreason.backend import (
     UnscriptedInput,
     mock_config,
 )
-from cmdreason.dataset import write_atomic
-from cmdreason.prompt import MODE_ORDER, default_template, transcript_prefix
+from cmdreason.dataset import UnwritableOutput, write_text
+from cmdreason.prompt import ExplanationMode, default_template, transcript_prefix
 
 
 SYSTEM = {"role": "system", "content": "Answer the questions."}
@@ -210,7 +210,7 @@ def test_encoded_bodies_decode_to_the_request_and_key_their_bytes():
     ]
     commands = ["Honk.", 'Say "hi" \\ then\\n stop', "Öffne das Fenster — bitte 🚗", "x\u2028\t\x00"]
     for config in configs:
-        for mode in MODE_ORDER:
+        for mode in ExplanationMode:
             for shots in range(5):
                 prompt = template.config(mode, shots)
                 encoder = RequestEncoder(config, transcript_prefix(prompt))
@@ -296,16 +296,16 @@ def _fail_replace(src, dst):
 @pytest.mark.parametrize("failure", ["unencodable text", "failed replace"])
 def test_failed_atomic_write_keeps_old_file_and_no_temp(tmp_path, monkeypatch, failure):
     path = tmp_path / "out" / "report.json"
-    write_atomic(path, "old content\n")
+    write_text(path, "old content\n")
     text = "new content\n"
     if failure == "unencodable text":
         text += "\ud800"  # a lone surrogate has no UTF-8 encoding
         expected = UnicodeEncodeError
     else:
         monkeypatch.setattr(os, "replace", _fail_replace)
-        expected = OSError
+        expected = UnwritableOutput  # the OSError, raised as a data error
     with pytest.raises(expected):
-        write_atomic(path, text)
+        write_text(path, text)
     assert path.read_text() == "old content\n"
     assert [p.name for p in path.parent.iterdir()] == ["report.json"]
 
@@ -525,7 +525,7 @@ def test_retries_exhausted_after_max_retries():
         fetch(backend, RecordedWaits())
     assert err.value.attempt_count == 3  # 1 try + 2 retries
     assert str(err.value).startswith("gave up after 3 attempts: ")
-    assert isinstance(err.value.last_error, RateLimited)
+    assert isinstance(err.value.__cause__, RateLimited)
     assert backend.send_count == 3
 
 
@@ -874,8 +874,8 @@ def test_a_proxy_that_refuses_connect_is_a_timeout_that_is_retried_and_never_cac
     backend = http_backend(config, cache=ResponseCache(tmp_path / "c"), backoff_rng=NoBackoff())
     with pytest.raises(RetriesExhausted) as err:
         fetch(backend, RecordedWaits())
-    assert isinstance(err.value.last_error, Timeout)
-    assert "tunnel connection failed: HTTP 403" in str(err.value.last_error)
+    assert isinstance(err.value.__cause__, Timeout)
+    assert "tunnel connection failed: HTTP 403" in str(err.value.__cause__)
     assert err.value.attempt_count == 2 == len(connect_relay.tunnels)
     assert (chat_stub.requests, chat_stub.opened) == ([], 0)
     assert backend.cache.get_many([cache_key(config, transcript_for("Honk."))]) == {}
@@ -1057,7 +1057,7 @@ def test_response_head_limits(chat_stub, http_backend, extra, accepted):
         return
     with pytest.raises(RetriesExhausted) as err:
         ask(backend, "Honk.")
-    assert isinstance(err.value.last_error, Timeout)
+    assert isinstance(err.value.__cause__, Timeout)
     assert all_closed(chat_stub)
     assert len(chat_stub.requests) == 1
 
@@ -1073,8 +1073,8 @@ def test_a_body_cut_short_is_a_failed_attempt_not_a_reconnect(
     with pytest.raises(RetriesExhausted) as err:
         ask(backend, "Wave.")  # on the reused connection
     assert err.value.attempt_count == 1
-    assert isinstance(err.value.last_error, Timeout)
-    assert "ended after" in str(err.value.last_error)
+    assert isinstance(err.value.__cause__, Timeout)
+    assert "ended after" in str(err.value.__cause__)
     assert len(endpoint.requests) == 2
     assert endpoint.opened == 1
 
@@ -1117,8 +1117,8 @@ def test_a_malformed_or_missing_response_is_a_timeout_that_is_retried_and_never_
     key = cache_key(config, transcript_for("Honk."))
     with pytest.raises(RetriesExhausted) as err:
         fetch(backend, RecordedWaits())
-    assert isinstance(err.value.last_error, Timeout)
-    assert fragment in str(err.value.last_error)
+    assert isinstance(err.value.__cause__, Timeout)
+    assert fragment in str(err.value.__cause__)
     assert err.value.attempt_count == 2
     assert backend.cache.get_many([key]) == {}
     assert (endpoint.opened, len(endpoint.requests)) == (2, 2)
@@ -1164,8 +1164,8 @@ def test_https_verifies_the_endpoint_against_the_trust_store(
     config = http_config(tls_chat_stub, max_retries=0)
     with pytest.raises(RetriesExhausted) as err:
         ask(http_backend(config), "Honk.")
-    assert isinstance(err.value.last_error, Timeout)
-    assert "CERTIFICATE_VERIFY_FAILED" in str(err.value.last_error)
+    assert isinstance(err.value.__cause__, Timeout)
+    assert "CERTIFICATE_VERIFY_FAILED" in str(err.value.__cause__)
     assert tls_chat_stub.requests == []
 
     monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DIR / "localhost.crt"))

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cmdreason.dataset import (
-    CATEGORIES,
+    CATEGORY_TITLES,
     EmptyDataset,
     InfeasibleSample,
     LabeledCommand,
@@ -112,7 +112,7 @@ def test_bracket_rendering():
 
 
 def test_category_count_matches_vector_width():
-    assert len(CATEGORIES) == len(RequirementVector.from_bits("00000000"))
+    assert len(CATEGORY_TITLES) == len(RequirementVector.from_bits("00000000"))
 
 
 # =============================================================================

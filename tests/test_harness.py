@@ -744,7 +744,7 @@ def test_an_error_on_the_calling_thread_stops_every_run_and_is_raised(
     monkeypatch.setattr(harness._Run, "finish", interrupted)
     try:
         with pytest.raises(KeyboardInterrupt):
-            harness._fetch(backend, runs, toy_data, config.max_in_flight)
+            harness._fetch(backend, runs, toy_data)
     finally:
         backend.close()
     assert all(run.failed.is_set() for run in runs)
@@ -1265,8 +1265,8 @@ def test_grid_continues_past_failing_cell(toy_path, toy_data, template, tmp_path
     )
     cells = run_ablation(grid, backend)
     assert cells[0].error is not None
-    assert "AbortedRun" in cells[0].error
-    assert "no shots, no service" in cells[0].error
+    assert isinstance(cells[0].error, AbortedRun)
+    assert "no shots, no service" in str(cells[0].error)
     assert cells[0].report is None
     assert [c.error is None for c in cells] == [False, True, True]
     summary = json.loads((out / "ablation.json").read_text())
@@ -1396,7 +1396,7 @@ def test_failed_cell_stops_only_its_own_queued_requests(toy_path, toy_data, temp
         )
         cells = run_ablation(small_grid(toy_path, template, out, backend.config), backend)
         assert [cell.error is None for cell in cells] == [False] + [True] * 5
-        assert "run aborted after" in cells[0].error
+        assert "run aborted after" in str(cells[0].error)
         assert backend.send_count <= 3 + 2 + 5 * len(toy_data)
         assert len(zero_shot) <= 3 + 2  # only requests already in flight went on
         for cell in cells[1:]:

@@ -17,7 +17,7 @@ from cmdreason.parser import (
     _find_bracket_vector,
     parse_response,
 )
-from cmdreason.prompt import MODE_ORDER, render_shot
+from cmdreason.prompt import ExplanationMode, render_shot
 
 
 def bits_of(outcome: ParseOutcome) -> str:
@@ -183,7 +183,7 @@ def test_parse_never_raises(text):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.booleans(), min_size=8, max_size=8), st.sampled_from(MODE_ORDER))
+@given(st.lists(st.booleans(), min_size=8, max_size=8), st.sampled_from(ExplanationMode))
 def test_rendered_shots_always_parse_back_to_gold(flags, mode):
     # round-trip oracle: whatever we teach the model to emit, we can read back
     bits = "".join("1" if f else "0" for f in flags)

@@ -14,7 +14,6 @@ from cmdreason.dataset import RequirementVector
 from cmdreason.errors import UsageError
 from cmdreason.prompt import (
     ANSWER_LINE_PREFIX,
-    MODE_ORDER,
     OUTPUT_PATTERN,
     ExplanationMode,
     PromptConfig,
@@ -92,7 +91,7 @@ def test_paragraph_equals_stepwise_with_markers_deleted(template):
 
 
 def test_output_pattern_appears_exactly_once_in_every_mode(template):
-    for mode in MODE_ORDER:
+    for mode in ExplanationMode:
         text = build_system_prompt(template.config(mode, 0))
         assert text.count(OUTPUT_PATTERN) == 1
 
@@ -133,7 +132,7 @@ def test_render_shot_paragraph_has_no_step_markers():
 
 def test_answer_line_ends_with_bracket_vector():
     shot = make_shot("Do it.", "01001110")
-    for mode in MODE_ORDER:
+    for mode in ExplanationMode:
         _, shot_assistant = render_shot(shot, mode)
         assert shot_assistant.endswith("[0 1 0 0 1 1 1 0]")
 
