@@ -143,6 +143,11 @@ class BackendConfig:
             kinds, kind_name = _FIELD_TYPES[field.type]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValueError(f"{field.name} must be {kind_name}")
+            if kinds is str:
+                try:  # a lone surrogate, as from undecodable argv bytes, has no UTF-8 encoding
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{field.name} must be UTF-8 text, not {value!r}") from None
         # one spelling per endpoint, so the cache key and the posted URL agree
         object.__setattr__(self, "endpoint_url", self.endpoint_url.rstrip("/"))
         if not self.endpoint_url:

@@ -4,7 +4,8 @@ Subcommands: run (one configuration), ablate (mode x shots grid), baseline
 (random or rules), sample (stratified subset), report (comparison table from
 run directories), score (offline re-scoring of a records file).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error; a
+grid with failed cells exits with the code of the first, in grid order.
 """
 from __future__ import annotations
 
@@ -64,7 +65,10 @@ def _spec(args: argparse.Namespace, cell: tuple[ExplanationMode, int] | None = N
     """The spec that run's and ablate's shared flags name, over the template or its (mode, shots)."""
     template = load_template(args.template or default_template_path())
     prompt_config = template if cell is None else template.config(*cell)
-    backend_config = BackendConfig(endpoint_url=args.endpoint, model_name=args.model)
+    try:
+        backend_config = BackendConfig(endpoint_url=args.endpoint, model_name=args.model)
+    except ValueError as exc:  # an empty or unencodable --endpoint or --model
+        raise UsageError(str(exc)) from exc
     return ExperimentSpec(args.dataset, prompt_config, backend_config, args.out, args.policy)
 
 
@@ -103,7 +107,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     failed = [c for c in cells if c.error is not None]
     if failed:
         print(f"{len(failed)} of {len(cells)} cells failed; see {args.out}/ablation.json")
-        return 3
+        return 2 if isinstance(failed[0].error, DataError) else 3
     print(f"artifacts written to {args.out}")
     return 0
 

@@ -13,6 +13,7 @@ as a RequirementVector: a tuple of 8 bools, equal to the plain tuple of them.
 """
 from __future__ import annotations
 
+import io
 import logging
 import math
 import os
@@ -145,6 +146,19 @@ class LabeledCommand:
 # =============================================================================
 
 
+def read_text(path: Path, error: Callable[[Path, int, str], DataError]) -> str:
+    """The file's text; MissingFile if there is none, error(path, line_no, reason) if not UTF-8."""
+    if not path.is_file():
+        raise MissingFile(path)
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # line_no counts lines as open() splits them
+        head = data[:exc.start + 1].decode("utf-8", "replace")  # the text through the bad byte
+        line_no = len(io.StringIO(head, newline=None).readlines())
+        raise error(path, line_no, f"not UTF-8 text: {exc.reason} {data[exc.start]:#04x}") from None
+
+
 def read_masked_tsv(
     path: Path, n_fields: int, error: Callable[[Path, int, str], DataError]
 ) -> Iterator[tuple[int, list[str], RequirementVector]]:
@@ -152,25 +166,24 @@ def read_masked_tsv(
 
     A record line has n_fields tab-separated fields, the last of them an
     8-character 0/1 mask; blank lines and ``#`` lines are skipped.  A missing
-    file raises MissingFile, a bad line error(path, line_no, reason).
+    file raises MissingFile, a bad line (one that is not UTF-8 included)
+    error(path, line_no, reason).
     """
-    if not path.is_file():
-        raise MissingFile(path)
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise error(
-                    path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}"
-                )
-            try:
-                mask = RequirementVector.from_bits(fields[-1])
-            except ValueError as exc:
-                raise error(path, line_no, str(exc)) from exc
-            yield line_no, fields[:-1], mask
+    lines = io.StringIO(read_text(path, error), newline=None)  # as open() splits them
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise error(
+                path, line_no, f"expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        try:
+            mask = RequirementVector.from_bits(fields[-1])
+        except ValueError as exc:
+            raise error(path, line_no, str(exc)) from exc
+        yield line_no, fields[:-1], mask
 
 
 def load_dataset(path: str | Path) -> list[LabeledCommand]:

@@ -59,6 +59,7 @@ persisted.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import logging
 import threading
@@ -83,6 +84,7 @@ from .dataset import (
     RequirementVector,
     UnwritableOutput,
     load_dataset,
+    read_text,
     write_text,
 )
 from .errors import BackendError, DataError, UsageError
@@ -479,38 +481,36 @@ def _write_records(
 
 
 def load_records(path: str | Path) -> list[PredictionRecord]:
-    """Read a records.jsonl file back; raises MalformedRecord on bad lines.
+    """Read a records.jsonl file back; raises MalformedRecord on bad lines, non-UTF-8 ones too.
 
     The ``gold`` column is not read: scoring takes gold from the dataset.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(path)
     records: list[PredictionRecord] = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not all(isinstance(row[k], str) for k in ("id", "cache_key")):
-                    raise TypeError("id and cache_key must be strings")
-                if not all(
-                    isinstance(row[k], (str, type(None))) for k in ("method", "failure_reason")
-                ):
-                    raise TypeError("method and failure_reason must be strings or null")
-                mask = row["predicted"]
-                records.append(
-                    PredictionRecord(
-                        command_id=row["id"],
-                        vector=None if mask is None else RequirementVector.from_bits(mask),
-                        method=row["method"],
-                        failure_reason=row["failure_reason"],
-                        cache_key=row["cache_key"],
-                    )
+    lines = io.StringIO(read_text(path, MalformedRecord), newline=None)  # as open() splits them
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            if not all(isinstance(row[k], str) for k in ("id", "cache_key")):
+                raise TypeError("id and cache_key must be strings")
+            if not all(
+                isinstance(row[k], (str, type(None))) for k in ("method", "failure_reason")
+            ):
+                raise TypeError("method and failure_reason must be strings or null")
+            mask = row["predicted"]
+            records.append(
+                PredictionRecord(
+                    command_id=row["id"],
+                    vector=None if mask is None else RequirementVector.from_bits(mask),
+                    method=row["method"],
+                    failure_reason=row["failure_reason"],
+                    cache_key=row["cache_key"],
                 )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise MalformedRecord(path, line_no, f"bad record line: {exc!r}") from exc
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MalformedRecord(path, line_no, f"bad record line: {exc!r}") from exc
     return records
 
 

@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .dataset import N_QUESTIONS, RequirementVector
+from .dataset import N_QUESTIONS, RequirementVector, read_text
 from .errors import DataError, UsageError
 
 # This exact token pattern must appear in every system message; the shots and
@@ -228,7 +228,7 @@ def load_template(path: str | Path) -> PromptConfig:
     q1..q8, format_instruction) take free text up to the next header; each
     ``[shot]`` section takes ``key: value`` lines (command, gold, r1..r8).
     Lines before the first header must be blank or ``#`` comments.  A file
-    that breaks a PromptConfig rule raises TemplateError too.
+    that is not UTF-8 or breaks a PromptConfig rule raises TemplateError too.
     """
     path = Path(path)
     if not path.is_file():
@@ -251,8 +251,8 @@ def load_template(path: str | Path) -> PromptConfig:
                 raise TemplateError(f"{path}:{body_start}: section [{current}] is empty")
             prose[current] = text
 
-    all_lines = path.read_text(encoding="utf-8").splitlines()
-    for line_no, line in enumerate(all_lines, start=1):
+    source = read_text(path, lambda p, line_no, reason: TemplateError(f"{p}:{line_no}: {reason}"))
+    for line_no, line in enumerate(source.splitlines(), start=1):
         header = _SECTION_RE.match(line)
         if header:
             close_section()

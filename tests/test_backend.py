@@ -146,6 +146,9 @@ def test_config_rejects_a_temperature_or_timeout_that_breaks_requests(field, val
     "field,value,message",
     [("endpoint_url", "/", "endpoint_url must be non-empty"),
      ("model_name", "", "model_name must be non-empty"),
+     # a lone surrogate, as undecodable argv bytes become, has no UTF-8 encoding
+     ("endpoint_url", "http://h/v\udcff", "endpoint_url must be UTF-8 text"),
+     ("model_name", "de\udcffmo", "model_name must be UTF-8 text"),
      ("max_output_tokens", 0, "max_output_tokens must be >= 1"),
      ("max_retries", -1, "max_retries must be >= 0"),
      ("max_in_flight", 0, "max_in_flight must be >= 1")],

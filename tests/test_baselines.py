@@ -80,11 +80,12 @@ def test_load_rules_missing_file(tmp_path):
         ("call 01001110", "expected 2"),
         ("call\t01001110\textra", "expected 2"),
         ("\t01001110", "rule pattern must be non-empty"),
+        ("c\udcffll\t01001110", "not UTF-8 text"),  # written as the byte 0xff
     ],
 )
 def test_load_rules_rejects_bad_lines(tmp_path, line, fragment):
     p = tmp_path / "r.tsv"
-    p.write_text(line + "\n")
+    p.write_text(line + "\n", encoding="utf-8", errors="surrogateescape")
     with pytest.raises(MalformedRule, match=fragment) as err:
         load_rules(p)
     assert str(err.value) == f"{p}:1: {err.value.reason}"

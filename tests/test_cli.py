@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,21 +142,63 @@ def test_a_key_outside_ascii_aborts_the_run_before_any_request(
 
 
 def test_unknown_mock_endpoint_is_usage_error(toy_path, tmp_path, capsys):
-    # the endpoint is rejected before any artifact is written
-    endpoints = {
-        "mock://chaos": "unknown mock endpoint",
-        "localhost:8000/v1": "bad endpoint 'localhost:8000/v1': not an http(s) URL",
-        "ftp://h/v1": "bad endpoint 'ftp://h/v1': not an http(s) URL",
+    # the endpoint or model is rejected before any artifact is written
+    refused = {
+        ("mock://chaos", "demo"): "unknown mock endpoint",
+        ("localhost:8000/v1", "demo"): "bad endpoint 'localhost:8000/v1': not an http(s) URL",
+        ("ftp://h/v1", "demo"): "bad endpoint 'ftp://h/v1': not an http(s) URL",
+        ("/", "demo"): "endpoint_url must be non-empty",
+        ("mock://gold", ""): "model_name must be non-empty",
+        # the lone surrogate that the argv byte 0xff decodes to has no UTF-8 encoding
+        ("http://127.0.0.1:9/v\udcff", "demo"): "endpoint_url must be UTF-8 text",
+        ("mock://gold", "de\udcffmo"): "model_name must be UTF-8 text",
     }
-    for endpoint, message in endpoints.items():
+    for (endpoint, model), message in refused.items():
         for command in ("run", "ablate"):
             code = run_cli(
-                command, "--dataset", toy_path, "--endpoint", endpoint, "--model", "demo",
+                command, "--dataset", toy_path, "--endpoint", endpoint, "--model", model,
                 "--out", str(tmp_path / command),
             )
             assert code == 1
             assert message in capsys.readouterr().err
     assert list(tmp_path.rglob("*")) == []
+
+
+def test_a_model_of_undecodable_argv_bytes_exits_1_without_a_traceback(toy_path, tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "cmdreason.cli", "run", "--dataset", toy_path, "--endpoint",
+         "mock://gold", "--model", b"de\xffmo", "--out", str(tmp_path / "r")],
+        capture_output=True, env=child_env(),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith(b"error: model_name must be UTF-8 text")
+    assert b"Traceback" not in result.stderr
+    assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize("flag", ["--dataset", "--template", "--records", "--rules"])
+def test_an_input_file_that_is_not_utf8_is_a_data_error_naming_it(
+    flag, toy_path, tmp_path, capsys
+):
+    rand = tmp_path / "rand"
+    assert run_cli("baseline", "--dataset", toy_path, "--random", "--out", str(rand)) == 0
+    files = {"--dataset": Path(toy_path), "--template": default_template_path(),
+             "--records": rand / "records.jsonl",
+             "--rules": default_template_path().parent / "example_rules.tsv"}
+    bad = tmp_path / "bad"
+    bad.write_bytes(files[flag].read_bytes().replace(b"\n", b"\n\xff", 1))  # 0xff opens line 2
+    out = str(tmp_path / "out")
+    gold = ["--endpoint", "mock://gold", "--model", "demo", "--out", out]
+    command = {
+        "--dataset": ["run", *gold],
+        "--template": ["run", "--dataset", toy_path, *gold],
+        "--records": ["score", "--dataset", toy_path],
+        "--rules": ["baseline", "--dataset", toy_path, "--out", out],
+    }[flag]
+    capsys.readouterr()
+    assert run_cli(*command, flag, str(bad)) == 2
+    assert capsys.readouterr().err == f"data error: {bad}:2: not UTF-8 text: invalid start byte 0xff\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_template_without_output_pattern_is_data_error(toy_path, tmp_path, capsys):
@@ -545,6 +588,36 @@ def test_a_lone_surrogate_in_an_answer_fails_only_its_own_ablation_cell(
     assert one["error"] is None and one["command_level"] is not None
     assert (out / "none_1shot" / "report.json").is_file()
     assert len(cache_entries(tmp_path / "autocache")) == len(chat_stub.requests) - 1
+
+
+@pytest.mark.parametrize(
+    "blocked,refused,code",
+    [("none_0shot", None, 2),  # only a data error
+     ("none_0shot", 4, 2),  # a data error, then a backend error
+     ("none_1shot", 2, 3)],  # a backend error, then a data error
+)
+def test_ablate_exits_with_the_code_of_its_first_failed_cell(
+    chat_stub, toy_path, tmp_path, blocked, refused, code
+):
+    # a file where a cell's directory goes fails that cell as a data error, and
+    # refusing the requests of `refused` messages (2: 0 shots, 4: 1 shot) fails that cell's run
+    def respond(body):
+        if len(json.loads(body)["messages"]) == refused:
+            return 400, {"error": "no"}
+        return 200, {"choices": [{"message": {"role": "assistant", "content": "[0 0 0 0 0 0 0 0]"}}]}
+
+    chat_stub.responder = respond
+    out = tmp_path / "grid"
+    out.mkdir()
+    (out / blocked).write_text("in the way")
+    assert run_cli("ablate", "--dataset", toy_path, "--endpoint", chat_stub.url, "--model", "m",
+                   "--modes", "none", "--shots", "0,1", "--out", str(out)) == code
+    rows = {f"{row['mode']}_{row['shots']}shot": row["error"]
+            for row in json.loads((out / "ablation.json").read_text())}
+    assert rows.pop(blocked).startswith(f"UnwritableOutput: cannot clear {out / blocked}")
+    (other,) = rows.values()
+    assert (other is None) == (refused is None)
+    assert other is None or other.startswith("AbortedRun: run aborted after 0 of 24")
 
 
 def test_baseline_over_a_run_leaves_only_its_own_files(toy_path, tmp_path):

@@ -149,11 +149,12 @@ def test_load_missing_file(tmp_path):
         ("x1\t   \t10000000", "text must be non-empty after trimming"),
         ("x1\tDo a thing.\t1000000", "8 chars"),
         ("x1\tDo a thing.\t1000000x", "8 chars"),
+        ("x1\tDo a \udcff thing.\t10000000", "not UTF-8 text"),  # written as the byte 0xff
     ],
 )
 def test_load_rejects_malformed_lines(tmp_path, line, fragment):
     p = tmp_path / "d.tsv"
-    p.write_text(line + "\n")
+    p.write_text(line + "\n", encoding="utf-8", errors="surrogateescape")
     with pytest.raises(MalformedRecord) as err:
         load_dataset(p)
     assert str(err.value) == f"{p}:1: {err.value.reason}"

@@ -207,17 +207,21 @@ GOOD_RECORD = {
         json.dumps({**GOOD_RECORD, "method": None, "predicted": None, "failure_reason": 3}),
         json.dumps({**GOOD_RECORD, "cache_key": 12}),
         json.dumps({**GOOD_RECORD, "cache_key": None}),
+        # written as the byte 0xff
+        json.dumps({**GOOD_RECORD, "id": "c\udcff"}, ensure_ascii=False),
     ],
     ids=[
         "short-mask", "json-list", "mask-without-method", "missing-key",
         "mask-and-failure", "neither", "empty-id", "not-json",
         "mask-as-list", "mask-as-number", "int-id", "int-method",
-        "int-failure-reason", "int-cache-key", "null-cache-key",
+        "int-failure-reason", "int-cache-key", "null-cache-key", "not-utf-8",
     ],
 )
 def test_load_records_rejects_malformed_lines(tmp_path, line):
     path = tmp_path / "records.jsonl"
-    path.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n", encoding="utf-8")
+    path.write_text(
+        json.dumps(GOOD_RECORD) + "\n" + line + "\n", encoding="utf-8", errors="surrogateescape"
+    )
     with pytest.raises(MalformedRecord) as err:
         load_records(path)
     assert err.value.line_no == 2

@@ -316,6 +316,14 @@ def test_template_shot_inconsistent_rationale_rejected(tmp_path):
         load_template(p)
 
 
+def test_template_that_is_not_utf8_is_template_error(tmp_path):
+    p = tmp_path / "t.txt"
+    # the q3 text, on line 11, holds the byte 0xff
+    p.write_text(_template_text(q3="Is \udcff needed?"), encoding="utf-8", errors="surrogateescape")
+    with pytest.raises(TemplateError, match=re.escape(f"{p}:11: not UTF-8 text: invalid start byte 0xff")):
+        load_template(p)
+
+
 def test_template_missing_file(tmp_path):
     with pytest.raises(TemplateError, match="no such file"):
         load_template(tmp_path / "nope.txt")
