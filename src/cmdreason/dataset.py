@@ -150,13 +150,21 @@ def read_text(path: Path, error: Callable[[Path, int, str], DataError]) -> str:
     """The file's text; MissingFile if there is none, error(path, line_no, reason) if not UTF-8."""
     if not path.is_file():
         raise MissingFile(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:  # EACCES, EIO: a data error, as write_text's OSError is
+        raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # line_no counts lines as open() splits them
         head = data[:exc.start + 1].decode("utf-8", "replace")  # the text through the bad byte
         line_no = len(io.StringIO(head, newline=None).readlines())
         raise error(path, line_no, f"not UTF-8 text: {exc.reason} {data[exc.start]:#04x}") from None
+
+
+def read_lines(path: Path, error: Callable[[Path, int, str], DataError]) -> Iterator[str]:
+    r"""read_text's lines without their ends; a line ends at \n, \r\n or a lone \r, as in open()."""
+    return (line.rstrip("\n") for line in io.StringIO(read_text(path, error), newline=None))
 
 
 def read_masked_tsv(
@@ -169,9 +177,7 @@ def read_masked_tsv(
     file raises MissingFile, a bad line (one that is not UTF-8 included)
     error(path, line_no, reason).
     """
-    lines = io.StringIO(read_text(path, error), newline=None)  # as open() splits them
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    for line_no, line in enumerate(read_lines(path, error), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")

@@ -16,7 +16,7 @@ class UsageError(CmdReasonError):
 
 
 class DataError(CmdReasonError):
-    """An input file (dataset, template, rules, records) is missing or malformed."""
+    """An input file (dataset, template, rules, records) is missing, unreadable or malformed."""
 
 
 class BackendError(CmdReasonError):

@@ -80,10 +80,10 @@ from .dataset import (
     CATEGORY_TITLES,
     LabeledCommand,
     MalformedRecord,
-    MissingFile,
     RequirementVector,
     UnwritableOutput,
     load_dataset,
+    read_lines,
     read_text,
     write_text,
 )
@@ -136,6 +136,7 @@ class ExperimentSpec:
                            ("prompt_config", PromptConfig), ("backend_config", BackendConfig)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}")
+        object.__setattr__(self, "output_dir", str(Path(self.output_dir)))  # "./a/" is "a"
         if self.failure_policy not in FAILURE_POLICIES:  # so it is a str
             raise ValueError(f"failure_policy must be one of {FAILURE_POLICIES}")
 
@@ -487,8 +488,7 @@ def load_records(path: str | Path) -> list[PredictionRecord]:
     """
     path = Path(path)
     records: list[PredictionRecord] = []
-    lines = io.StringIO(read_text(path, MalformedRecord), newline=None)  # as open() splits them
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_lines(path, MalformedRecord), start=1):
         if not line.strip():
             continue
         try:
@@ -666,17 +666,15 @@ def _table_cells(row: dict[str, Any]) -> list[str]:
 def load_report(run_dir: str | Path) -> dict[str, Any]:
     """A run directory's report.json, checked to hold a table row and a failure policy."""
     path = Path(run_dir) / "report.json"
-    if not path.is_file():
-        raise MissingFile(path)
+    invalid = f"{path}: not a valid report file"
     try:
-        row = json.loads(path.read_text(encoding="utf-8"))
+        row = json.loads(read_text(path, lambda _p, _n, reason: DataError(f"{invalid}: {reason}")))
         cells, policy = _table_cells(row), row["failure_policy"]
+        "".join(cells).encode("utf-8")  # each cell must be a str that UTF-8 can encode
     except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: not a valid report file: {exc}") from exc
-    if not all(isinstance(cell, str) for cell in cells):
-        raise DataError(f"{path}: not a valid report file: every value must be a string")
+        raise DataError(f"{invalid}: {exc}") from exc
     if policy not in FAILURE_POLICIES:
-        raise DataError(f"{path}: not a valid report file: unknown failure_policy {policy!r}")
+        raise DataError(f"{invalid}: unknown failure_policy {policy!r}")
     return row
 
 
@@ -684,7 +682,6 @@ def render_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     """Render rows in one of the report formats; deterministic for same input."""
     if fmt == "csv":
         import csv
-        import io
 
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

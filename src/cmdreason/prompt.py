@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .dataset import N_QUESTIONS, RequirementVector, read_text
+from .dataset import N_QUESTIONS, RequirementVector, read_lines
 from .errors import DataError, UsageError
 
 # This exact token pattern must appear in every system message; the shots and
@@ -227,13 +227,10 @@ def load_template(path: str | Path) -> PromptConfig:
     The file is a series of ``[section]`` headers.  Prose sections (preamble,
     q1..q8, format_instruction) take free text up to the next header; each
     ``[shot]`` section takes ``key: value`` lines (command, gold, r1..r8).
-    Lines before the first header must be blank or ``#`` comments.  A file
-    that is not UTF-8 or breaks a PromptConfig rule raises TemplateError too.
+    Lines before the first header must be blank or ``#`` comments.  A missing file is
+    MissingFile; one that is not UTF-8 or breaks a PromptConfig rule, TemplateError.
     """
     path = Path(path)
-    if not path.is_file():
-        raise TemplateError(f"no such file: {path}")
-
     prose: dict[str, str] = {}
     shots: list[ShotExample] = []
     current: str | None = None
@@ -251,8 +248,8 @@ def load_template(path: str | Path) -> PromptConfig:
                 raise TemplateError(f"{path}:{body_start}: section [{current}] is empty")
             prose[current] = text
 
-    source = read_text(path, lambda p, line_no, reason: TemplateError(f"{p}:{line_no}: {reason}"))
-    for line_no, line in enumerate(source.splitlines(), start=1):
+    lines = read_lines(path, lambda p, line_no, reason: TemplateError(f"{p}:{line_no}: {reason}"))
+    for line_no, line in enumerate(lines, start=1):
         header = _SECTION_RE.match(line)
         if header:
             close_section()

@@ -176,17 +176,38 @@ def test_a_model_of_undecodable_argv_bytes_exits_1_without_a_traceback(toy_path,
     assert list(tmp_path.rglob("*")) == []
 
 
-@pytest.mark.parametrize("flag", ["--dataset", "--template", "--records", "--rules"])
+INPUT_FLAGS = ["--dataset", "--template", "--records", "--rules"]
+
+
+@pytest.mark.parametrize(
+    "flag, failure",
+    [(flag, "not-utf8") for flag in INPUT_FLAGS]
+    + [(flag, "unreadable") for flag in [*INPUT_FLAGS, "--in"]],
+)
 def test_an_input_file_that_is_not_utf8_is_a_data_error_naming_it(
-    flag, toy_path, tmp_path, capsys
+    flag, failure, toy_path, tmp_path, capsys, monkeypatch
 ):
     rand = tmp_path / "rand"
     assert run_cli("baseline", "--dataset", toy_path, "--random", "--out", str(rand)) == 0
     files = {"--dataset": Path(toy_path), "--template": default_template_path(),
              "--records": rand / "records.jsonl",
-             "--rules": default_template_path().parent / "example_rules.tsv"}
-    bad = tmp_path / "bad"
+             "--rules": default_template_path().parent / "example_rules.tsv",
+             "--in": rand / "report.json"}
+    named = tmp_path / "bad"  # the path the flag names: for --in, the run directory
+    bad = named / "report.json" if flag == "--in" else named
+    bad.parent.mkdir(exist_ok=True)
     bad.write_bytes(files[flag].read_bytes().replace(b"\n", b"\n\xff", 1))  # 0xff opens line 2
+    expected = f"{bad}:2: not UTF-8 text: invalid start byte 0xff"
+    if failure == "unreadable":  # the file is there, but reading it fails, as EACCES does
+        read_bytes = Path.read_bytes
+
+        def refuse(path: Path) -> bytes:
+            if path == bad:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        expected = f"cannot read {bad}: [Errno 13] Permission denied: '{bad}'"
     out = str(tmp_path / "out")
     gold = ["--endpoint", "mock://gold", "--model", "demo", "--out", out]
     command = {
@@ -194,10 +215,11 @@ def test_an_input_file_that_is_not_utf8_is_a_data_error_naming_it(
         "--template": ["run", "--dataset", toy_path, *gold],
         "--records": ["score", "--dataset", toy_path],
         "--rules": ["baseline", "--dataset", toy_path, "--out", out],
+        "--in": ["report", "--out", out],
     }[flag]
     capsys.readouterr()
-    assert run_cli(*command, flag, str(bad)) == 2
-    assert capsys.readouterr().err == f"data error: {bad}:2: not UTF-8 text: invalid start byte 0xff\n"
+    assert run_cli(*command, flag, str(named)) == 2
+    assert capsys.readouterr().err == f"data error: {expected}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -437,8 +459,10 @@ def test_report_to_an_unwritable_path_is_a_data_error(toy_path, tmp_path, capsys
         lambda report: {**report, "per_question": list(report["per_question"].values())},
         lambda report: {k: v for k, v in report.items() if k != "failure_policy"},
         lambda report: {**report, "failure_policy": "lenient"},
+        lambda report: {**report, "label": "\ud83d"},
     ],
-    ids=["json-list", "number-percentage", "per-question-list", "no-policy", "unknown-policy"],
+    ids=["json-list", "number-percentage", "per-question-list", "no-policy", "unknown-policy",
+         "lone-surrogate-label"],
 )
 def test_report_malformed_report_json_is_data_error(change, toy_path, tmp_path, capsys):
     run_dir = tmp_path / "rand"

@@ -1102,8 +1102,8 @@ def test_one_spec_run_into_two_directories_writes_the_same_spec_json(
 ):
     backend = gold_backend(toy_data, tmp_path / "cache")
     written = []
-    for name in ("a", "b"):
-        spec = make_spec(toy_path, template, tmp_path / name, backend_config=backend.config)
+    for name in ("a", "./b/"):  # the directory as spelled, or as spec.json's parent
+        spec = make_spec(toy_path, template, f"{tmp_path}/{name}", backend_config=backend.config)
         run_experiment(spec, backend)
         assert reloaded(tmp_path / name / "spec.json") == spec
         written.append((tmp_path / name / "spec.json").read_bytes())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_shot, prompt_configs, sent_in_a_run
-from cmdreason.dataset import RequirementVector
+from cmdreason.dataset import MissingFile, RequirementVector
 from cmdreason.errors import UsageError
 from cmdreason.prompt import (
     ANSWER_LINE_PREFIX,
@@ -325,5 +325,24 @@ def test_template_that_is_not_utf8_is_template_error(tmp_path):
 
 
 def test_template_missing_file(tmp_path):
-    with pytest.raises(TemplateError, match="no such file"):
+    with pytest.raises(MissingFile, match="no such file"):
         load_template(tmp_path / "nope.txt")
+
+
+@pytest.mark.parametrize("c", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+def test_template_prose_keeps_line_separators_a_file_line_does_not_end_at(tmp_path, c):
+    # str.splitlines() would split on each of these, but reading a file by lines does not
+    p = tmp_path / "t.txt"
+    p.write_text(_template_text(preamble=f"Follow{c}the steps.", q2=f"Is{c}it needed?"),
+                 encoding="utf-8")
+    template = load_template(p)
+    assert template.preamble == f"Follow{c}the steps."
+    assert template.question_texts[1] == f"Is{c}it needed?"
+
+
+def test_template_header_after_a_line_separator_is_prose(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text(_template_text(preamble="intro\u2028[q1]\nIs requirement 1 needed?", q1=None),
+                 encoding="utf-8")
+    with pytest.raises(TemplateError, match="missing sections: q1$"):
+        load_template(p)
