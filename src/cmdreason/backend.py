@@ -3,18 +3,19 @@
 A RequestEncoder gives each request its one encoding: the JSON body sent, and
 the cache key, sha256 over the endpoint URL and that body.  The harness reads
 a run's keys from the backend's cache in one ResponseCache.get_many(), which
-replays each answer byte for byte, and for each miss fetch() drives the
-retry loop around the transport-specific _send().  It makes these calls
-in that order: it resolves every hit before it starts any worker, and its
-pool of max_in_flight workers bounds the requests in flight.  fetch()
-answers with a CompletionResult: the raw text and the requests it took.
-Retryable failures (RateLimited, ServerError for HTTP 500/502/503/504,
-Timeout) back off exponentially with full jitter: attempt i waits
-uniform(0, 1s * 2**i), or, after a 429 or 503 whose Retry-After header
-gives delta-seconds, that many seconds up to RETRY_AFTER_MAX_SECONDS.  Each
-wait is on the run's `failed` event, which fetch() takes from its caller,
-so that it is cut short once the run has failed.  AuthError and any other
-ProtocolError abort immediately.
+replays each answer byte for byte, and sends each miss with fetch(), which
+only sends: it drives the retry loop around the transport-specific _send()
+and answers with a CompletionResult, the raw text and the requests it took.
+The harness resolves every hit before it starts any worker, its pool of
+max_in_flight workers bounds the requests in flight, and the worker that
+fetched an answer puts it in the cache.  Retryable failures (RateLimited,
+ServerError for HTTP 500/502/503/504, Timeout) back off exponentially with
+full jitter: attempt i waits uniform(0, 1s * 2**i), or, after a 429 or 503
+whose Retry-After header gives delta-seconds, that many seconds up to
+RETRY_AFTER_MAX_SECONDS.  Each wait is on the run's `failed` event, which
+fetch() takes from its caller and never sets, so that it is cut short once
+the run has failed.  AuthError and any other ProtocolError abort
+immediately.
 
 ResponseCache keeps every answer in one sqlite3 file per cache directory,
 which several processes can share.  Every backend has one, the default
@@ -72,10 +73,6 @@ class AuthError(BackendError):
 class RateLimited(BackendError):
     """The endpoint asked us to slow down (HTTP 429)."""
 
-    def __init__(self, message: str, retry_after: float | None = None) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
 
 class Timeout(BackendError):
     """The endpoint did not answer in time, or the connection failed."""
@@ -84,19 +81,6 @@ class Timeout(BackendError):
 class ProtocolError(BackendError):
     """The endpoint answered with something that is not a chat completion."""
 
-    def __init__(self, message: str, status: int | None = None, excerpt: str = "") -> None:
-        detail = message
-        if status is not None:
-            detail += f" (HTTP {status})"
-        if excerpt:  # of the response body
-            detail += f": {excerpt}"
-        super().__init__(detail)
-        self.status = status
-
-
-class ServerError(ProtocolError):
-    """The endpoint failed on its side (HTTP 500/502/503/504); a retry may succeed."""
-
     def __init__(
         self,
         message: str,
@@ -104,8 +88,17 @@ class ServerError(ProtocolError):
         excerpt: str = "",
         retry_after: float | None = None,
     ) -> None:
-        super().__init__(message, status, excerpt)
-        self.retry_after = retry_after
+        detail = message
+        if status is not None:
+            detail += f" (HTTP {status})"
+        if excerpt:  # of the response body
+            detail += f": {excerpt}"
+        super().__init__(detail, retry_after)
+        self.status = status
+
+
+class ServerError(ProtocolError):
+    """The endpoint failed on its side (HTTP 500/502/503/504); a retry may succeed."""
 
 
 class RetriesExhausted(BackendError):
@@ -342,7 +335,7 @@ class ResponseCache:
 
 
 class ChatBackend:
-    """Base class: caching and retries around _send(), over cache or the default one."""
+    """Base class: retries around _send(), and the cache runs share: cache or the default one."""
 
     def __init__(
         self,
@@ -366,14 +359,12 @@ class ChatBackend:
         """Release what the backend keeps open between requests: its cache's connection."""
         self.cache.close()
 
-    def fetch(self, body: bytes, key: str, failed: threading.Event) -> CompletionResult:
-        """Send body without looking in the cache, then cache the answer under key.
+    def fetch(self, body: bytes, failed: threading.Event) -> CompletionResult:
+        """Send body, retrying, and answer; it neither reads nor writes the cache.
 
         A backoff waits on the run's `failed` event, and once it is set the
-        retries give up as RetriesExhausted.  A request that fails for good
-        sets `failed` itself before it raises, so that the run's queued
-        requests stop without waiting for the error to reach the caller.
-        Whatever it raises carries `attempt_count`, the requests sent, as a
+        retries give up as RetriesExhausted; fetch never sets it.  Whatever
+        it raises carries `attempt_count`, the requests sent, as a
         CompletionResult does: 0 if _auth() raised, before the first attempt.
         """
         attempt = 0
@@ -382,8 +373,7 @@ class ChatBackend:
             while True:
                 attempt += 1
                 try:
-                    text = self._send(body, auth)
-                    break
+                    return CompletionResult(self._send(body, auth), attempt_count=attempt)
                 except _RETRYABLE as exc:
                     if attempt > self.config.max_retries:
                         raise RetriesExhausted(attempt, exc) from exc
@@ -393,12 +383,9 @@ class ChatBackend:
                     log.warning("attempt %d failed (%s); retrying in %.2fs", attempt, exc, delay)
                     if failed.wait(delay):
                         raise RetriesExhausted(attempt, exc) from exc
-            self.cache.put(key, text)
         except BaseException as exc:
-            failed.set()
             exc.attempt_count = attempt
             raise
-        return CompletionResult(text, attempt_count=attempt)
 
 
 class HttpChatBackend(ChatBackend):

@@ -147,9 +147,12 @@ class LabeledCommand:
 
 
 def read_text(path: Path, error: Callable[[Path, int, str], DataError]) -> str:
-    """The file's text; MissingFile if there is none, error(path, line_no, reason) if not UTF-8."""
+    """The file's text; MissingFile if there is none, error(path, line_no, reason) if not UTF-8.
+
+    A path that exists but is not a regular file, such as a directory, is a DataError.
+    """
     if not path.is_file():
-        raise MissingFile(path)
+        raise MissingFile(path) if not path.exists() else DataError(f"not a file: {path}")
     try:
         data = path.read_bytes()
     except OSError as exc:  # EACCES, EIO: a data error, as write_text's OSError is

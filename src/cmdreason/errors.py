@@ -22,4 +22,6 @@ class DataError(CmdReasonError):
 class BackendError(CmdReasonError):
     """A chat-completion backend failed in a way the harness cannot recover from."""
 
-    retry_after: float | None = None  # seconds the endpoint asked to wait before a retry
+    def __init__(self, message: str, retry_after: float | None = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after  # seconds the endpoint asked to wait before a retry

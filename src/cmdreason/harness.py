@@ -46,15 +46,18 @@ transcript is built per command), hashes the key from the head's state,
 and looks up each distinct key once: a run's keys go to one get_many on
 the backend's cache, which reads them in chunked queries.  Fetching sends
 the misses of all runs from one pool of up to max_in_flight workers, in
-canonical order: run by run, then dataset order.  A key that several
-positions of a run share is sent once, and its answer fills each of them.  A fully warm set of runs
+canonical order: run by run, then dataset order.  The backend's fetch only
+sends; the pool owns the rest: the worker that sent a request puts its
+answer in the cache, and the pool counts the requests sent and stops the
+run of a request that failed.  A key that several positions of a run share
+is sent once, and its answer fills each of them.  A fully warm set of runs
 starts no pool.  Finishing parses, scores and writes a run, or writes its
 partial snapshots if a failure left answers missing; it runs on the calling
 thread as soon as the run's requests are done, while the pool goes on with
 the next runs, so that a grid holds few answers at once.  Records and
 reports are always aggregated in dataset order, so parallelism never
-changes any output byte.  Nothing volatile (timestamps, latencies, cache-hit counts) is
-persisted.
+changes any output byte.  Nothing volatile (timestamps, latencies,
+cache-hit counts) is persisted.
 """
 from __future__ import annotations
 
@@ -394,19 +397,20 @@ def _fetch(backend: ChatBackend, runs: list[_Run], data: list[LabeledCommand]) -
 
     Up to the backend config's max_in_flight workers pull requests in
     canonical order, run by run and in dataset order within a run, from one
-    shared iterator; an answer goes into its run's `answers`, and the
-    requests each fetch took, landed or failed, into the run's
-    `n_backend_attempts`.  The pool is the one bound on requests in flight,
-    and runs without a miss start no pool.  The calling thread finishes each
-    run in order, as soon as its requests are done, while the workers go on
-    with the next runs.
+    shared iterator.  The worker that fetched an answer puts it in the
+    cache, then into its run's `answers`, and adds the requests the fetch
+    took, landed or failed, to the run's `n_backend_attempts`.  The pool is
+    the one bound on requests in flight, and runs without a miss start no
+    pool.  The calling thread finishes each run in order, as soon as its
+    requests are done, while the workers go on with the next runs.
 
-    A failed request sets its run's `failed`: a queued request of that run
-    that starts after that sends nothing, whatever the thread timing, and a
-    retry of it that is backing off gives up at once; the other runs go on.
-    Any other error in a worker stops every run, and so does an error or an
-    interrupt on the calling thread, which is raised.  Requests in flight
-    finish and keep their answers.
+    A failed request sets its run's `failed`, here and not in fetch, which
+    only waits on it: a queued request of that run that starts after that
+    sends nothing, whatever the thread timing, and a retry of it that is
+    backing off gives up at once; the other runs go on.  Any other error in
+    a worker, such as a put that raises, stops every run, and so does an
+    error or an interrupt on the calling thread, which is raised.  Requests
+    in flight finish and keep their answers.
     """
     n_jobs = sum(run.pending for run in runs)
     if not n_jobs:
@@ -433,10 +437,12 @@ def _fetch(backend: ChatBackend, runs: list[_Run], data: list[LabeledCommand]) -
             attempts = 0
             try:
                 if not run.failed.is_set():
-                    result = backend.fetch(run.head + tail, key, run.failed)
-                    run.answers[key], attempts = result.raw_text, result.attempt_count
+                    result = backend.fetch(run.head + tail, run.failed)
+                    attempts = result.attempt_count  # counted even if the put raises
+                    backend.cache.put(key, result.raw_text)
+                    run.answers[key] = result.raw_text
             except BaseException as exc:
-                attempts = getattr(exc, "attempt_count", 0)
+                attempts = getattr(exc, "attempt_count", attempts)
                 # a BackendError stops its run; any other error, which _run_all raises, every run
                 stop([run] if isinstance(exc, BackendError) else runs, exc)
             finally:
@@ -454,9 +460,8 @@ def _fetch(backend: ChatBackend, runs: list[_Run], data: list[LabeledCommand]) -
             for run in runs:
                 run.done.wait()
                 run.finish(data)
-        except BaseException:
-            for run in runs:
-                run.failed.set()
+        except BaseException as exc:
+            stop(runs, exc)
             raise
 
 

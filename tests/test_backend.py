@@ -77,7 +77,7 @@ def body_for(config: BackendConfig, command: str = "Honk.") -> bytes:
 
 
 def ask(backend, command: str):
-    """One command's answer as a run gets it: the cache first, and on a miss one fetch.
+    """One command's answer as a run gets it: the cache first, and on a miss one fetch and put.
 
     An answer from the cache comes back as a CompletionResult of 0 attempts.
     """
@@ -85,7 +85,9 @@ def ask(backend, command: str):
     text = backend.cache.get_many([key]).get(key)
     if text is not None:
         return CompletionResult(text, attempt_count=0)
-    return backend.fetch(body_for(backend.config, command), key, threading.Event())
+    result = backend.fetch(body_for(backend.config, command), threading.Event())
+    backend.cache.put(key, result.raw_text)
+    return result
 
 
 def test_cache_key_is_hex_sha256():
@@ -484,9 +486,10 @@ class RecordedWaits(threading.Event):
 
 
 def fetch(backend, failed, command: str = "Honk."):
-    """backend.fetch of one command's request, as a run sends it."""
-    key = cache_key(backend.config, transcript_for(command))
-    return backend.fetch(body_for(backend.config, command), key, failed)
+    """backend.fetch of one command's request, its answer then put, as a run's worker does."""
+    result = backend.fetch(body_for(backend.config, command), failed)
+    backend.cache.put(cache_key(backend.config, transcript_for(command)), result.raw_text)
+    return result
 
 
 def make_flaky(failures: list[Exception], answer: str = "done"):
@@ -643,7 +646,7 @@ def test_a_key_holding_a_line_break_is_an_auth_error_that_sends_nothing(
     with pytest.raises(AuthError, match="holds a line break") as err:
         fetch(backend, failed)
     assert err.value.attempt_count == 0  # refused before the first attempt
-    assert failed.is_set() and failed.waits == []
+    assert failed.waits == []
     assert (chat_stub.requests, chat_stub.opened) == ([], 0)
     assert backend.cache.get_many([cache_key(backend.config, transcript_for("Honk."))]) == {}
 
@@ -746,7 +749,7 @@ def test_failed_run_cuts_a_retry_after_wait_short(chat_stub, http_backend):
     timer.start()
     try:
         with pytest.raises(RetriesExhausted) as err:
-            backend.fetch(body_for(backend.config), "k" * 64, failed)
+            backend.fetch(body_for(backend.config), failed)
     finally:
         timer.cancel()
     assert 0.2 <= time.monotonic() - start < 10
@@ -1080,6 +1083,24 @@ def test_a_body_cut_short_is_a_failed_attempt_not_a_reconnect(
     assert "ended after" in str(err.value.__cause__)
     assert len(endpoint.requests) == 2
     assert endpoint.opened == 1
+
+
+@pytest.mark.parametrize("status_line", [b"HTTP/1.1 204 No Content", b"HTTP/1.1 304 Not Modified"])
+def test_a_204_or_304_ends_at_its_head_whatever_its_content_length(
+    raw_endpoint, http_backend, tmp_path, status_line
+):
+    # RFC 9112 section 6.3: a 204 or 304 has no body; read as a 5-byte one, it
+    # would take the next response's bytes, or wait for them
+    no_body = status_line + b"\r\nContent-Length: 5\r\n\r\n"
+    endpoint = raw_endpoint([(no_body, False), (reply(), False)])
+    config = http_config(endpoint, max_retries=0, timeout_seconds=0.5)
+    backend = http_backend(config, cache=ResponseCache(tmp_path / "c"))
+    with pytest.raises(ProtocolError, match=r"\(HTTP %s\)" % status_line.split()[1].decode()) as err:
+        ask(backend, "Honk.")
+    assert err.value.attempt_count == 1
+    assert backend.cache.get_many([cache_key(config, transcript_for("Honk."))]) == {}
+    assert ask(backend, "Wave.").raw_text == "hello there"
+    assert [conn for conn, _, _ in endpoint.requests] == [1, 1]  # the same connection
 
 
 CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"

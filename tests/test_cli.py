@@ -147,6 +147,7 @@ def test_unknown_mock_endpoint_is_usage_error(toy_path, tmp_path, capsys):
         ("mock://chaos", "demo"): "unknown mock endpoint",
         ("localhost:8000/v1", "demo"): "bad endpoint 'localhost:8000/v1': not an http(s) URL",
         ("ftp://h/v1", "demo"): "bad endpoint 'ftp://h/v1': not an http(s) URL",
+        ("http://127.0.0.1:9/v 1", "demo"): "the URL path must be printable ASCII without spaces",
         ("/", "demo"): "endpoint_url must be non-empty",
         ("mock://gold", ""): "model_name must be non-empty",
         # the lone surrogate that the argv byte 0xff decodes to has no UTF-8 encoding
@@ -182,7 +183,8 @@ INPUT_FLAGS = ["--dataset", "--template", "--records", "--rules"]
 @pytest.mark.parametrize(
     "flag, failure",
     [(flag, "not-utf8") for flag in INPUT_FLAGS]
-    + [(flag, "unreadable") for flag in [*INPUT_FLAGS, "--in"]],
+    + [(flag, "unreadable") for flag in [*INPUT_FLAGS, "--in"]]
+    + [(flag, "directory") for flag in [*INPUT_FLAGS, "--in"]],
 )
 def test_an_input_file_that_is_not_utf8_is_a_data_error_naming_it(
     flag, failure, toy_path, tmp_path, capsys, monkeypatch
@@ -198,6 +200,10 @@ def test_an_input_file_that_is_not_utf8_is_a_data_error_naming_it(
     bad.parent.mkdir(exist_ok=True)
     bad.write_bytes(files[flag].read_bytes().replace(b"\n", b"\n\xff", 1))  # 0xff opens line 2
     expected = f"{bad}:2: not UTF-8 text: invalid start byte 0xff"
+    if failure == "directory":  # the path is there, but it is no regular file
+        bad.unlink()
+        bad.mkdir()
+        expected = f"not a file: {bad}"
     if failure == "unreadable":  # the file is there, but reading it fails, as EACCES does
         read_bytes = Path.read_bytes
 

@@ -227,6 +227,12 @@ def test_load_records_rejects_malformed_lines(tmp_path, line):
     assert err.value.line_no == 2
 
 
+def test_load_records_skips_blank_lines(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n" + json.dumps(GOOD_RECORD) + "\n \t\n", encoding="utf-8")
+    assert [r.command_id for r in load_records(path)] == [GOOD_RECORD["id"]]
+
+
 def test_one_unparseable_response_hand_count(toy_path, toy_data, template, tmp_path):
     script = gold_echo_script(toy_data)
     script[toy_data[7].text] = "I will comply."  # c08 becomes unparseable
@@ -870,9 +876,9 @@ def test_failure_under_contention_keeps_every_completed_result(
             )
             fetch = backend.fetch
 
-            def capturing_fetch(body, key, failed):
+            def capturing_fetch(body, failed):
                 run_failed[:] = [failed]
-                return fetch(body, key, failed)
+                return fetch(body, failed)
 
             backend.fetch = capturing_fetch
             with pytest.raises(AbortedRun) as err:

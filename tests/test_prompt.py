@@ -54,6 +54,12 @@ def test_shot_rationale_must_agree_with_gold():
         ShotExample("Do it.", RequirementVector.from_bits("10000000"), rationales)
 
 
+@pytest.mark.parametrize("command", ["", " \t"])
+def test_shot_command_must_be_non_empty(command):
+    with pytest.raises(ValueError, match="shot command must be non-empty"):
+        ShotExample(command, RequirementVector.from_bits("00000000"), ("No, nothing.",) * 8)
+
+
 def test_shot_accepts_consistent_rationales():
     shot = make_shot("Do it.", "10110001")
     assert shot.gold.bits() == "10110001"
@@ -195,6 +201,22 @@ def test_config_json_gives_the_config_back(config):
     assert PromptConfig.from_json_dict(data).to_json_dict() == data
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"question_texts": [f"Is {k} needed?" for k in range(7)]}, "expected 8 question texts"),
+        ({"question_texts": [f"Is {k} needed?" for k in range(7)] + [" "]},
+         "question texts must be non-empty"),
+        ({"preamble": " \n"}, "preamble must be non-empty"),
+    ],
+    ids=["seven-questions", "empty-question", "empty-preamble"],
+)
+def test_config_json_refuses_a_config_that_breaks_a_rule(template, change, message):
+    data = {**template.config(ExplanationMode.NONE, 0).to_json_dict(), **change}
+    with pytest.raises(ValueError, match=message):
+        PromptConfig.from_json_dict(data)
+
+
 # =============================================================================
 # Template files
 # =============================================================================
@@ -237,6 +259,29 @@ def _template_text(**overrides) -> str:
     )
     sections.update(overrides)
     return "\n".join(f"[{name}]\n{text}\n" for name, text in sections.items() if text is not None)
+
+
+_SHOT_LINES = ["[shot]", "command: Wave hello.", "gold: 00000000"] + [
+    f"r{k}: No, not needed." for k in range(1, 9)
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_template_text(q3=" "), r":11: section \[q3\] is empty"),
+        ("\n".join([_template_text(), *_SHOT_LINES, "r9: No, not needed."]),
+         r":42: expected 'key: value' with key in command/gold/r1/.*/r8, got 'r9: No, not needed.'"),
+        ("\n".join([_template_text(), *_SHOT_LINES, "command: Wave again."]),
+         r":42: duplicate key 'command'"),
+    ],
+    ids=["empty-prose-section", "unknown-shot-key", "duplicate-shot-key"],
+)
+def test_template_refuses_a_malformed_section(tmp_path, text, message):
+    p = tmp_path / "t.txt"
+    p.write_text(text + "\n")
+    with pytest.raises(TemplateError, match=re.escape(str(p)) + message):
+        load_template(p)
 
 
 def test_minimal_template_loads(tmp_path):
