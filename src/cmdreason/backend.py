@@ -610,9 +610,13 @@ class _Connection:
         elif codings is not None and codings.rpartition(",")[2].strip().lower() == "chunked":
             body = _read_chunked(reader)
         elif codings is None and length is not None:
-            if not (length.isascii() and length.isdigit()):
-                raise _MalformedResponse(f"bad Content-Length {length!r}")
-            body = _read_exactly(reader, int(length))
+            try:  # int() also refuses more digits than sys.get_int_max_str_digits()
+                size = int(length) if length.isascii() and length.isdigit() else -1
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise _MalformedResponse(f"bad Content-Length {length[:40]!r}")
+            body = _read_exactly(reader, size)
         else:  # the body runs to the end of the connection
             body, keep_alive = reader.read(), False
         return status, headers, body, keep_alive

@@ -45,13 +45,13 @@ the prompt config's transcript prefix, is built once per run, and no
 transcript is built per command), hashes the key from the head's state,
 and looks up each distinct key once: a run's keys go to one get_many on
 the backend's cache, which reads them in chunked queries.  Fetching sends
-the misses of all runs from one pool of up to max_in_flight workers, in
+the misses of all runs from up to max_in_flight worker threads, in
 canonical order: run by run, then dataset order.  The backend's fetch only
 sends; the pool owns the rest: the worker that sent a request puts its
 answer in the cache, and the pool counts the requests sent and stops the
 run of a request that failed.  A key that several positions of a run share
 is sent once, and its answer fills each of them.  A fully warm set of runs
-starts no pool.  Finishing parses, scores and writes a run, or writes its
+starts no thread.  Finishing parses, scores and writes a run, or writes its
 partial snapshots if a failure left answers missing; it runs on the calling
 thread as soon as the run's requests are done, while the pool goes on with
 the next runs, so that a grid holds few answers at once.  Records and
@@ -66,7 +66,6 @@ import io
 import json
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -400,23 +399,19 @@ def _fetch(backend: ChatBackend, runs: list[_Run], data: list[LabeledCommand]) -
     shared iterator.  The worker that fetched an answer puts it in the
     cache, then into its run's `answers`, and adds the requests the fetch
     took, landed or failed, to the run's `n_backend_attempts`.  The pool is
-    the one bound on requests in flight, and runs without a miss start no
-    pool.  The calling thread finishes each run in order, as soon as its
-    requests are done, while the workers go on with the next runs.
+    the one bound on requests in flight: a thread per miss, up to
+    max_in_flight, so runs without a miss start none.  The calling thread
+    finishes each run in order, as soon as its requests are done, while
+    the workers go on with the next runs.
 
     A failed request sets its run's `failed`, here and not in fetch, which
     only waits on it: a queued request of that run that starts after that
     sends nothing, whatever the thread timing, and a retry of it that is
     backing off gives up at once; the other runs go on.  Any other error in
     a worker, such as a put that raises, stops every run, and so does an
-    error or an interrupt on the calling thread, which is raised.  Requests
-    in flight finish and keep their answers.
+    error or an interrupt on the calling thread, which is raised once the
+    workers have finished their requests in flight, which keep their answers.
     """
-    n_jobs = sum(run.pending for run in runs)
-    if not n_jobs:
-        for run in runs:
-            run.finish(data)
-        return
     jobs = ((run, key, tail) for run in runs for key, tail in run.misses.items())
     lock = threading.Lock()
 
@@ -452,17 +447,21 @@ def _fetch(backend: ChatBackend, runs: list[_Run], data: list[LabeledCommand]) -
                     if not run.pending:
                         run.done.set()
 
-    workers = min(backend.config.max_in_flight, n_jobs)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in range(workers):
-            pool.submit(work)  # work() keeps every error on its runs: no future holds one
-        try:
-            for run in runs:
-                run.done.wait()
-                run.finish(data)
-        except BaseException as exc:
-            stop(runs, exc)
-            raise
+    workers: list[threading.Thread] = []
+    try:
+        for _ in range(min(backend.config.max_in_flight, sum(run.pending for run in runs))):
+            worker = threading.Thread(target=work)  # work() keeps every error on its runs
+            worker.start()
+            workers.append(worker)
+        for run in runs:
+            run.done.wait()
+            run.finish(data)
+    except BaseException as exc:
+        stop(runs, exc)
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
 
 
 # =============================================================================

@@ -60,7 +60,10 @@ def _step_fallback(text: str) -> ParseOutcome:
         match = _STEP_LINE_RE.match(line)
         if not match:
             continue
-        k = int(match.group(1))
+        try:
+            k = int(match.group(1))
+        except ValueError:  # more digits than int() converts: out of range too
+            continue
         if not 1 <= k <= N_QUESTIONS:
             continue
         word = match.group(2)

@@ -1123,6 +1123,10 @@ CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
             reply(headers=b"Content-Length: %d\r\n" % len(ANSWER)),
             "bad Content-Length '%d, %d'" % (len(ANSWER), len(ANSWER)), id="equal content lengths",
         ),
+        pytest.param(  # more digits than int() converts
+            reply(headers=b"Content-Length: %s\r\n" % (b"0" * 5001 + b"2"), length=False),
+            "bad Content-Length '%s'" % ("0" * 40), id="content length past int's digit limit",
+        ),
         pytest.param(CHUNKED_HEAD + b"zz\r\n" + ANSWER, "bad chunk size", id="chunk size"),
         pytest.param(
             CHUNKED_HEAD + b"%x\r\n%s" % (len(ANSWER), ANSWER) + b"XX0\r\n\r\n",

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_shot
@@ -174,6 +174,7 @@ def test_failures_are_reported_in_ascending_step_order():
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=400))
+@example("Step " + "1" * 5000 + ": yes")  # a step number past int()'s digit limit
 def test_parse_never_raises(text):
     # every outcome is a record's parse fields: PredictionRecord checks them
     outcome = parse_response(text)
